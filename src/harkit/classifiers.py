@@ -7,16 +7,12 @@ integer class codes (Activity codes in the pipeline).
 from __future__ import annotations
 
 import heapq
-import pickle
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyTrainingSet
-
-MODEL_FORMAT = "harkit-model-v1"
 
 
 class ModelKind(Enum):
@@ -362,11 +358,9 @@ class _BaggingImpl:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self.n_classes = int(y.max()) + 1
-        n = len(y)
         self.trees = []
         for i in range(self.n_learners):
-            rng = np.random.default_rng(self.seed + i)
-            idx = rng.integers(0, n, n)
+            idx = bootstrap_indices(self.seed, i, len(y))
             tree = _TreeImpl(max_splits=None)
             tree.fit(X[idx], y[idx])
             self.trees.append(tree)
@@ -382,7 +376,7 @@ class _BaggingImpl:
 
 
 def bootstrap_indices(seed: int, learner_index: int, n: int) -> np.ndarray:
-    """Bootstrap sample indices for one bagging learner (exposed for oracles)."""
+    """Bootstrap sample indices for one bagging learner."""
     return np.random.default_rng(seed + learner_index).integers(0, n, n)
 
 
@@ -439,17 +433,3 @@ def predict_batch(model: TrainedModel, X: np.ndarray) -> tuple[np.ndarray, np.nd
 def predict(model: TrainedModel, x: np.ndarray) -> Prediction:
     labels, scores = predict_batch(model, np.asarray(x, dtype=float)[None, :])
     return Prediction(label=int(labels[0]), score=float(scores[0]))
-
-
-def save_model(model: TrainedModel, path: str | Path) -> None:
-    """Versioned binary dump; load_model round-trips to bit-exact predictions."""
-    with Path(path).open("wb") as fh:
-        pickle.dump({"format": MODEL_FORMAT, "model": model}, fh, protocol=4)
-
-
-def load_model(path: str | Path) -> TrainedModel:
-    with Path(path).open("rb") as fh:
-        blob = pickle.load(fh)
-    if blob.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model file format: {blob.get('format')!r}")
-    return blob["model"]

@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,9 @@ from .errors import (
     TooFewInstances,
     UnknownActivity,
     UnknownSensor,
+    UsageError,
 )
 from .evaluation import (
-    DEFAULT_SWEEP_SIZES,
     EvalConfig,
     Protocol,
     Treatment,
@@ -36,6 +37,8 @@ from .evaluation import (
 )
 from .features import Bank, feature_matrix
 from .ingest import (
+    ACTIVITY_CSV_NAMES,
+    Activity,
     SensorKind,
     SynthParams,
     dataset_summary,
@@ -46,7 +49,6 @@ from .ingest import (
 )
 from .reporting import (
     RunManifest,
-    Stopwatch,
     atomic_write_text,
     is_features_csv,
     read_features_csv,
@@ -70,6 +72,9 @@ SCHEMA_ERRORS = (MalformedRow, NonFiniteValue, NonMonotonicTimestamps,
                  UnknownActivity, UnknownSensor)
 PROTOCOL_ERRORS = (SingleSubject, TooFewInstances)
 
+# The treatments the grid compares; `eval --treatment unr-nrp` stays available.
+GRID_TREATMENTS = ("nr-rp", "nr-nrp", "unr-rp")
+
 
 def _default_seed() -> int:
     env = os.environ.get("HAR_SEED")
@@ -91,42 +96,69 @@ def _positive_float(value: str) -> float:
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        lo, hi, step = (int(p) for p in text.split(":"))
-        return tuple(range(lo, hi + 1, step))
-    return tuple(int(p) for p in text.split(","))
+    """lo:hi:step (hi included) or a comma list; () when the text is neither."""
+    try:
+        if ":" in text:
+            lo, hi, step = (int(p) for p in text.split(":"))
+            return tuple(range(lo, hi + 1, step))
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        return ()
+
+
+def _check_preprocess_flags(args, sizes: tuple[int, ...], sizes_error: str) -> None:
+    """Usage checks shared by the commands that filter and segment recordings."""
+    if not sizes or min(sizes) < 4:
+        raise UsageError(sizes_error)
+    if args.filter_order < 0:
+        raise UsageError("--filter-order must be >= 0 (0 turns the filter off)")
 
 
 def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                        inputs: list[Path], duration_s: float) -> None:
+                        inputs: list[Path], outputs: list[Path], started: float) -> None:
+    """Write <command>_manifest.json; duration_s runs from `started` (time.monotonic)."""
     manifest = RunManifest(
         command=command,
         config=config,
         seed=seed,
         input_digests={str(p): sha256_file(p) for p in inputs},
-        duration_s=round(duration_s, 3),
+        output_digests={str(p): sha256_file(p) for p in outputs},
+        duration_s=round(time.monotonic() - started, 3),
     )
     atomic_write_text(out_dir / f"{command}_manifest.json", manifest.to_json())
 
 
-def _model_spec(args) -> ModelSpec:
-    return ModelSpec(
-        kind=ModelKind(args.model),
+def _eval_config(args, kind: ModelKind, treatment: str, protocol: str,
+                 bank: Bank) -> EvalConfig:
+    """The cell (kind, treatment, protocol, bank); every other setting comes from the flags."""
+    return EvalConfig(
+        model_spec=ModelSpec(
+            kind=kind,
+            seed=args.seed,
+            k=args.knn_k,
+            n_learners=args.bag_learners,
+            C=args.svm_c,
+            max_splits=args.tree_splits,
+        ),
+        bank=bank,
+        samples_per_window=args.window,
+        treatment=Treatment.from_name(treatment),
+        protocol=Protocol(protocol),
+        folds=args.folds,
         seed=args.seed,
-        k=args.knn_k,
-        n_learners=args.bag_learners,
-        C=args.svm_c,
-        max_splits=args.tree_splits,
     )
 
 
-def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=[k.value for k in ModelKind], default="dtree")
-    p.add_argument("--bank", choices=["a", "b"], default="a")
-    p.add_argument("--window", type=_positive_int, default=75)
-    p.add_argument("--protocol", choices=["personal", "impersonal"], default="personal")
+def _add_cell_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--protocol", choices=[proto.value for proto in Protocol],
+                   default="personal")
     p.add_argument("--treatment", default="nr-rp",
                    choices=["nr-rp", "nr-nrp", "unr-rp", "unr-nrp"])
+
+
+def _add_eval_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--bank", choices=["a", "b"], default="a")
+    p.add_argument("--window", type=_positive_int, default=75)
     p.add_argument("--folds", type=_positive_int, default=10)
     p.add_argument("--sensor", choices=["accel", "gyro", "mag"], default="accel")
     p.add_argument("--filter-order", type=int, default=3)
@@ -136,6 +168,7 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tree-splits", type=_positive_int, default=85)
     p.add_argument("--permute-columns", action="store_true",
                    help="apply a seeded feature-column permutation to train and test")
+    p.add_argument("-o", "--out-dir", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="global seed (default: HAR_SEED env var, else 7)")
     sub = parser.add_subparsers(dest="command", required=True)
+    models = [k.value for k in ModelKind]
 
     p = sub.add_parser("synth", help="generate the synthetic dataset")
     p.add_argument("--subjects", type=_positive_int, default=6)
@@ -153,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out-dir", required=True)
 
     p = sub.add_parser("extract", help="filter, segment, and extract features")
-    p.add_argument("--input", required=True, help="recordings CSV")
+    p.add_argument("input", help="recordings CSV")
     p.add_argument("--bank", choices=["a", "b"], default="a")
     p.add_argument("--window", type=int, default=75)
     p.add_argument("--filter-order", type=int, default=3)
@@ -161,57 +195,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="feature CSV path")
 
     p = sub.add_parser("eval", help="run one evaluation cell")
-    p.add_argument("--input", required=True, help="recordings CSV or feature CSV")
+    p.add_argument("input", help="recordings CSV or feature CSV")
+    p.add_argument("--model", choices=models, default="dtree")
+    _add_cell_flags(p)
     _add_eval_flags(p)
-    p.add_argument("-o", "--out-dir", required=True)
+
+    p = sub.add_parser("grid", help="every model x treatment x protocol on one input")
+    p.add_argument("input", help="recordings CSV or feature CSV")
+    _add_eval_flags(p)
 
     p = sub.add_parser("sweep", help="window-size sweep")
-    p.add_argument("--input", required=True, help="recordings CSV")
+    p.add_argument("input", help="recordings CSV")
+    p.add_argument("--model", nargs="+", choices=models, default=["dtree"])
+    _add_cell_flags(p)
     _add_eval_flags(p)
     p.add_argument("--sizes", default="25:300:25",
                    help="lo:hi:step or comma list, e.g. 75 or 25,75,150")
-    p.add_argument("-o", "--out-dir", required=True)
 
     p = sub.add_parser("report", help="combine results CSVs with treatment t-tests")
     p.add_argument("inputs", nargs="+", help="results CSV files")
     p.add_argument("-o", "--output", required=True, help="markdown output path")
 
     p = sub.add_parser("summary", help="describe a recordings CSV")
-    p.add_argument("--input", required=True)
+    p.add_argument("input", help="recordings CSV")
     return parser
 
 
 def cmd_synth(args) -> int:
+    started = time.monotonic()
+    try:
+        params = SynthParams(
+            n_subjects=args.subjects,
+            minutes_per_activity=args.minutes,
+            sample_rate_hz=args.rate,
+            seed=args.seed,
+            subject_variability=args.variability,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         print(f"error: cannot create {out_dir}: {e}", file=sys.stderr)
         return EXIT_IO
-    params = SynthParams(
-        n_subjects=args.subjects,
-        minutes_per_activity=args.minutes,
-        sample_rate_hz=args.rate,
-        seed=args.seed,
-        subject_variability=args.variability,
-    )
-    with Stopwatch() as sw:
-        recordings, metas = generate_synthetic(params)
-        try:
-            write_recordings_csv(recordings, out_dir / "recordings.csv")
-            write_manifest_csv(metas, out_dir / "manifest.csv")
-        except OSError as e:
-            print(f"error: write failed: {e}", file=sys.stderr)
-            return EXIT_IO
-    _write_run_manifest(out_dir, "synth", asdict(params), args.seed, [], sw.elapsed)
-    print(f"wrote {len(recordings)} recordings to {out_dir / 'recordings.csv'}")
+    recordings, metas = generate_synthetic(params)
+    outputs = [out_dir / "recordings.csv", out_dir / "manifest.csv"]
+    try:
+        write_recordings_csv(recordings, outputs[0])
+        write_manifest_csv(metas, outputs[1])
+    except OSError as e:
+        print(f"error: write failed: {e}", file=sys.stderr)
+        return EXIT_IO
+    _write_run_manifest(out_dir, "synth", asdict(params), args.seed, [], outputs, started)
+    print(f"wrote {len(recordings)} recordings to {outputs[0]}")
     return EXIT_OK
 
 
 def cmd_extract(args) -> int:
-    if args.window < 4:
-        print("error: --window must be at least 4", file=sys.stderr)
-        return EXIT_USAGE
+    _check_preprocess_flags(args, (args.window,), "--window must be at least 4")
     recordings = parse_recordings_csv(args.input)
     vectors = recordings_to_features(
         recordings, Bank(args.bank), args.window, args.filter_order,
@@ -235,86 +277,116 @@ def _load_vectors(args):
     )
 
 
-def cmd_eval(args) -> int:
-    if args.window < 4:
-        print("error: --window must be at least 4", file=sys.stderr)
-        return EXIT_USAGE
+def _load_matrix(args):
+    """(bank, X, y, subjects) of the input, columns permuted if asked."""
     vectors = _load_vectors(args)
     if not vectors:
         raise TooFewInstances("no feature vectors available")
-    config = EvalConfig(
-        model_spec=_model_spec(args),
-        bank=vectors[0].bank,
-        samples_per_window=args.window,
-        treatment=Treatment.from_name(args.treatment),
-        protocol=Protocol(args.protocol),
-        folds=args.folds,
-        seed=args.seed,
-    )
     X, y, subjects = feature_matrix(vectors)
     if args.permute_columns:
         col_order = np.random.default_rng(args.seed).permutation(X.shape[1])
         X = X[:, col_order]
+    return vectors[0].bank, X, y, subjects
+
+
+def cmd_eval(args) -> int:
+    started = time.monotonic()
+    _check_preprocess_flags(args, (args.window,), "--window must be at least 4")
+    bank, X, y, subjects = _load_matrix(args)
+    config = _eval_config(args, ModelKind(args.model), args.treatment, args.protocol, bank)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with Stopwatch() as sw:
-        report = evaluate(config, X, y, subjects)
-    write_results_csv(report_rows(config, report), out_dir / "results.csv")
-    atomic_write_text(out_dir / "table.md", report_markdown(config, report))
+    report = evaluate(config, X, y, subjects)
+    outputs = [out_dir / "results.csv", out_dir / "table.md"]
+    write_results_csv(report_rows(config, report), outputs[0])
+    atomic_write_text(outputs[1], report_markdown(config, report))
     _write_run_manifest(
         out_dir, "eval",
-        {"model": args.model, "bank": config.bank.value, "window": args.window,
+        {"model": args.model, "bank": bank.value, "window": args.window,
          "treatment": args.treatment, "protocol": args.protocol,
          "folds": args.folds, "permute_columns": args.permute_columns},
-        args.seed, [Path(args.input)], sw.elapsed,
+        args.seed, [Path(args.input)], outputs, started,
     )
     print(f"overall accuracy {report.overall_accuracy:.4f} "
           f"± {report.ci_halfwidth:.4f} (98% CI, n={report.n_units})")
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    sizes = _parse_sizes(args.sizes)
-    if not sizes or any(s < 4 for s in sizes):
-        print("error: --sizes must be positive window sizes >= 4", file=sys.stderr)
-        return EXIT_USAGE
-    recordings = parse_recordings_csv(args.input)
-    config = EvalConfig(
-        model_spec=_model_spec(args),
-        bank=Bank(args.bank),
-        samples_per_window=sizes[0],
-        treatment=Treatment.from_name(args.treatment),
-        protocol=Protocol(args.protocol),
-        folds=args.folds,
-        seed=args.seed,
-    )
+def cmd_grid(args) -> int:
+    started = time.monotonic()
+    _check_preprocess_flags(args, (args.window,), "--window must be at least 4")
+    bank, X, y, subjects = _load_matrix(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with Stopwatch() as sw:
-        results = window_sweep(config, recordings, sizes,
-                               args.filter_order, SensorKind(args.sensor))
     rows = []
-    for size in sizes:
-        from dataclasses import replace
+    summary = ["| model | treatment | protocol | accuracy | seconds |",
+               "| --- | --- | --- | --- | --- |"]
+    for kind in ModelKind:
+        for treatment in GRID_TREATMENTS:
+            for protocol in Protocol:
+                config = _eval_config(args, kind, treatment, protocol.value, bank)
+                cell_started = time.monotonic()
+                report = evaluate(config, X, y, subjects)
+                rows.extend(report_rows(config, report))
+                summary.append(
+                    f"| {kind.value} | {treatment} | {protocol.value} "
+                    f"| {report.overall_accuracy:.4f} | {time.monotonic() - cell_started:.1f} |"
+                )
+                print(summary[-1])
+    outputs = [out_dir / "grid_results.csv", out_dir / "summary.md"]
+    write_results_csv(rows, outputs[0])
+    atomic_write_text(outputs[1], "# Treatment grid\n\n" + "\n".join(summary) + "\n")
+    _write_run_manifest(
+        out_dir, "grid",
+        {"models": [k.value for k in ModelKind], "bank": bank.value, "window": args.window,
+         "treatments": list(GRID_TREATMENTS), "protocols": [p.value for p in Protocol],
+         "folds": args.folds, "permute_columns": args.permute_columns},
+        args.seed, [Path(args.input)], outputs, started,
+    )
+    return EXIT_OK
 
-        rows.extend(report_rows(replace(config, samples_per_window=size), results[size]))
-    write_results_csv(rows, out_dir / "sweep_results.csv")
-    series = {args.model: {s: results[s].overall_accuracy for s in sizes}}
-    from .ingest import ACTIVITY_CSV_NAMES, Activity
 
-    for act in Activity:
-        series[ACTIVITY_CSV_NAMES[act]] = {
-            s: results[s].per_activity_recall[act] for s in sizes
-        }
-    atomic_write_text(out_dir / "sweep.svg", sweep_svg(series))
+def cmd_sweep(args) -> int:
+    started = time.monotonic()
+    sizes = _parse_sizes(args.sizes)
+    _check_preprocess_flags(args, sizes, "--sizes must be lo:hi:step or a comma list of "
+                            f"window sizes >= 4, got {args.sizes!r}")
+    models = list(dict.fromkeys(args.model))
+    recordings = parse_recordings_csv(args.input)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = {}
+    rows = []
+    for model in models:
+        config = _eval_config(args, ModelKind(model), args.treatment, args.protocol,
+                              Bank(args.bank))
+        results[model] = window_sweep(config, recordings, sizes,
+                                      args.filter_order, SensorKind(args.sensor))
+        for size in sizes:
+            rows.extend(report_rows(replace(config, samples_per_window=size),
+                                    results[model][size]))
+    series = {m: {s: reports[s].overall_accuracy for s in sizes}
+              for m, reports in results.items()}
+    if len(models) == 1:
+        # a single model's chart also shows its recall per activity
+        for act in Activity:
+            series[ACTIVITY_CSV_NAMES[act]] = {
+                s: results[models[0]][s].per_activity_recall[act] for s in sizes
+            }
+    outputs = [out_dir / "sweep_results.csv", out_dir / "sweep.svg"]
+    write_results_csv(rows, outputs[0])
+    atomic_write_text(outputs[1], sweep_svg(series))
     _write_run_manifest(
         out_dir, "sweep",
-        {"model": args.model, "bank": args.bank, "sizes": list(sizes),
+        {"model": models, "bank": args.bank, "sizes": list(sizes),
          "treatment": args.treatment, "protocol": args.protocol},
-        args.seed, [Path(args.input)], sw.elapsed,
+        args.seed, [Path(args.input)], outputs, started,
     )
-    for size in sizes:
-        print(f"window {size:4d}: overall accuracy {results[size].overall_accuracy:.4f}")
+    for model, reports in results.items():
+        prefix = f"{model} " if len(models) > 1 else ""
+        for size in sizes:
+            print(f"{prefix}window {size:4d}: "
+                  f"overall accuracy {reports[size].overall_accuracy:.4f}")
     return EXIT_OK
 
 
@@ -385,6 +457,7 @@ COMMANDS = {
     "synth": cmd_synth,
     "extract": cmd_extract,
     "eval": cmd_eval,
+    "grid": cmd_grid,
     "sweep": cmd_sweep,
     "report": cmd_report,
     "summary": cmd_summary,
@@ -398,15 +471,15 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = _default_seed()
     try:
         return COMMANDS[args.command](args)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except PROTOCOL_ERRORS as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
         return EXIT_PROTOCOL
     except SCHEMA_ERRORS as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

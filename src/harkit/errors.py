@@ -5,6 +5,10 @@ class HarkitError(Exception):
     """Base class for all toolkit errors."""
 
 
+class UsageError(HarkitError):
+    """A command-line value the command cannot run with (exit code 2)."""
+
+
 class MalformedRow(HarkitError):
     def __init__(self, line_no: int, reason: str):
         self.line_no = line_no

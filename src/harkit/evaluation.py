@@ -238,11 +238,14 @@ def window_sweep(
     filter_order: int = 3,
     sensor: SensorKind | None = SensorKind.Accelerometer,
 ) -> dict[int, EvalReport]:
-    """Re-segment, re-extract, and evaluate at each window size."""
+    """Filter once, then re-segment, re-extract, and evaluate at each window size."""
     if not sizes:
         raise ValueError("sizes must be non-empty")
+    if filter_order:
+        recordings = [filter_recording(rec, filter_order) for rec in recordings
+                      if sensor is None or rec.sensor is sensor]
     out = {}
     for size in sizes:
         config = replace(base_config, samples_per_window=size)
-        out[size] = evaluate_recordings(config, recordings, filter_order, sensor)
+        out[size] = evaluate_recordings(config, recordings, 0, sensor)
     return out

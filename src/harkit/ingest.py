@@ -306,13 +306,17 @@ def parse_manifest_csv(path: str | Path) -> list[SubjectMeta]:
     metas = []
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != MANIFEST_HEADER:
             raise MalformedRow(1, f"bad manifest header {header!r}")
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
-            metas.append(SubjectMeta(row[0], row[1], int(row[2]), row[3]))
+            try:
+                age = int(row[2])
+            except ValueError:
+                raise MalformedRow(line_no, f"bad age {row[2]!r}")
+            metas.append(SubjectMeta(row[0], row[1], age, row[3]))
     return metas
 
 

@@ -1,15 +1,12 @@
-"""Filtering, windowing, normalization, and instance permutation."""
+"""Filtering, windowing, and normalization."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
 
 import numpy as np
 
 from .errors import EmptySignal, EmptyTrainingSet, WidthMismatch
 from .ingest import Activity, Recording, SensorKind
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -112,16 +109,3 @@ def apply_normalizer(norm: Normalizer, features: np.ndarray) -> np.ndarray:
     out[..., nonzero] /= norm.std[nonzero]
     out[..., ~nonzero] = 0.0
     return out
-
-
-@dataclass(frozen=True)
-class PermutationPlan:
-    seed: int
-    order: tuple[int, ...]
-
-
-def permute_instances(seed: int, instances: Sequence[T]) -> tuple[PermutationPlan, list[T]]:
-    """Seeded uniform shuffle of instance order; the plan reproduces it."""
-    rng = np.random.default_rng(seed)
-    order = tuple(int(i) for i in rng.permutation(len(instances)))
-    return PermutationPlan(seed=seed, order=order), [instances[i] for i in order]

@@ -7,8 +7,7 @@ import io
 import json
 import os
 import tempfile
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +211,7 @@ class RunManifest:
     seed: int
     input_digests: dict[str, str]
     duration_s: float
+    output_digests: dict[str, str] = field(default_factory=dict)
     toolkit_version: str = __version__
 
     def to_json(self) -> str:
@@ -224,12 +224,3 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-class Stopwatch:
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.monotonic() - self.t0

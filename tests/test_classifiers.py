@@ -1,18 +1,15 @@
-"""Classifier contracts: correctness oracles, determinism, persistence."""
+"""Classifier contracts: correctness oracles and determinism."""
 import numpy as np
 import pytest
 
 from harkit.classifiers import (
-    MODEL_FORMAT,
     ModelKind,
     ModelSpec,
     Prediction,
     bootstrap_indices,
-    load_model,
     predict,
     predict_batch,
     quadratic_kernel,
-    save_model,
     train,
 )
 from harkit.errors import DimensionMismatch, EmptyTrainingSet
@@ -223,31 +220,3 @@ class TestDeterminism:
         lb, sb = predict_batch(train(spec, X, y), Xte)
         assert np.array_equal(la, lb)
         assert np.array_equal(sa, sb)
-
-
-class TestPersistence:
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_save_load_round_trip(self, kind, rng, tmp_path):
-        X, y = blobs(rng, n_per_class=15)
-        Xte = rng.normal(size=(10, 5))
-        spec = ModelSpec(kind, seed=5, n_learners=3)
-        model = train(spec, X, y)
-        path = tmp_path / "model.bin"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.spec == spec
-        la, sa = predict_batch(model, Xte)
-        lb, sb = predict_batch(loaded, Xte)
-        assert np.array_equal(la, lb)
-        assert np.array_equal(sa, sb)
-
-    def test_rejects_unknown_format(self, tmp_path):
-        import pickle
-
-        path = tmp_path / "bad.bin"
-        path.write_bytes(pickle.dumps({"format": "other-v9", "model": None}))
-        with pytest.raises(ValueError, match="format"):
-            load_model(path)
-
-    def test_format_tag(self):
-        assert MODEL_FORMAT == "harkit-model-v1"

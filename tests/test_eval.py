@@ -272,6 +272,21 @@ class TestWindowSweep:
         # floor(n / size) windows per recording feed each point
         assert out[300].confusion.sum() == 3 * 5 * 4
 
+    def test_filters_each_recording_once(self, small_dataset, monkeypatch):
+        _, recordings, _ = small_dataset
+        original, calls = ev.filter_recording, []
+
+        def counting_filter(rec, order):
+            calls.append(rec)
+            return original(rec, order)
+
+        monkeypatch.setattr(ev, "filter_recording", counting_filter)
+        config = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75,
+                            NR_RP, Protocol.Impersonal, seed=3)
+        window_sweep(config, recordings, sizes=(100, 200, 300))
+        accel = [r for r in recordings if r.sensor is SensorKind.Accelerometer]
+        assert len(calls) == len(accel)
+
     def test_empty_sizes_raise(self, small_dataset):
         _, recordings, _ = small_dataset
         config = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75)

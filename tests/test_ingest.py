@@ -177,6 +177,20 @@ class TestManifestCsv:
         write_manifest_csv(metas, path)
         assert parse_manifest_csv(path) == metas
 
+    def test_empty_file_is_malformed(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("")
+        with pytest.raises(MalformedRow) as ei:
+            parse_manifest_csv(path)
+        assert ei.value.line_no == 1
+
+    def test_non_integer_age_is_malformed(self, tmp_path):
+        path = write_lines(tmp_path / "m.csv",
+                           ["subject_id,gender,age_years,handedness", "s0,F,thirty,Left"])
+        with pytest.raises(MalformedRow) as ei:
+            parse_manifest_csv(path)
+        assert ei.value.line_no == 2
+
 
 class TestDatasetSummary:
     def test_rows_and_balance(self, small_dataset):

@@ -1,4 +1,4 @@
-"""Filtering, windowing, normalization, and permutation behavior."""
+"""Filtering, windowing, and normalization behavior."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,6 @@ from harkit.preprocess import (
     filter_recording,
     fit_normalizer,
     moving_average_filter,
-    permute_instances,
     segment_windows,
 )
 
@@ -142,24 +141,3 @@ class TestNormalizer:
     def test_empty_raises(self):
         with pytest.raises(EmptyTrainingSet):
             fit_normalizer(np.zeros((0, 3)))
-
-
-class TestPermuteInstances:
-    def test_is_seeded_permutation(self):
-        items = list(range(20))
-        plan_a, out_a = permute_instances(5, items)
-        plan_b, out_b = permute_instances(5, items)
-        assert out_a == out_b
-        assert plan_a == plan_b
-        assert sorted(out_a) == items
-
-    def test_plan_reproduces_order(self):
-        items = ["a", "b", "c", "d", "e"]
-        plan, out = permute_instances(11, items)
-        assert [items[i] for i in plan.order] == out
-
-    def test_different_seeds_differ(self):
-        items = list(range(50))
-        _, a = permute_instances(1, items)
-        _, b = permute_instances(2, items)
-        assert a != b
