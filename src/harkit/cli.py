@@ -57,10 +57,10 @@ from .reporting import (
     report_rows,
     sha256_file,
     sweep_svg,
+    treatment_report,
     write_features_csv,
     write_results_csv,
 )
-from .stats import paired_t_test
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -129,8 +129,8 @@ def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
 
 
 def _eval_config(args, kind: ModelKind, treatment: str, protocol: str,
-                 bank: Bank) -> EvalConfig:
-    """The cell (kind, treatment, protocol, bank); every other setting comes from the flags."""
+                 bank: Bank, window: int) -> EvalConfig:
+    """The cell (kind, treatment, protocol, bank, window); every other setting comes from the flags."""
     return EvalConfig(
         model_spec=ModelSpec(
             kind=kind,
@@ -141,7 +141,7 @@ def _eval_config(args, kind: ModelKind, treatment: str, protocol: str,
             max_splits=args.tree_splits,
         ),
         bank=bank,
-        samples_per_window=args.window,
+        samples_per_window=window,
         treatment=Treatment.from_name(treatment),
         protocol=Protocol(protocol),
         folds=args.folds,
@@ -149,26 +149,12 @@ def _eval_config(args, kind: ModelKind, treatment: str, protocol: str,
     )
 
 
-def _add_cell_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--protocol", choices=[proto.value for proto in Protocol],
-                   default="personal")
-    p.add_argument("--treatment", default="nr-rp",
-                   choices=["nr-rp", "nr-nrp", "unr-rp", "unr-nrp"])
-
-
-def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bank", choices=["a", "b"], default="a")
-    p.add_argument("--window", type=_positive_int, default=75)
-    p.add_argument("--folds", type=_positive_int, default=10)
-    p.add_argument("--sensor", choices=["accel", "gyro", "mag"], default="accel")
-    p.add_argument("--filter-order", type=int, default=3)
-    p.add_argument("--knn-k", type=_positive_int, default=10)
-    p.add_argument("--bag-learners", type=_positive_int, default=50)
-    p.add_argument("--svm-c", type=_positive_float, default=1.0)
-    p.add_argument("--tree-splits", type=_positive_int, default=85)
-    p.add_argument("--permute-columns", action="store_true",
-                   help="apply a seeded feature-column permutation to train and test")
-    p.add_argument("-o", "--out-dir", required=True)
+def _manifest_config(args, **resolved) -> dict:
+    """Every flag the command read, with `resolved` values (parsed, or read from the
+    input) in place of the raw ones; the seed, input and outputs are recorded apart."""
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("command", "seed", "input", "out_dir")}
+    return {**flags, **resolved}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,31 +172,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variability", type=float, default=1.0)
     p.add_argument("-o", "--out-dir", required=True)
 
-    p = sub.add_parser("extract", help="filter, segment, and extract features")
-    p.add_argument("input", help="recordings CSV")
-    p.add_argument("--bank", choices=["a", "b"], default="a")
-    p.add_argument("--window", type=int, default=75)
-    p.add_argument("--filter-order", type=int, default=3)
-    p.add_argument("--sensor", choices=["accel", "gyro", "mag"], default="accel")
-    p.add_argument("-o", "--output", required=True, help="feature CSV path")
+    extract = sub.add_parser("extract", help="filter, segment, and extract features")
+    extract.add_argument("input", help="recordings CSV")
+    extract.add_argument("-o", "--output", required=True, help="feature CSV path")
 
-    p = sub.add_parser("eval", help="run one evaluation cell")
-    p.add_argument("input", help="recordings CSV or feature CSV")
-    p.add_argument("--model", choices=models, default="dtree")
-    _add_cell_flags(p)
-    _add_eval_flags(p)
+    eval_ = sub.add_parser("eval", help="run one evaluation cell")
+    eval_.add_argument("input", help="recordings CSV or feature CSV")
+    eval_.add_argument("--model", choices=models, default="dtree")
 
-    p = sub.add_parser("grid", help="every model x treatment x protocol on one input")
-    p.add_argument("input", help="recordings CSV or feature CSV")
-    _add_eval_flags(p)
+    grid = sub.add_parser("grid", help="every model x treatment x protocol on one input")
+    grid.add_argument("input", help="recordings CSV or feature CSV")
 
-    p = sub.add_parser("sweep", help="window-size sweep")
-    p.add_argument("input", help="recordings CSV")
-    p.add_argument("--model", nargs="+", choices=models, default=["dtree"])
-    _add_cell_flags(p)
-    _add_eval_flags(p)
-    p.add_argument("--sizes", default="25:300:25",
-                   help="lo:hi:step or comma list, e.g. 75 or 25,75,150")
+    sweep = sub.add_parser("sweep", help="window-size sweep")
+    sweep.add_argument("input", help="recordings CSV")
+    sweep.add_argument("--model", nargs="+", choices=models, default=["dtree"])
+    sweep.add_argument("--sizes", default="25:300:25",
+                       help="lo:hi:step or comma list, e.g. 75 or 25,75,150")
+
+    # each shared flag once, on the commands that read it
+    for p in (extract, eval_, grid, sweep):
+        p.add_argument("--bank", choices=["a", "b"], default="a")
+        p.add_argument("--filter-order", type=int, default=3)
+        p.add_argument("--sensor", choices=["accel", "gyro", "mag"], default="accel")
+    for p in (extract, eval_, grid):
+        p.add_argument("--window", type=_positive_int, default=75)
+    for p in (eval_, sweep):
+        p.add_argument("--protocol", choices=[proto.value for proto in Protocol],
+                       default="personal")
+        p.add_argument("--treatment", default="nr-rp",
+                       choices=["nr-rp", "nr-nrp", "unr-rp", "unr-nrp"])
+    for p in (eval_, grid, sweep):
+        p.add_argument("--folds", type=_positive_int, default=10)
+        p.add_argument("--knn-k", type=_positive_int, default=10)
+        p.add_argument("--bag-learners", type=_positive_int, default=50)
+        p.add_argument("--svm-c", type=_positive_float, default=1.0)
+        p.add_argument("--tree-splits", type=_positive_int, default=85)
+        p.add_argument("-o", "--out-dir", required=True)
+    for p in (eval_, grid):
+        p.add_argument("--permute-columns", action="store_true",
+                       help="apply a seeded feature-column permutation to train and test")
 
     p = sub.add_parser("report", help="combine results CSVs with treatment t-tests")
     p.add_argument("inputs", nargs="+", help="results CSV files")
@@ -293,20 +293,16 @@ def cmd_eval(args) -> int:
     started = time.monotonic()
     _check_preprocess_flags(args, (args.window,), "--window must be at least 4")
     bank, X, y, subjects = _load_matrix(args)
-    config = _eval_config(args, ModelKind(args.model), args.treatment, args.protocol, bank)
+    config = _eval_config(args, ModelKind(args.model), args.treatment, args.protocol, bank,
+                          args.window)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate(config, X, y, subjects)
     outputs = [out_dir / "results.csv", out_dir / "table.md"]
     write_results_csv(report_rows(config, report), outputs[0])
     atomic_write_text(outputs[1], report_markdown(config, report))
-    _write_run_manifest(
-        out_dir, "eval",
-        {"model": args.model, "bank": bank.value, "window": args.window,
-         "treatment": args.treatment, "protocol": args.protocol,
-         "folds": args.folds, "permute_columns": args.permute_columns},
-        args.seed, [Path(args.input)], outputs, started,
-    )
+    _write_run_manifest(out_dir, "eval", _manifest_config(args, bank=bank.value),
+                        args.seed, [Path(args.input)], outputs, started)
     print(f"overall accuracy {report.overall_accuracy:.4f} "
           f"± {report.ci_halfwidth:.4f} (98% CI, n={report.n_units})")
     return EXIT_OK
@@ -324,7 +320,7 @@ def cmd_grid(args) -> int:
     for kind in ModelKind:
         for treatment in GRID_TREATMENTS:
             for protocol in Protocol:
-                config = _eval_config(args, kind, treatment, protocol.value, bank)
+                config = _eval_config(args, kind, treatment, protocol.value, bank, args.window)
                 cell_started = time.monotonic()
                 report = evaluate(config, X, y, subjects)
                 rows.extend(report_rows(config, report))
@@ -336,13 +332,11 @@ def cmd_grid(args) -> int:
     outputs = [out_dir / "grid_results.csv", out_dir / "summary.md"]
     write_results_csv(rows, outputs[0])
     atomic_write_text(outputs[1], "# Treatment grid\n\n" + "\n".join(summary) + "\n")
-    _write_run_manifest(
-        out_dir, "grid",
-        {"models": [k.value for k in ModelKind], "bank": bank.value, "window": args.window,
-         "treatments": list(GRID_TREATMENTS), "protocols": [p.value for p in Protocol],
-         "folds": args.folds, "permute_columns": args.permute_columns},
-        args.seed, [Path(args.input)], outputs, started,
+    config = _manifest_config(
+        args, bank=bank.value, models=[k.value for k in ModelKind],
+        treatments=list(GRID_TREATMENTS), protocols=[p.value for p in Protocol],
     )
+    _write_run_manifest(out_dir, "grid", config, args.seed, [Path(args.input)], outputs, started)
     return EXIT_OK
 
 
@@ -359,7 +353,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for model in models:
         config = _eval_config(args, ModelKind(model), args.treatment, args.protocol,
-                              Bank(args.bank))
+                              Bank(args.bank), sizes[0])
         results[model] = window_sweep(config, recordings, sizes,
                                       args.filter_order, SensorKind(args.sensor))
         for size in sizes:
@@ -376,12 +370,8 @@ def cmd_sweep(args) -> int:
     outputs = [out_dir / "sweep_results.csv", out_dir / "sweep.svg"]
     write_results_csv(rows, outputs[0])
     atomic_write_text(outputs[1], sweep_svg(series))
-    _write_run_manifest(
-        out_dir, "sweep",
-        {"model": models, "bank": args.bank, "sizes": list(sizes),
-         "treatment": args.treatment, "protocol": args.protocol},
-        args.seed, [Path(args.input)], outputs, started,
-    )
+    _write_run_manifest(out_dir, "sweep", _manifest_config(args, model=models, sizes=list(sizes)),
+                        args.seed, [Path(args.input)], outputs, started)
     for model, reports in results.items():
         prefix = f"{model} " if len(models) > 1 else ""
         for size in sizes:
@@ -394,50 +384,7 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.inputs:
         rows.extend(read_results_csv(path))
-
-    # cell key -> treatment -> {unit -> value}
-    cells: dict[tuple, dict[str, dict[str, float]]] = {}
-    for r in rows:
-        if ":" not in r["metric"]:
-            continue
-        _, unit = r["metric"].split(":", 1)
-        key = (r["protocol"], r["classifier"], r["bank"], r["window"], r["activity"])
-        cells.setdefault(key, {}).setdefault(r["treatment"], {})[unit] = float(r["value"])
-
-    lines = ["# Treatment comparison report", ""]
-    have_pairs = any("nr-rp" in t and "unr-rp" in t for t in cells.values())
-    if not have_pairs:
-        lines.append("_Note: no NR-RP / UNR-RP pair found; t-test column omitted._")
-        lines.append("")
-        lines.append("| protocol | classifier | bank | window | activity | treatment | mean |")
-        lines.append("|---|---|---|---|---|---|---|")
-        for key in sorted(cells):
-            for tname, units in sorted(cells[key].items()):
-                mean = sum(units.values()) / len(units)
-                lines.append("| " + " | ".join(key) + f" | {tname} | {mean:.4f} |")
-    else:
-        lines.append("Paired t-tests compare NR-RP against UNR-RP per unit at α = 0.02;")
-        lines.append("significant means are in **boldface**.")
-        lines.append("")
-        lines.append("| protocol | classifier | bank | window | activity | NR-RP | UNR-RP | t | p |")
-        lines.append("|---|---|---|---|---|---|---|---|---|")
-        for key in sorted(cells):
-            treatments = cells[key]
-            if "nr-rp" not in treatments or "unr-rp" not in treatments:
-                continue
-            units = sorted(set(treatments["nr-rp"]) & set(treatments["unr-rp"]))
-            if len(units) < 2:
-                continue
-            a = np.array([treatments["nr-rp"][u] for u in units])
-            b = np.array([treatments["unr-rp"][u] for u in units])
-            res = paired_t_test(a, b)
-            ma, mb = float(a.mean()), float(b.mean())
-            sig = res.p_two_sided <= 0.02
-            fa = f"**{ma:.4f}**" if sig and ma >= mb else f"{ma:.4f}"
-            fb = f"**{mb:.4f}**" if sig and mb > ma else f"{mb:.4f}"
-            ttxt = "inf" if not np.isfinite(res.t_stat) else f"{res.t_stat:.3f}"
-            lines.append("| " + " | ".join(key) + f" | {fa} | {fb} | {ttxt} | {res.p_two_sided:.4f} |")
-    atomic_write_text(args.output, "\n".join(lines) + "\n")
+    atomic_write_text(args.output, treatment_report(rows))
     print(f"wrote {args.output}")
     return EXIT_OK
 

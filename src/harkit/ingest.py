@@ -62,28 +62,42 @@ RECORDINGS_HEADER = [
 MANIFEST_HEADER = ["subject_id", "gender", "age_years", "handedness"]
 
 
-@dataclass(frozen=True)
-class Sample:
-    t_ms: int
-    x: float
-    y: float
-    z: float
+# One recording's samples: a structured array viewed as np.recarray, so
+# `samples.x` is a column and `samples[i].t_ms` one element.
+SAMPLE_DTYPE = np.dtype([("t_ms", np.int64), ("x", np.float64), ("y", np.float64),
+                         ("z", np.float64)])
+_INT64 = np.iinfo(np.int64)
 
 
-@dataclass(frozen=True)
+def samples_from_columns(t_ms, x, y, z) -> np.recarray:
+    """A read-only samples array built from equal-length columns."""
+    samples = np.empty(len(t_ms), dtype=SAMPLE_DTYPE)
+    samples["t_ms"], samples["x"], samples["y"], samples["z"] = t_ms, x, y, z
+    samples.flags.writeable = False
+    return samples.view(np.recarray)
+
+
+@dataclass(frozen=True, eq=False)
 class Recording:
     subject_id: str
     activity: Activity
     sensor: SensorKind
-    samples: tuple[Sample, ...]
+    samples: np.recarray  # SAMPLE_DTYPE, built by samples_from_columns
     sample_rate_hz: float = 20.0
     session_id: str = "s0"
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = np.array([s.x for s in self.samples])
-        y = np.array([s.y for s in self.samples])
-        z = np.array([s.z for s in self.samples])
-        return x, y, z
+        return self.samples.x, self.samples.y, self.samples.z
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Recording):
+            return NotImplemented
+        return (
+            (self.subject_id, self.activity, self.sensor, self.sample_rate_hz, self.session_id)
+            == (other.subject_id, other.activity, other.sensor, other.sample_rate_hz,
+                other.session_id)
+            and bool(np.array_equal(self.samples, other.samples))
+        )
 
 
 @dataclass(frozen=True)
@@ -202,16 +216,12 @@ def generate_synthetic(params: SynthParams) -> tuple[list[Recording], list[Subje
                         + scale * noise_std * rng.standard_normal(n_samples)
                     )
                     cols.append(sig)
-                samples = tuple(
-                    Sample(int(tm), float(xv), float(yv), float(zv))
-                    for tm, xv, yv, zv in zip(t_ms, cols[0], cols[1], cols[2])
-                )
                 recordings.append(
                     Recording(
                         subject_id=subject_id,
                         activity=activity,
                         sensor=sensor,
-                        samples=samples,
+                        samples=samples_from_columns(t_ms, *cols),
                         sample_rate_hz=params.sample_rate_hz,
                         session_id="s0",
                     )
@@ -226,7 +236,7 @@ def parse_recordings_csv(path: str | Path) -> list[Recording]:
     of first appearance and samples are sorted by timestamp.
     """
     path = Path(path)
-    groups: dict[tuple[str, str, Activity, SensorKind], list[Sample]] = {}
+    groups: dict[tuple[str, str, Activity, SensorKind], list[tuple[int, float, float, float]]] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -247,6 +257,8 @@ def parse_recordings_csv(path: str | Path) -> list[Recording]:
                 t_ms = int(ts)
             except ValueError:
                 raise MalformedRow(line_no, f"bad timestamp {ts!r}")
+            if not _INT64.min <= t_ms <= _INT64.max:
+                raise MalformedRow(line_no, f"timestamp {ts!r} out of the int64 range")
             vals = []
             for fname, s in (("x", xs), ("y", ys), ("z", zs)):
                 try:
@@ -257,23 +269,26 @@ def parse_recordings_csv(path: str | Path) -> list[Recording]:
                     raise NonFiniteValue(line_no, fname)
                 vals.append(v)
             key = (subject_id, session_id, CSV_NAME_TO_ACTIVITY[act_name], CSV_NAME_TO_SENSOR[sensor_name])
-            groups.setdefault(key, []).append(Sample(t_ms, *vals))
+            groups.setdefault(key, []).append((t_ms, *vals))
 
     recordings = []
-    for (subject_id, session_id, activity, sensor), samples in groups.items():
-        samples.sort(key=lambda s: s.t_ms)
-        for a, b in zip(samples, samples[1:]):
-            if b.t_ms <= a.t_ms:
-                raise NonMonotonicTimestamps(
-                    f"duplicate/backward timestamp {b.t_ms} for "
-                    f"({subject_id}, {session_id}, {activity.name}, {sensor.name})"
-                )
+    for (subject_id, session_id, activity, sensor), rows in groups.items():
+        t_ms, x, y, z = (np.array(col) for col in zip(*rows))
+        order = np.argsort(t_ms, kind="stable")
+        samples = samples_from_columns(t_ms[order], x[order], y[order], z[order])
+        # compared pairwise, not by np.diff, which wraps around near the int64 limits
+        repeats = np.flatnonzero(samples.t_ms[1:] <= samples.t_ms[:-1])
+        if repeats.size:
+            raise NonMonotonicTimestamps(
+                f"duplicate/backward timestamp {samples.t_ms[repeats[0] + 1]} for "
+                f"({subject_id}, {session_id}, {activity.name}, {sensor.name})"
+            )
         recordings.append(
             Recording(
                 subject_id=subject_id,
                 activity=activity,
                 sensor=sensor,
-                samples=tuple(samples),
+                samples=samples,
                 session_id=session_id,
             )
         )
@@ -287,10 +302,10 @@ def write_recordings_csv(recordings: Iterable[Recording], path: str | Path) -> N
         for rec in recordings:
             act = ACTIVITY_CSV_NAMES[rec.activity]
             sensor = rec.sensor.value
-            for s in rec.samples:
+            for t_ms, x, y, z in rec.samples.tolist():
                 writer.writerow(
                     [rec.subject_id, rec.session_id, act, sensor,
-                     s.t_ms, repr(s.x), repr(s.y), repr(s.z)]
+                     t_ms, repr(x), repr(y), repr(z)]
                 )
 
 

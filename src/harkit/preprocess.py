@@ -1,12 +1,12 @@
 """Filtering, windowing, and normalization."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EmptySignal, EmptyTrainingSet, WidthMismatch
-from .ingest import Activity, Recording, SensorKind
+from .ingest import Activity, Recording, SensorKind, samples_from_columns
 
 
 @dataclass(frozen=True)
@@ -40,44 +40,27 @@ def moving_average_filter(signal: np.ndarray, order: int = 3) -> np.ndarray:
 
 def filter_recording(rec: Recording, order: int = 3) -> Recording:
     """Apply the moving-average filter to each axis, keeping timestamps."""
-    x, y, z = rec.axes()
-    fx, fy, fz = (moving_average_filter(a, order) for a in (x, y, z))
-    from .ingest import Sample
-
-    samples = tuple(
-        Sample(s.t_ms, float(a), float(b), float(c))
-        for s, a, b, c in zip(rec.samples, fx, fy, fz)
-    )
-    return Recording(
-        subject_id=rec.subject_id,
-        activity=rec.activity,
-        sensor=rec.sensor,
-        samples=samples,
-        sample_rate_hz=rec.sample_rate_hz,
-        session_id=rec.session_id,
-    )
+    fx, fy, fz = (moving_average_filter(a, order) for a in rec.axes())
+    return replace(rec, samples=samples_from_columns(rec.samples.t_ms, fx, fy, fz))
 
 
 def segment_windows(rec: Recording, samples_per_window: int) -> list[Window]:
-    """Non-overlapping, in-order blocks; the trailing partial block is dropped."""
+    """Non-overlapping, in-order blocks; the trailing partial block is dropped.
+
+    Each window's axes are rows of one C-contiguous (n_windows, w) block per axis.
+    """
     if samples_per_window < 4:
         raise ValueError("samples_per_window must be >= 4")
-    x, y, z = rec.axes()
-    n = len(x) // samples_per_window
-    out = []
-    for i in range(n):
-        sl = slice(i * samples_per_window, (i + 1) * samples_per_window)
-        out.append(
-            Window(
-                subject_id=rec.subject_id,
-                activity=rec.activity,
-                sensor=rec.sensor,
-                x=x[sl].copy(),
-                y=y[sl].copy(),
-                z=z[sl].copy(),
-            )
-        )
-    return out
+    n = len(rec.samples) // samples_per_window
+    blocks = (
+        np.ascontiguousarray(a[: n * samples_per_window]).reshape(n, samples_per_window)
+        for a in rec.axes()
+    )
+    return [
+        Window(subject_id=rec.subject_id, activity=rec.activity, sensor=rec.sensor,
+               x=x, y=y, z=z)
+        for x, y, z in zip(*blocks)
+    ]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .errors import MalformedRow
 from .evaluation import EvalConfig, EvalReport
 from .features import Bank, BANK_WIDTH, FeatureVector
 from .ingest import ACTIVITY_CSV_NAMES, Activity, CSV_NAME_TO_ACTIVITY
+from .stats import paired_t_test
 
 RESULTS_HEADER = [
     "protocol", "classifier", "bank", "treatment", "window",
@@ -134,6 +135,57 @@ def read_results_csv(path: str | Path) -> list[dict[str, str]]:
         if header != RESULTS_HEADER:
             raise MalformedRow(1, f"bad results header {header!r}")
         return [dict(zip(RESULTS_HEADER, row)) for row in reader]
+
+
+def treatment_report(rows: list[dict[str, str]]) -> str:
+    """Markdown comparing treatments per cell from results-CSV rows.
+
+    With an NR-RP/UNR-RP pair, a paired t-test per cell over the shared units
+    (significant means in bold); without one, each treatment's mean per cell.
+    """
+    # cell key -> treatment -> {unit -> value}
+    cells: dict[tuple, dict[str, dict[str, float]]] = {}
+    for r in rows:
+        if ":" not in r["metric"]:
+            continue
+        _, unit = r["metric"].split(":", 1)
+        key = (r["protocol"], r["classifier"], r["bank"], r["window"], r["activity"])
+        cells.setdefault(key, {}).setdefault(r["treatment"], {})[unit] = float(r["value"])
+
+    lines = ["# Treatment comparison report", ""]
+    have_pairs = any("nr-rp" in t and "unr-rp" in t for t in cells.values())
+    if not have_pairs:
+        lines.append("_Note: no NR-RP / UNR-RP pair found; t-test column omitted._")
+        lines.append("")
+        lines.append("| protocol | classifier | bank | window | activity | treatment | mean |")
+        lines.append("|---|---|---|---|---|---|---|")
+        for key in sorted(cells):
+            for tname, units in sorted(cells[key].items()):
+                mean = sum(units.values()) / len(units)
+                lines.append("| " + " | ".join(key) + f" | {tname} | {mean:.4f} |")
+    else:
+        lines.append("Paired t-tests compare NR-RP against UNR-RP per unit at α = 0.02;")
+        lines.append("significant means are in **boldface**.")
+        lines.append("")
+        lines.append("| protocol | classifier | bank | window | activity | NR-RP | UNR-RP | t | p |")
+        lines.append("|---|---|---|---|---|---|---|---|---|")
+        for key in sorted(cells):
+            treatments = cells[key]
+            if "nr-rp" not in treatments or "unr-rp" not in treatments:
+                continue
+            units = sorted(set(treatments["nr-rp"]) & set(treatments["unr-rp"]))
+            if len(units) < 2:
+                continue
+            a = np.array([treatments["nr-rp"][u] for u in units])
+            b = np.array([treatments["unr-rp"][u] for u in units])
+            res = paired_t_test(a, b)
+            ma, mb = float(a.mean()), float(b.mean())
+            sig = res.p_two_sided <= 0.02
+            fa = f"**{ma:.4f}**" if sig and ma >= mb else f"{ma:.4f}"
+            fb = f"**{mb:.4f}**" if sig and mb > ma else f"{mb:.4f}"
+            ttxt = "inf" if not np.isfinite(res.t_stat) else f"{res.t_stat:.3f}"
+            lines.append("| " + " | ".join(key) + f" | {fa} | {fb} | {ttxt} | {res.p_two_sided:.4f} |")
+    return "\n".join(lines) + "\n"
 
 
 def report_markdown(config: EvalConfig, report: EvalReport) -> str:

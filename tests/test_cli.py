@@ -141,6 +141,23 @@ class TestEval:
         assert (plain / "results.csv").read_bytes() == (permuted / "results.csv").read_bytes()
 
 
+    def test_manifest_config_records_every_flag(self, recordings_csv, tmp_path):
+        configs = []
+        for learners in ("2", "3"):
+            out = tmp_path / learners
+            assert main(["--seed", "4", "eval", str(recordings_csv), "--model", "bag",
+                         "--bank", "b", "--window", "100", "--bag-learners", learners,
+                         "-o", str(out)]) == EXIT_OK
+            configs.append(json.loads((out / "eval_manifest.json").read_text())["config"])
+        assert configs[0] != configs[1]
+        assert configs[0] == {
+            "model": "bag", "bank": "b", "window": 100, "treatment": "nr-rp",
+            "protocol": "personal", "folds": 10, "permute_columns": False,
+            "knn_k": 10, "bag_learners": 2, "svm_c": 1.0, "tree_splits": 85,
+            "filter_order": 3, "sensor": "accel",
+        }
+
+
 class TestSweep:
     def test_single_size_artifacts(self, recordings_csv, tmp_path):
         out = tmp_path / "sweep"
@@ -169,6 +186,13 @@ class TestSweep:
     def test_malformed_sizes_is_usage_error(self, recordings_csv, tmp_path, sizes):
         assert main(["sweep", str(recordings_csv), "--sizes", sizes,
                      "-o", str(tmp_path / "x")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", [["--window", "9999"], ["--permute-columns"]])
+    def test_flags_sweep_does_not_read_are_usage_errors(self, recordings_csv, tmp_path, flag):
+        with pytest.raises(SystemExit) as ei:
+            main(["sweep", str(recordings_csv), "--sizes", "100", *flag,
+                  "-o", str(tmp_path / "x")])
+        assert ei.value.code == EXIT_USAGE
 
     def test_one_model_outputs_are_unchanged(self, recordings_csv, tmp_path):
         # sha256 of the files the single-model sweep wrote before --model took

@@ -1,6 +1,8 @@
 """CSV schema, synthetic generation, and summary behavior."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harkit.errors import (
     MalformedRow,
@@ -13,16 +15,17 @@ from harkit.ingest import (
     ACTIVITY_CSV_NAMES,
     Activity,
     Recording,
-    Sample,
     SensorKind,
     SynthParams,
     dataset_summary,
     generate_synthetic,
     parse_manifest_csv,
     parse_recordings_csv,
+    samples_from_columns,
     write_manifest_csv,
     write_recordings_csv,
 )
+from harkit.preprocess import filter_recording
 
 HEADER = "subject_id,session_id,activity,sensor,timestamp_ms,x,y,z"
 
@@ -72,7 +75,7 @@ class TestGenerateSynthetic:
     def test_seed_changes_data(self):
         a, _ = generate_synthetic(SynthParams(n_subjects=1, minutes_per_activity=0.2, seed=1))
         b, _ = generate_synthetic(SynthParams(n_subjects=1, minutes_per_activity=0.2, seed=2))
-        assert a[0].samples != b[0].samples
+        assert not np.array_equal(a[0].samples, b[0].samples)
 
     def test_accelerometer_z_carries_gravity(self, small_dataset):
         _, recordings, _ = small_dataset
@@ -117,6 +120,53 @@ class TestRecordingsCsvRoundTrip:
         assert rec.samples[0].x == 4.0
 
 
+INT64 = np.iinfo(np.int64)
+# subnormals, the largest magnitudes and both zeros, besides any other finite float
+edge_floats = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def recordings(draw):
+    """1-3 recordings of distinct activities, samples in drawn (unsorted) timestamp order."""
+    activities = draw(st.lists(st.sampled_from(list(Activity)), min_size=1, max_size=3,
+                               unique=True))
+    out = []
+    for activity in activities:
+        t_ms = draw(st.lists(st.one_of(st.sampled_from([INT64.min, INT64.max]),
+                                       st.integers(INT64.min, INT64.max)),
+                             min_size=1, max_size=20, unique=True))
+        n = len(t_ms)
+        x, y, z = (draw(st.lists(edge_floats, min_size=n, max_size=n)) for _ in range(3))
+        out.append(Recording("s0", activity, SensorKind.Gyroscope,
+                             samples_from_columns(t_ms, x, y, z), session_id="s1"))
+    return out
+
+
+class TestRecordingsCsvProperties:
+    @given(recordings())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, recs):
+        path = tmp_path_factory.mktemp("rt") / "r.csv"
+        write_recordings_csv(recs, path)
+        back = parse_recordings_csv(path)
+        assert len(back) == len(recs)
+        for got, rec in zip(back, recs):
+            assert (got.subject_id, got.session_id, got.activity, got.sensor) == (
+                rec.subject_id, rec.session_id, rec.activity, rec.sensor)
+            expected = rec.samples[np.argsort(rec.samples.t_ms)]
+            # bytes, not ==, so -0.0 read back as 0.0 fails
+            assert got.samples.tobytes() == expected.tobytes()
+            with np.errstate(over="ignore", invalid="ignore"):
+                filtered = filter_recording(got, 3)
+            assert filtered.samples.t_ms.tobytes() == got.samples.t_ms.tobytes()
+            assert (filtered.subject_id, filtered.session_id, filtered.activity,
+                    filtered.sensor, filtered.sample_rate_hz) == (
+                got.subject_id, got.session_id, got.activity, got.sensor, got.sample_rate_hz)
+
+
 class TestRecordingsCsvErrors:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -148,6 +198,15 @@ class TestRecordingsCsvErrors:
         path = write_lines(tmp_path / "s.csv", [HEADER, "s0,s0,walking,sonar,0,1,2,3"])
         with pytest.raises(UnknownSensor):
             parse_recordings_csv(path)
+
+    def test_timestamp_outside_int64_is_malformed(self, tmp_path):
+        path = write_lines(
+            tmp_path / "t.csv",
+            [HEADER, "s0,s0,walking,accel,0,1,2,3", "s0,s0,walking,accel,99999999999999999999,1,2,3"],
+        )
+        with pytest.raises(MalformedRow) as ei:
+            parse_recordings_csv(path)
+        assert ei.value.line_no == 3
 
     def test_bad_number(self, tmp_path):
         path = write_lines(tmp_path / "n.csv", [HEADER, "s0,s0,walking,accel,0,1,oops,3"])
@@ -208,7 +267,7 @@ class TestDatasetSummary:
             subject_id="s0",
             activity=Activity.Walking,
             sensor=SensorKind.Accelerometer,
-            samples=tuple(Sample(i * 50, 0.0, 0.0, 0.0) for i in range(40)),
+            samples=samples_from_columns(np.arange(40) * 50, *np.zeros((3, 40))),
         )
         summary = dataset_summary([rec])
         assert summary.rows[0].duration_s == pytest.approx(2.0)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from harkit.errors import EmptySignal, EmptyTrainingSet, WidthMismatch
-from harkit.ingest import Activity, Recording, Sample, SensorKind
+from harkit.ingest import Activity, Recording, SensorKind, samples_from_columns
 from harkit.preprocess import (
     Normalizer,
     Window,
@@ -22,15 +22,12 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 def make_recording(n, subject="s0"):
     rng = np.random.default_rng(7)
-    samples = tuple(
-        Sample(i * 50, float(rng.normal()), float(rng.normal()), float(rng.normal()))
-        for i in range(n)
-    )
+    xyz = rng.normal(size=(n, 3))
     return Recording(
         subject_id=subject,
         activity=Activity.Walking,
         sensor=SensorKind.Accelerometer,
-        samples=samples,
+        samples=samples_from_columns(np.arange(n) * 50, *xyz.T),
     )
 
 

@@ -22,6 +22,7 @@ from harkit.reporting import (
     report_rows,
     sha256_file,
     sweep_svg,
+    treatment_report,
     write_features_csv,
     write_results_csv,
 )
@@ -133,6 +134,43 @@ class TestMarkdown:
         assert "overall" in md
         assert "98% CI" in md
         assert f"{report.overall_accuracy:.4f}" in md
+
+
+def result_rows(treatment, activity, values):
+    """Results-CSV rows of one impersonal nb cell: a summary row plus one row per unit."""
+    base = {"protocol": "impersonal", "classifier": "nb", "bank": "b", "treatment": treatment,
+            "window": "75", "activity": activity, "ci_halfwidth": "", "n_units": str(len(values))}
+    rows = [{**base, "metric": "accuracy", "value": "0.5"}]
+    rows += [{**base, "metric": f"accuracy:s{i}", "value": repr(v)} for i, v in enumerate(values)]
+    return rows
+
+
+class TestTreatmentReport:
+    def test_pair_gets_t_test_row(self):
+        rows = (result_rows("nr-rp", "overall", [0.9, 0.92, 0.88, 0.91])
+                + result_rows("unr-rp", "overall", [0.5, 0.52, 0.49, 0.51])
+                + result_rows("nr-rp", "walking", [0.7, 0.8]))  # no UNR-RP: no row
+        lines = treatment_report(rows).splitlines()
+        assert lines[:2] == ["# Treatment comparison report", ""]
+        assert lines[5] == "| protocol | classifier | bank | window | activity | NR-RP | UNR-RP | t | p |"
+        (row,) = lines[7:]
+        assert row.startswith("| impersonal | nb | b | 75 | overall | **0.9025** | 0.5050 | ")
+        t, p = (float(v) for v in row.strip("| ").split(" | ")[-2:])
+        assert t > 10 and p < 0.02
+
+    def test_without_pair_lists_means(self):
+        rows = (result_rows("nr-rp", "overall", [0.9, 0.8])
+                + result_rows("nr-nrp", "overall", [0.6, 0.7]))
+        assert treatment_report(rows) == "\n".join([
+            "# Treatment comparison report",
+            "",
+            "_Note: no NR-RP / UNR-RP pair found; t-test column omitted._",
+            "",
+            "| protocol | classifier | bank | window | activity | treatment | mean |",
+            "|---|---|---|---|---|---|---|",
+            "| impersonal | nb | b | 75 | overall | nr-nrp | 0.6500 |",
+            "| impersonal | nb | b | 75 | overall | nr-rp | 0.8500 |",
+        ]) + "\n"
 
 
 class TestSweepSvg:
