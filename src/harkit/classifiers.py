@@ -45,16 +45,6 @@ class ModelSpec:
             raise ValueError("max_splits must be >= 1")
 
 
-@dataclass(frozen=True)
-class Prediction:
-    label: int
-    score: float  # vote fraction or posterior probability
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError("score must lie in [0, 1]")
-
-
 # ---------------------------------------------------------------------------
 # CART decision tree
 # ---------------------------------------------------------------------------
@@ -428,8 +418,3 @@ def predict_batch(model: TrainedModel, X: np.ndarray) -> tuple[np.ndarray, np.nd
             f"expected width {model.n_features}, got {X.shape[1] if X.ndim == 2 else '?'}"
         )
     return model.impl.predict_batch(X)
-
-
-def predict(model: TrainedModel, x: np.ndarray) -> Prediction:
-    labels, scores = predict_batch(model, np.asarray(x, dtype=float)[None, :])
-    return Prediction(label=int(labels[0]), score=float(scores[0]))

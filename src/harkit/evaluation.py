@@ -8,9 +8,9 @@ import numpy as np
 
 from .classifiers import ModelSpec, predict_batch, train
 from .errors import SingleSubject, TooFewInstances
-from .features import Bank, extract_bank, feature_matrix
+from .features import Bank, FeatureVector, bank_matrix, feature_matrix
 from .ingest import Activity, Recording, SensorKind
-from .preprocess import apply_normalizer, filter_recording, fit_normalizer, segment_windows
+from .preprocess import apply_normalizer, filter_recording, fit_normalizer, window_block
 from .stats import confidence_interval
 
 N_CLASSES = len(Activity)
@@ -99,12 +99,7 @@ def loso_split(subject_ids: list[str]) -> list[tuple[np.ndarray, np.ndarray, str
     if len(subjects) < 2:
         raise SingleSubject("leave-one-subject-out needs at least 2 subjects")
     ids = np.asarray(subject_ids)
-    out = []
-    for s in subjects:
-        test = np.flatnonzero(ids == s)
-        tr = np.flatnonzero(ids != s)
-        out.append((tr, test, s))
-    return out
+    return [(np.flatnonzero(ids != s), np.flatnonzero(ids == s), s) for s in subjects]
 
 
 def _run_split(
@@ -161,9 +156,7 @@ def evaluate(
             correct = 0
             for fold in folds:
                 test_idx = sub_idx[fold]
-                train_mask = np.ones(len(sub_idx), dtype=bool)
-                train_mask[fold] = False
-                train_idx = sub_idx[train_mask]
+                train_idx = np.delete(sub_idx, fold)
                 pred = _run_split(config, X, y, train_idx, test_idx, split_index)
                 split_index += 1
                 correct += int(np.sum(pred == y[test_idx]))
@@ -205,14 +198,14 @@ def recordings_to_features(
     filter_order: int = 3,
     sensor: SensorKind | None = SensorKind.Accelerometer,
 ):
-    """filter -> segment -> extract, per recording; returns FeatureVectors."""
+    """filter -> segment -> one bank call per recording; returns FeatureVectors."""
     vectors = []
     for rec in recordings:
         if sensor is not None and rec.sensor is not sensor:
             continue
         filtered = filter_recording(rec, filter_order) if filter_order else rec
-        for w in segment_windows(filtered, samples_per_window):
-            vectors.append(extract_bank(w, bank))
+        values = bank_matrix(bank, window_block(filtered, samples_per_window))
+        vectors.extend(FeatureVector(bank, row, rec.activity, rec.subject_id) for row in values)
     return vectors
 
 

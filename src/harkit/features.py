@@ -1,4 +1,8 @@
-"""Per-window feature primitives and the two fixed-width feature banks.
+"""Feature primitives and the two fixed-width feature banks.
+
+Every primitive reduces over the last axis: one signal gives its value, an
+(n, w) block gives one value per row. The sequential estimators run their
+recursions element-wise across the rows.
 
 Bank A (width 43) = 14 per-axis slots x 3 axes + average resultant:
     mean, median, variance, std, IQR, acf lag-1, pacf lag-2,
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import IllConditionedWarning, LengthMismatch, SignalTooShort
 from .ingest import Activity
@@ -29,113 +34,110 @@ from .preprocess import Window
 _EPS = 1e-12
 
 
-def _demeaned(signal: np.ndarray) -> tuple[np.ndarray, float]:
-    signal = np.asarray(signal, dtype=float)
-    centered = signal - signal.mean()
-    return centered, float(np.sum(centered * centered))
+def _block(signal) -> np.ndarray:
+    """One signal as a (1, w) block, or an (n, w) block as it is, as floats."""
+    x = np.asarray(signal, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError("expected one signal or an (n, w) block of signals")
+    return x[None] if x.ndim == 1 else x
 
 
-def _sample_acf(signal: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased sample ACF r(0..max_lag); constant input yields all zeros."""
-    centered, denom = _demeaned(signal)
-    if denom <= _EPS * max(1.0, float(np.sum(np.square(signal)))):
-        return np.zeros(max_lag + 1)
-    r = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        r[k] = float(np.dot(centered[: len(centered) - k], centered[k:])) / denom
-    return r
+def _per_signal(signal, out: np.ndarray):
+    """out (one entry per row) for a block; for one signal, its one entry."""
+    if np.ndim(signal) == 2:
+        return out
+    return float(out[0]) if out.ndim == 1 else out[0]
 
 
-def autocorrelation(signal: np.ndarray, lag: int) -> float:
+def _lag_products(centered: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_t c[t] * c[t + k] of each row, for k = 0..max_lag."""
+    w = centered.shape[1]
+    return np.stack(
+        [np.vecdot(centered[:, : w - k], centered[:, k:]) for k in range(max_lag + 1)], axis=1)
+
+
+def _sample_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased sample ACF r(0..max_lag) of each row; constant rows yield all zeros."""
+    centered = x - x.mean(axis=1, keepdims=True)
+    denom = np.sum(centered * centered, axis=1)
+    varying = denom > _EPS * np.maximum(1.0, np.sum(np.square(x), axis=1))
+    return np.divide(_lag_products(centered, max_lag), denom[:, None],
+                     out=np.zeros((len(x), max_lag + 1)), where=varying[:, None])
+
+
+def autocorrelation(signal: np.ndarray, lag: int):
     if lag < 0:
         raise ValueError("lag must be non-negative")
-    signal = np.asarray(signal, dtype=float)
-    if signal.size < lag + 2:
+    x = _block(signal)
+    if x.shape[1] < lag + 2:
         raise SignalTooShort(f"need at least {lag + 2} samples for lag {lag}")
-    r = _sample_acf(signal, lag)
-    if not np.any(r):
-        return 0.0
-    return float(r[lag])
+    return _per_signal(signal, _sample_acf(x, lag)[:, lag])
 
 
 def _durbin_levinson(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levinson recursion on ACF r(0..order); returns (phi, pacf per order)."""
-    phi = np.zeros(order)
-    pacf = np.zeros(order)
-    prev = np.zeros(order)
-    sigma2 = r[0]
+    """Levinson recursion on each row's ACF r(0..order); returns (phi, pacf per order)."""
+    phi = np.zeros((len(r), order))
+    pacf = np.zeros((len(r), order))
+    sigma2 = r[:, 0]
     for k in range(1, order + 1):
-        acc = r[k] - float(np.dot(prev[: k - 1], r[1:k][::-1]))
-        kappa = acc / sigma2 if sigma2 > _EPS else 0.0
-        pacf[k - 1] = kappa
-        phi[: k - 1] = prev[: k - 1] - kappa * prev[: k - 1][::-1]
-        phi[k - 1] = kappa
-        sigma2 *= 1.0 - kappa * kappa
-        prev[:k] = phi[:k]
+        # a contiguous copy of r(k-1..1): np.dot copies a reversed view before
+        # its BLAS dot, and vecdot matches it only on the same operands
+        lagged = np.ascontiguousarray(r[:, k - 1 : 0 : -1])
+        acc = r[:, k] - np.vecdot(phi[:, : k - 1], lagged)
+        kappa = np.divide(acc, sigma2, out=np.zeros(len(r)), where=sigma2 > _EPS)
+        pacf[:, k - 1] = kappa
+        phi[:, : k - 1] -= kappa[:, None] * phi[:, : k - 1][:, ::-1]
+        phi[:, k - 1] = kappa
+        sigma2 = sigma2 * (1.0 - kappa * kappa)
     return phi, pacf
 
 
-def partial_autocorrelation(signal: np.ndarray, lag: int) -> float:
+def partial_autocorrelation(signal: np.ndarray, lag: int):
     if lag < 1:
         raise ValueError("lag must be positive")
-    signal = np.asarray(signal, dtype=float)
-    if signal.size < lag + 2:
+    x = _block(signal)
+    if x.shape[1] < lag + 2:
         raise SignalTooShort(f"need at least {lag + 2} samples for lag {lag}")
-    r = _sample_acf(signal, lag)
-    if not np.any(r):
-        return 0.0
-    _, pacf = _durbin_levinson(r, lag)
-    return float(pacf[lag - 1])
+    _, pacf = _durbin_levinson(_sample_acf(x, lag), lag)
+    return _per_signal(signal, pacf[:, lag - 1])
 
 
 def fit_ar(signal: np.ndarray, order: int) -> np.ndarray:
     """Yule-Walker AR coefficients via the Levinson recursion."""
     if order < 1:
         raise ValueError("order must be positive")
-    signal = np.asarray(signal, dtype=float)
-    if signal.size < 10 * order:
+    x = _block(signal)
+    if x.shape[1] < 10 * order:
         raise SignalTooShort(f"need at least {10 * order} samples for AR({order})")
-    r = _sample_acf(signal, order)
-    if not np.any(r):
-        return np.zeros(order)
-    phi, _ = _durbin_levinson(r, order)
-    return phi
-
-
-def _autocovariances(signal: np.ndarray, max_lag: int) -> np.ndarray:
-    centered, denom = _demeaned(signal)
-    n = len(centered)
-    g = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        g[k] = float(np.dot(centered[: n - k], centered[k:])) / n
-    return g
+    phi, _ = _durbin_levinson(_sample_acf(x, order), order)
+    return _per_signal(signal, phi)
 
 
 def fit_ma(signal: np.ndarray, order: int) -> np.ndarray:
-    """Innovations-algorithm MA coefficient estimates."""
+    """Innovations-algorithm MA coefficient estimates (Brockwell & Davis, 5.2)."""
     if order < 1:
         raise ValueError("order must be positive")
-    signal = np.asarray(signal, dtype=float)
-    n = signal.size
-    if n < 10 * order:
+    x = _block(signal)
+    n, w = x.shape
+    if w < 10 * order:
         raise SignalTooShort(f"need at least {10 * order} samples for MA({order})")
-    m = min(n - 1, max(20, 2 * order))
-    gamma = _autocovariances(signal, m)
-    if gamma[0] <= _EPS * max(1.0, float(np.mean(np.square(signal)))):
-        return np.zeros(order)
-    theta = np.zeros((m + 1, m + 1))
-    v = np.zeros(m + 1)
-    v[0] = gamma[0]
-    for i in range(1, m + 1):
-        for k in range(i):
-            acc = gamma[i - k]
-            for j in range(k):
-                acc -= theta[k, k - j] * theta[i, i - j] * v[j]
-            theta[i, i - k] = acc / v[k] if v[k] > _EPS else 0.0
-        v[i] = gamma[0] - float(np.dot(theta[i, 1 : i + 1][::-1] ** 2, v[:i]))
-        if v[i] <= _EPS:
-            v[i] = _EPS
-    return theta[m, 1 : order + 1].copy()
+    m = min(w - 1, max(20, 2 * order))
+    gamma = _lag_products(x - x.mean(axis=1, keepdims=True), m) / w
+    varying = gamma[:, 0] > _EPS * np.maximum(1.0, np.mean(np.square(x), axis=1))
+    # theta[:, i, j] holds theta_{i,i-j}; column j of all rows i > j is one step:
+    # gamma(i-j) minus theta_{j,j-l} * theta_{i,i-l} * v_l, l = 0..j-1 in order.
+    theta = np.zeros((n, m + 1, m + 1))
+    v = np.empty((n, m + 1))
+    v[:, 0] = gamma[:, 0]
+    for j in range(m):
+        terms = theta[:, j, None, :j] * theta[:, j + 1 :, :j] * v[:, None, :j]
+        acc = np.subtract.reduce(
+            np.concatenate([gamma[:, 1 : m - j + 1, None], terms], axis=2), axis=2)
+        np.divide(acc, v[:, j, None], out=theta[:, j + 1 :, j], where=v[:, j, None] > _EPS)
+        v[:, j + 1] = np.maximum(
+            gamma[:, 0] - np.vecdot(theta[:, j + 1, : j + 1] ** 2, v[:, : j + 1]), _EPS)
+    coef = theta[:, m, m - order : m][:, ::-1]  # theta_{m,1..order}
+    return _per_signal(signal, np.where(varying[:, None], coef, 0.0))
 
 
 def fit_arma(signal: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -146,86 +148,86 @@ def fit_arma(signal: np.ndarray, p: int, q: int) -> np.ndarray:
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
-    signal = np.asarray(signal, dtype=float)
-    n = signal.size
-    if n < 10 * (p + q):
+    x = _block(signal)
+    n, w = x.shape
+    if w < 10 * (p + q):
         raise SignalTooShort(f"need at least {10 * (p + q)} samples for ARMA({p},{q})")
-    centered, denom = _demeaned(signal)
-    if denom <= _EPS * max(1.0, float(np.sum(np.square(signal)))):
-        return np.zeros(p + q)
-
-    h = min(max(20, 2 * (p + q)), n // 4)
-    phi_long, _ = _durbin_levinson(_sample_acf(signal, h), h)
-    resid = centered[h:].copy()
+    h = min(max(20, 2 * (p + q)), w // 4)
+    r = _sample_acf(x, h)
+    live = np.flatnonzero(np.any(r, axis=1))  # constant rows keep the zero sentinel
+    phi_long, _ = _durbin_levinson(r[live], h)
+    centered = x[live] - x[live].mean(axis=1, keepdims=True)
+    resid = centered[:, h:].copy()
     for j in range(1, h + 1):
-        resid -= phi_long[j - 1] * centered[h - j : n - j]
-    e = np.concatenate([np.zeros(h), resid])
+        resid -= phi_long[:, j - 1, None] * centered[:, h - j : w - j]
+    e = np.concatenate([np.zeros((len(live), h)), resid], axis=1)
 
     start = h + max(p, q)
-    rows = n - start
-    design = np.empty((rows, p + q))
-    for j in range(1, p + 1):
-        design[:, j - 1] = centered[start - j : n - j]
-    for j in range(1, q + 1):
-        design[:, p + j - 1] = e[start - j : n - j]
-    target = centered[start:]
-    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < p + q:
+    design = np.stack([centered[:, start - j : w - j] for j in range(1, p + 1)]
+                      + [e[:, start - j : w - j] for j in range(1, q + 1)], axis=2)
+    rcond = np.finfo(float).eps * max(w - start, p + q)
+    # np.linalg.lstsq's own gufunc over the stack: one LAPACK gelsd per row,
+    # with the rcond and signature lstsq passes
+    with np.errstate(invalid="raise"):
+        sol, _, rank, _ = _umath_linalg.lstsq(
+            design, centered[:, start:, None], rcond, signature="ddd->ddid")
+    deficient = rank < p + q
+    if np.any(deficient):
         warnings.warn("ARMA design matrix is rank deficient", IllConditionedWarning)
-        return np.zeros(p + q)
-    return coef
+    coef = np.zeros((n, p + q))
+    coef[live] = np.where(deficient[:, None], 0.0, sol[..., 0])
+    return _per_signal(signal, coef)
 
 
-def haar_dwt_energies(signal: np.ndarray) -> tuple[float, float]:
+def haar_dwt_energies(signal: np.ndarray):
     """One-level orthonormal Haar band energies (mean squared coefficient)."""
-    signal = np.asarray(signal, dtype=float)
-    if signal.size < 2:
+    x = _block(signal)
+    if x.shape[1] < 2:
         raise SignalTooShort("need at least 2 samples for the Haar transform")
-    n = signal.size - (signal.size % 2)
-    a = signal[:n:2]
-    b = signal[1:n:2]
+    n = x.shape[1] - (x.shape[1] % 2)
+    a = x[:, :n:2]
+    b = x[:, 1:n:2]
     approx = (a + b) / np.sqrt(2.0)
     detail = (a - b) / np.sqrt(2.0)
-    return float(np.mean(approx**2)), float(np.mean(detail**2))
+    return tuple(_per_signal(signal, np.mean(band**2, axis=1)) for band in (approx, detail))
 
 
 def binned_distribution(signal: np.ndarray, n_bins: int = 10) -> np.ndarray:
     """Fraction of samples per equal-width bin spanning [min, max]."""
     if n_bins < 1:
         raise ValueError("n_bins must be positive")
-    signal = np.asarray(signal, dtype=float)
-    if signal.size == 0:
+    x = _block(signal)
+    if x.shape[1] == 0:
         raise ValueError("signal must be non-empty")
-    lo, hi = float(signal.min()), float(signal.max())
-    out = np.zeros(n_bins)
-    if hi <= lo:
-        out[0] = 1.0
-        return out
-    idx = np.floor((signal - lo) / (hi - lo) * n_bins).astype(int)
+    lo = x.min(axis=1, keepdims=True)
+    hi = x.max(axis=1, keepdims=True)
+    span = np.where(hi > lo, hi - lo, 1.0)  # a constant row falls wholly in bin 0
+    idx = np.floor((x - lo) / span * n_bins).astype(int)
     idx = np.clip(idx, 0, n_bins - 1)  # max value lands in the last bin
-    counts = np.bincount(idx, minlength=n_bins)
-    return counts / signal.size
+    counts = np.sum(idx[:, :, None] == np.arange(n_bins), axis=1)
+    return _per_signal(signal, counts / x.shape[1])
 
 
-def peak_interval_stats(signal: np.ndarray) -> float:
+def peak_interval_stats(signal: np.ndarray):
     """Mean gap in samples between consecutive strict local maxima; <2 peaks -> 0."""
-    signal = np.asarray(signal, dtype=float)
-    if signal.size < 3:
+    x = _block(signal)
+    if x.shape[1] < 3:
         raise SignalTooShort("need at least 3 samples to find peaks")
-    mid = signal[1:-1]
-    peaks = np.flatnonzero((mid > signal[:-2]) & (mid > signal[2:])) + 1
-    if peaks.size < 2:
-        return 0.0
-    return float(np.mean(np.diff(peaks)))
+    peaks = (x[:, 1:-1] > x[:, :-2]) & (x[:, 1:-1] > x[:, 2:])
+    count = peaks.sum(axis=1)
+    # the gaps between consecutive peaks add up to the last peak minus the first
+    span = peaks.shape[1] - 1 - peaks[:, ::-1].argmax(axis=1) - peaks.argmax(axis=1)
+    gap = np.divide(span, count - 1, out=np.zeros(len(x)), where=count >= 2)
+    return _per_signal(signal, gap)
 
 
-def average_resultant(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> float:
-    sx, sy, sz = (np.asarray(a, dtype=float) for a in (sx, sy, sz))
-    if not (sx.size == sy.size == sz.size):
+def average_resultant(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray):
+    x, y, z = (_block(a) for a in (sx, sy, sz))
+    if not (x.shape == y.shape == z.shape):
         raise LengthMismatch("axis signals must have equal lengths")
-    if sx.size == 0:
+    if x.shape[1] == 0:
         raise LengthMismatch("axis signals must be non-empty")
-    return float(np.mean(np.sqrt(sx**2 + sy**2 + sz**2)))
+    return _per_signal(sx, np.mean(np.sqrt(x**2 + y**2 + z**2), axis=1))
 
 
 class Bank(Enum):
@@ -276,92 +278,92 @@ class FeatureVector:
             )
 
 
-def _zero_on_short(fn, *args, width=1):
+def _zero_on_short(fn, block: np.ndarray, *args, width: int = 1):
+    """fn over the block, or its 0 sentinel when the block's width is too short for fn."""
     try:
-        out = fn(*args)
+        return fn(block, *args)
     except SignalTooShort:
-        return np.zeros(width) if width > 1 else 0.0
-    return out
+        return np.zeros((len(block), width))
 
 
-def _axis_features_a(sig: np.ndarray) -> list[float]:
-    q75, q25 = np.percentile(sig, [75, 25])
-    feats = [
-        float(np.mean(sig)),
-        float(np.median(sig)),
-        float(np.var(sig)),
-        float(np.std(sig)),
-        float(q75 - q25),
-        _zero_on_short(autocorrelation, sig, 1),
-        _zero_on_short(partial_autocorrelation, sig, 2),
-    ]
-    ar = _zero_on_short(fit_ar, sig, 2, width=2)
-    ma = _zero_on_short(fit_ma, sig, 1, width=1)
+def _float_pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent with Python floats, i.e. the C library's pow, which
+    NumPy's vectorised power does not match to the last bit on every CPU."""
+    return np.array([b**exponent for b in base.tolist()], dtype=float)
+
+
+def _bank_a_slots(block: np.ndarray) -> np.ndarray:
+    """Bank A's 14 per-axis slots for every row of an (n, w) block."""
+    q75, q25 = np.percentile(block, [75, 25], axis=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        arma = _zero_on_short(fit_arma, sig, 1, 1, width=2)
-    approx_e, detail_e = haar_dwt_energies(sig)
-    feats.extend([float(ar[0]), float(ar[1])])
-    feats.append(float(np.atleast_1d(ma)[0]))
-    feats.extend([float(arma[0]), float(arma[1])])
-    feats.extend([approx_e, detail_e])
-    return feats
+        return np.column_stack([
+            np.mean(block, axis=1),
+            np.median(block, axis=1),
+            np.var(block, axis=1),
+            np.std(block, axis=1),
+            q75 - q25,
+            _zero_on_short(autocorrelation, block, 1),
+            _zero_on_short(partial_autocorrelation, block, 2),
+            _zero_on_short(fit_ar, block, 2, width=2),
+            _zero_on_short(fit_ma, block, 1),
+            _zero_on_short(fit_arma, block, 1, 1, width=2),
+            *haar_dwt_energies(block),
+        ])
+
+
+def _bank_b_slots(block: np.ndarray) -> np.ndarray:
+    """Bank B's 23 per-axis slots for every row of an (n, w) block."""
+    mean = np.mean(block, axis=1)
+    centered = block - mean[:, None]
+    m2 = np.mean(centered**2, axis=1)
+    # zero crossings: sign changes between consecutive non-zero samples of a row
+    rows, cols = np.nonzero(centered)
+    positive = centered[rows, cols] > 0
+    change = (positive[1:] != positive[:-1]) & (rows[1:] == rows[:-1])
+    crossings = np.bincount(rows[1:][change], minlength=len(block))
+    varying = m2 > _EPS
+    skew = np.divide(np.mean(centered**3, axis=1), _float_pow(m2, 1.5),
+                     out=np.zeros(len(block)), where=varying)
+    kurt = np.divide(np.mean(centered**4, axis=1), _float_pow(m2, 2.0),
+                     out=np.full(len(block), 3.0), where=varying) - 3.0  # constant: 0
+    return np.column_stack([
+        mean,
+        np.mean(np.abs(centered), axis=1),
+        np.sqrt(m2),
+        _zero_on_short(peak_interval_stats, block),
+        binned_distribution(block, 10),
+        block.min(axis=1),
+        block.max(axis=1),
+        np.ptp(block, axis=1),
+        np.sqrt(np.mean(block**2, axis=1)),
+        np.mean(block**2, axis=1),
+        crossings,
+        skew,
+        kurt,
+        np.median(block, axis=1),
+    ])
+
+
+def bank_matrix(bank: Bank, xyz: np.ndarray) -> np.ndarray:
+    """The bank's values of n windows whose axes form one (3, n, w) array: (n, width).
+
+    Every slot is computed once, over the (3n, w) block of all axis signals.
+    """
+    xyz = np.asarray(xyz, dtype=float)
+    _, n, w = xyz.shape
+    slots = (_bank_a_slots if bank is Bank.A43 else _bank_b_slots)(xyz.reshape(3 * n, w))
+    return np.column_stack([*np.split(slots, 3), average_resultant(*xyz)])
 
 
 def extract_bank_a(w: Window) -> FeatureVector:
-    vals: list[float] = []
-    for sig in (w.x, w.y, w.z):
-        vals.extend(_axis_features_a(sig))
-    vals.append(average_resultant(w.x, w.y, w.z))
-    return FeatureVector(Bank.A43, np.array(vals), w.activity, w.subject_id)
-
-
-def _axis_features_b(sig: np.ndarray) -> list[float]:
-    mean = float(np.mean(sig))
-    centered = sig - mean
-    m2 = float(np.mean(centered**2))
-    feats = [
-        mean,
-        float(np.mean(np.abs(centered))),
-        float(np.sqrt(m2)),
-        _zero_on_short(peak_interval_stats, sig),
-    ]
-    feats.extend(binned_distribution(sig, 10).tolist())
-    lo, hi = float(sig.min()), float(sig.max())
-    signs = np.sign(centered)
-    nz = signs != 0
-    crossings = int(np.sum(np.diff(signs[nz]) != 0)) if np.any(nz) else 0
-    if m2 > _EPS:
-        skew = float(np.mean(centered**3) / m2**1.5)
-        kurt = float(np.mean(centered**4) / m2**2 - 3.0)
-    else:
-        skew = kurt = 0.0
-    feats.extend(
-        [
-            lo,
-            hi,
-            hi - lo,
-            float(np.sqrt(np.mean(sig**2))),
-            float(np.mean(sig**2)),
-            float(crossings),
-            skew,
-            kurt,
-            float(np.median(sig)),
-        ]
-    )
-    return feats
+    values = bank_matrix(Bank.A43, np.stack([w.x, w.y, w.z])[:, None])[0]
+    return FeatureVector(Bank.A43, values, w.activity, w.subject_id)
 
 
 def extract_bank_b(w: Window) -> FeatureVector:
-    vals: list[float] = []
-    for sig in (w.x, w.y, w.z):
-        vals.extend(_axis_features_b(sig))
-    vals.append(average_resultant(w.x, w.y, w.z))
-    return FeatureVector(Bank.B70, np.array(vals), w.activity, w.subject_id)
-
-
-def extract_bank(w: Window, bank: Bank) -> FeatureVector:
-    return extract_bank_a(w) if bank is Bank.A43 else extract_bank_b(w)
+    values = bank_matrix(Bank.B70, np.stack([w.x, w.y, w.z])[:, None])[0]
+    return FeatureVector(Bank.B70, values, w.activity, w.subject_id)
 
 
 def feature_matrix(

@@ -350,14 +350,21 @@ class DatasetSummary:
     class_balance: dict[Activity, float] = field(default_factory=dict)
 
 
+def _duration_s(rec: Recording) -> float:
+    """n samples times the mean timestamp step; the nominal rate when there is no step."""
+    n = len(rec.samples)
+    if n < 2:
+        return n / rec.sample_rate_hz
+    span_ms = int(rec.samples.t_ms[-1]) - int(rec.samples.t_ms[0])  # no int64 wrap-around
+    return n * span_ms / (n - 1) / 1000.0
+
+
 def dataset_summary(recordings: list[Recording]) -> DatasetSummary:
     rows = []
     counts: dict[Activity, int] = {}
     for rec in recordings:
         n = len(rec.samples)
-        rows.append(
-            SummaryRow(rec.subject_id, rec.activity, rec.sensor, n, n / rec.sample_rate_hz)
-        )
+        rows.append(SummaryRow(rec.subject_id, rec.activity, rec.sensor, n, _duration_s(rec)))
         counts[rec.activity] = counts.get(rec.activity, 0) + n
     total = sum(counts.values())
     balance = {a: c / total for a, c in counts.items()} if total else {}

@@ -44,22 +44,22 @@ def filter_recording(rec: Recording, order: int = 3) -> Recording:
     return replace(rec, samples=samples_from_columns(rec.samples.t_ms, fx, fy, fz))
 
 
-def segment_windows(rec: Recording, samples_per_window: int) -> list[Window]:
-    """Non-overlapping, in-order blocks; the trailing partial block is dropped.
-
-    Each window's axes are rows of one C-contiguous (n_windows, w) block per axis.
-    """
+def window_block(rec: Recording, samples_per_window: int) -> np.ndarray:
+    """The x, y and z axes cut into non-overlapping, in-order windows: one
+    C-contiguous (3, n_windows, w) array; the trailing partial window is dropped."""
     if samples_per_window < 4:
         raise ValueError("samples_per_window must be >= 4")
     n = len(rec.samples) // samples_per_window
-    blocks = (
-        np.ascontiguousarray(a[: n * samples_per_window]).reshape(n, samples_per_window)
-        for a in rec.axes()
-    )
+    return np.stack([a[: n * samples_per_window] for a in rec.axes()]).reshape(
+        3, n, samples_per_window)
+
+
+def segment_windows(rec: Recording, samples_per_window: int) -> list[Window]:
+    """One Window per window of window_block; its axes are rows of that block."""
     return [
         Window(subject_id=rec.subject_id, activity=rec.activity, sensor=rec.sensor,
                x=x, y=y, z=z)
-        for x, y, z in zip(*blocks)
+        for x, y, z in zip(*window_block(rec, samples_per_window))
     ]
 
 

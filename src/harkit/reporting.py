@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import MalformedRow
+from .errors import MalformedRow, NonFiniteValue
 from .evaluation import EvalConfig, EvalReport
 from .features import Bank, BANK_WIDTH, FeatureVector
 from .ingest import ACTIVITY_CSV_NAMES, Activity, CSV_NAME_TO_ACTIVITY
@@ -73,6 +73,12 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
                 values = np.array([float(v) for v in row[3:]])
             except (ValueError, KeyError):
                 raise MalformedRow(line_no, "unparseable feature row")
+            if width != BANK_WIDTH[bank]:
+                raise MalformedRow(
+                    line_no, f"bank {bank.value!r} has width {BANK_WIDTH[bank]}, the row {width}")
+            non_finite = np.flatnonzero(~np.isfinite(values))
+            if non_finite.size:
+                raise NonFiniteValue(line_no, header[3 + non_finite[0]])
             vectors.append(FeatureVector(bank, values, activity, row[0]))
     return vectors
 

@@ -5,9 +5,7 @@ import pytest
 from harkit.classifiers import (
     ModelKind,
     ModelSpec,
-    Prediction,
     bootstrap_indices,
-    predict,
     predict_batch,
     quadratic_kernel,
     train,
@@ -36,10 +34,6 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(ModelKind.Knn, **kwargs)
 
-    def test_prediction_score_range(self):
-        with pytest.raises(ValueError):
-            Prediction(label=0, score=1.5)
-
 
 class TestTrainContract:
     def test_empty_raises(self):
@@ -63,13 +57,14 @@ class TestTrainContract:
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_predict_single_scores_in_unit_interval(self, kind, rng):
+        """predict_batch gives each row a trained class and a score in [0, 1]."""
         X, y = blobs(rng, n_per_class=15)
         spec = ModelSpec(kind, seed=3, n_learners=5)
         model = train(spec, X, y)
-        p = predict(model, X[0])
-        assert isinstance(p, Prediction)
-        assert p.label == 0
-        assert 0.0 <= p.score <= 1.0
+        labels, scores = predict_batch(model, X)
+        assert labels.shape == scores.shape == (len(X),)
+        assert np.all(np.isin(labels, model.classes))
+        assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
 class TestDecisionTree:

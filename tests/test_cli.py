@@ -39,6 +39,13 @@ def recordings_csv(data_dir):
     return data_dir / "recordings.csv"
 
 
+@pytest.fixture(scope="module")
+def bank_b_csv(recordings_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("features") / "features.csv"
+    assert main(["extract", str(recordings_csv), "--bank", "b", "-o", str(out)]) == EXIT_OK
+    return out
+
+
 class TestSynth:
     def test_writes_expected_files(self, data_dir):
         assert (data_dir / "recordings.csv").exists()
@@ -69,6 +76,17 @@ class TestSummary:
         out = capsys.readouterr().out
         assert "subj00" in out
         assert "class balance" in out
+
+    def test_duration_follows_timestamps(self, tmp_path, capsys):
+        out = tmp_path / "fast"
+        assert main(["--seed", "1", "synth", "--subjects", "1", "--minutes", "0.5",
+                     "--rate", "50", "-o", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["summary", str(out / "recordings.csv")]) == EXIT_OK
+        rows = [tuple(line.split(",")) for line in capsys.readouterr().out.splitlines()
+                if line.startswith("subj00,")]
+        assert len(rows) == 15  # 5 activities x 3 sensors
+        assert {row[3:] for row in rows} == {("1500", "30.0")}
 
 
 class TestExtract:
@@ -307,6 +325,26 @@ class TestExitCodes:
         bad = tmp_path / "bad2.csv"
         bad.write_text(HEADER + "\ns0,s0,flying,accel,0,1,2,3\n")
         assert main(["summary", str(bad)]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("treatment", ["nr-rp", "unr-rp"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_is_schema_error(self, bank_b_csv, tmp_path, capsys,
+                                                treatment, value):
+        lines = bank_b_csv.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[10] = value
+        lines[5] = ",".join(fields)
+        bad = tmp_path / "non_finite.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(bad), "--model", "nb", "--treatment", treatment,
+                     "-o", str(tmp_path / "res")]) == EXIT_SCHEMA
+        assert "line 6: non-finite value in column 'f7'" in capsys.readouterr().err
+
+    def test_bank_tag_of_other_width_is_schema_error(self, bank_b_csv, tmp_path, capsys):
+        bad = tmp_path / "relabelled.csv"
+        bad.write_text(bank_b_csv.read_text().replace(",b,", ",a,"))
+        assert main(["eval", str(bad), "--model", "nb", "-o", str(tmp_path / "res")]) == EXIT_SCHEMA
+        assert "MalformedRow" in capsys.readouterr().err
 
     def test_single_subject_impersonal_is_protocol_error(self, tmp_path):
         out = tmp_path / "one"

@@ -100,3 +100,82 @@ class TestFitArma:
             fit_arma(np.ones(100), 0, 1)
         with pytest.raises(ValueError):
             fit_arma(np.ones(100), 1, 0)
+
+
+# One-signal loops the block estimators replaced. The block forms keep each
+# signal's arithmetic in the same order, so they must agree bit for bit.
+
+def _acf_reference(c, max_lag):
+    return np.array([float(np.dot(c[: len(c) - k], c[k:])) for k in range(max_lag + 1)])
+
+
+def _levinson_reference(r, order):
+    phi, prev, sigma2 = np.zeros(order), np.zeros(order), r[0]
+    for k in range(1, order + 1):
+        acc = r[k] - float(np.dot(prev[: k - 1], r[1:k][::-1]))
+        kappa = acc / sigma2 if sigma2 > 1e-12 else 0.0
+        phi[: k - 1] = prev[: k - 1] - kappa * prev[: k - 1][::-1]
+        phi[k - 1] = kappa
+        sigma2 *= 1.0 - kappa * kappa
+        prev[:k] = phi[:k]
+    return phi
+
+
+def fit_ar_reference(x, order):
+    c = x - x.mean()
+    denom = float(np.sum(c * c))
+    if denom <= 1e-12 * max(1.0, float(np.sum(np.square(x)))):
+        return np.zeros(order)
+    return _levinson_reference(_acf_reference(c, order) / denom, order)
+
+
+def fit_ma_reference(x, order):
+    n = len(x)
+    m = min(n - 1, max(20, 2 * order))
+    gamma = _acf_reference(x - x.mean(), m) / n
+    if gamma[0] <= 1e-12 * max(1.0, float(np.mean(np.square(x)))):
+        return np.zeros(order)
+    theta, v = np.zeros((m + 1, m + 1)), np.zeros(m + 1)
+    v[0] = gamma[0]
+    for i in range(1, m + 1):
+        for k in range(i):
+            acc = gamma[i - k]
+            for j in range(k):
+                acc -= theta[k, k - j] * theta[i, i - j] * v[j]
+            theta[i, i - k] = acc / v[k] if v[k] > 1e-12 else 0.0
+        v[i] = max(gamma[0] - float(np.dot(theta[i, 1: i + 1][::-1] ** 2, v[:i])), 1e-12)
+    return theta[m, 1: order + 1].copy()
+
+
+def fit_arma11_reference(x):
+    n, c = len(x), x - x.mean()
+    denom = float(np.sum(c * c))
+    if denom <= 1e-12 * max(1.0, float(np.sum(np.square(x)))):
+        return np.zeros(2)
+    h = min(20, n // 4)
+    phi = _levinson_reference(_acf_reference(c, h) / denom, h)
+    resid = c[h:].copy()
+    for j in range(1, h + 1):
+        resid -= phi[j - 1] * c[h - j: n - j]
+    e = np.concatenate([np.zeros(h), resid])
+    design = np.column_stack([c[h: n - 1], e[h: n - 1]])
+    coef, _, rank, _ = np.linalg.lstsq(design, c[h + 1:], rcond=None)
+    return coef if rank == 2 else np.zeros(2)
+
+
+class TestBlockEstimatorsMatchLoops:
+    @pytest.mark.parametrize("fn,reference", [
+        (lambda x: fit_ar(x, 2), lambda x: fit_ar_reference(x, 2)),
+        (lambda x: fit_ma(x, 1), lambda x: fit_ma_reference(x, 1)),
+        (lambda x: fit_ma(x, 2), lambda x: fit_ma_reference(x, 2)),
+        (lambda x: fit_arma(x, 1, 1), fit_arma11_reference),
+    ], ids=["ar2", "ma1", "ma2", "arma11"])
+    @pytest.mark.parametrize("w", [20, 31, 75, 300])
+    def test_bit_equal(self, fn, reference, w):
+        rng = np.random.default_rng(w)
+        block = np.cumsum(rng.normal(size=(6, w)), axis=1)
+        block[1] = 2.5
+        block[2] = 2.5 + 1e-12 * rng.normal(size=w)
+        got = fn(block)
+        for row, expect in zip(got, map(reference, block)):
+            assert row.tobytes() == np.asarray(expect, dtype=float).tobytes()

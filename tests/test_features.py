@@ -13,12 +13,15 @@ from harkit.features import (
     Bank,
     FeatureVector,
     autocorrelation,
+    bank_matrix,
     average_resultant,
     binned_distribution,
-    extract_bank,
     extract_bank_a,
     extract_bank_b,
     feature_matrix,
+    fit_ar,
+    fit_arma,
+    fit_ma,
     haar_dwt_energies,
     partial_autocorrelation,
     peak_interval_stats,
@@ -214,6 +217,106 @@ class TestAverageResultant:
             average_resultant(np.zeros(0), np.zeros(0), np.zeros(0))
 
 
+WIDTHS = (4, 9, 10, 19, 20, 75, 300)  # on both sides of every too-short threshold
+
+
+@st.composite
+def signal_blocks(draw, n_blocks=1):
+    """n_blocks (n, w) blocks of one shape; rows are random, tied, constant or near-constant."""
+    w = draw(st.sampled_from(WIDTHS))
+    n = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(n_blocks * n):
+        level = draw(st.floats(-1e3, 1e3))
+        kind = draw(st.sampled_from(["random", "ties", "constant", "near_constant"]))
+        if kind == "random":
+            row = level + draw(st.floats(1e-3, 1e3)) * rng.normal(size=w)
+        elif kind == "ties":
+            row = rng.integers(-2, 3, size=w).astype(float)
+        elif kind == "constant":
+            row = np.full(w, level)
+        else:
+            row = level + 1e-12 * rng.normal(size=w)
+        rows.append(row)
+    return np.array(rows).reshape(n_blocks, n, w)
+
+
+def as_rows(result):
+    """A block result, or the list of one-signal results, one row per signal."""
+    if isinstance(result, list):
+        return np.array([np.hstack([r]) for r in result], dtype=float)
+    out = np.column_stack(result) if isinstance(result, tuple) else np.asarray(result)
+    return out.reshape(len(out), -1) if len(out) else out
+
+
+BLOCK_PRIMITIVES = [
+    (autocorrelation, (0,)),
+    (autocorrelation, (1,)),
+    (partial_autocorrelation, (2,)),
+    (fit_ar, (2,)),
+    (fit_ma, (1,)),
+    (fit_arma, (1, 1)),
+    (haar_dwt_energies, ()),
+    (binned_distribution, (10,)),
+    (peak_interval_stats, ()),
+]
+
+
+@pytest.mark.filterwarnings("ignore::harkit.errors.IllConditionedWarning")
+class TestBlockPath:
+    """A primitive given an (n, w) block equals its one-signal calls, bit for bit."""
+
+    @pytest.mark.parametrize("fn,args", BLOCK_PRIMITIVES,
+                             ids=[f"{fn.__name__}{args}" for fn, args in BLOCK_PRIMITIVES])
+    @given(blocks=signal_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_primitive_rows_equal_single_calls(self, fn, args, blocks):
+        block = blocks[0]
+        try:
+            got = fn(block, *args)
+        except SignalTooShort:
+            for row in block:
+                with pytest.raises(SignalTooShort):
+                    fn(row, *args)
+            return
+        got = as_rows(got)
+        assert len(got) == len(block)
+        if len(block):
+            expect = as_rows([fn(row, *args) for row in block])
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_empty_block(self, w):
+        empty = np.empty((0, w))
+        for fn, args in BLOCK_PRIMITIVES:
+            try:
+                out = fn(empty, *args)
+            except SignalTooShort:
+                continue
+            assert len(as_rows(out)) == 0
+        assert average_resultant(empty, empty, empty).shape == (0,)
+        for bank in Bank:
+            assert bank_matrix(bank, np.empty((3, 0, w))).shape == (0, BANK_WIDTH[bank])
+
+    @given(blocks=signal_blocks(n_blocks=3))
+    @settings(max_examples=60, deadline=None)
+    def test_average_resultant_rows_equal_single_calls(self, blocks):
+        got = average_resultant(*blocks)
+        expect = np.array([average_resultant(*row) for row in blocks.transpose(1, 0, 2)])
+        assert got.shape == (blocks.shape[1],) and got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("bank,extract", [(Bank.A43, extract_bank_a), (Bank.B70, extract_bank_b)])
+    @given(xyz=signal_blocks(n_blocks=3))
+    @settings(max_examples=40, deadline=None)
+    def test_bank_rows_equal_per_window_extraction(self, bank, extract, xyz):
+        got = bank_matrix(bank, xyz)
+        assert got.shape == (xyz.shape[1], BANK_WIDTH[bank])
+        for i in range(xyz.shape[1]):
+            fv = extract(make_window(*xyz[:, i]))
+            assert got[i].tobytes() == fv.values.tobytes()
+
+
 class TestBanks:
     def test_layout_sizes(self):
         assert len(BANK_A_LAYOUT) == BANK_WIDTH[Bank.A43] == 43
@@ -256,10 +359,18 @@ class TestBanks:
             np.mean(np.sqrt(3 * sig**2))
         )
 
-    def test_extract_bank_dispatch(self, rng):
-        w = make_window(rng.normal(size=30))
-        assert extract_bank(w, Bank.A43).bank is Bank.A43
-        assert extract_bank(w, Bank.B70).bank is Bank.B70
+    def test_bank_b_moments_equal_scalar_formula(self, rng):
+        # m2 ** 1.5 and m2 ** 2 as Python floats take them, bit for bit
+        xyz = rng.normal(size=(3, 200, 75)) * rng.uniform(0.1, 10.0, size=(3, 200, 1))
+        X = bank_matrix(Bank.B70, xyz)
+        for axis, block in zip("xyz", xyz):
+            skew = X[:, BANK_B_LAYOUT.index(("skewness", axis))]
+            kurt = X[:, BANK_B_LAYOUT.index(("kurtosis", axis))]
+            for sig, s, k in zip(block, skew, kurt):
+                c = sig - float(np.mean(sig))
+                m2 = float(np.mean(c**2))
+                assert s == float(np.mean(c**3) / m2**1.5)
+                assert k == float(np.mean(c**4) / m2**2 - 3.0)
 
     def test_feature_vector_width_validated(self):
         with pytest.raises(ValueError):

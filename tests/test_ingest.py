@@ -272,6 +272,15 @@ class TestDatasetSummary:
         summary = dataset_summary([rec])
         assert summary.rows[0].duration_s == pytest.approx(2.0)
 
+    def test_one_sample_recording_uses_nominal_rate(self):
+        rec = Recording(
+            subject_id="s0",
+            activity=Activity.Walking,
+            sensor=SensorKind.Accelerometer,
+            samples=samples_from_columns([0], [1.0], [2.0], [3.0]),
+        )
+        assert dataset_summary([rec]).rows[0].duration_s == pytest.approx(1 / 20.0)
+
     def test_activity_names_cover_all(self):
         assert set(ACTIVITY_CSV_NAMES) == set(Activity)
         assert len(set(ACTIVITY_CSV_NAMES.values())) == len(Activity)
