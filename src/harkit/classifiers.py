@@ -71,39 +71,59 @@ def _majority(counts: np.ndarray) -> int:
     return int(np.argmax(counts))
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int):
-    """Exhaustive scan over midpoints of sorted unique values per feature.
+# Elements of one (classes, features, rows) temporary in the split search. A small
+# node searches all of its features in one block; a large node takes fewer features
+# per block (one from about 4,000 rows on), which keeps each block cache-sized.
+_SPLIT_BLOCK_ELEMENTS = 32_768
 
+
+def _sum_classes(q: np.ndarray) -> np.ndarray:
+    """`q` summed over its leading class axis, in the order `np.sum` adds a contiguous
+    class axis: one term after another below 8 terms, pairwise from 8 on. Below 8
+    terms the sum is accumulated into `q[0]`."""
+    if len(q) >= 8:
+        return np.moveaxis(q, 0, -1).copy().sum(axis=-1)
+    total = q[0]
+    for term in q[1:]:
+        total += term
+    return total
+
+
+def _best_split(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
+    """Exhaustive scan over midpoints of sorted unique values, a block of features at once.
+
+    `counts` holds the node's class counts (`np.bincount(y, minlength=n_classes)`).
     Returns (gain, feature, threshold) or None if no split improves impurity.
     Ties keep the first (lowest feature index, lowest threshold) candidate.
     """
-    m = len(y)
-    parent_counts = np.bincount(y, minlength=n_classes)
-    parent_gini = _gini(parent_counts)
+    m, n_features = X.shape
+    n_classes = len(counts)
+    parent_gini = _gini(counts)
+    k = np.arange(1.0, m)  # rows left of each split point
+    classes = np.arange(n_classes)[:, None, None]
+    width = max(1, _SPLIT_BLOCK_ELEMENTS // (m * n_classes))
+    XT = np.ascontiguousarray(X.T)
     best = None
-    onehot = np.zeros((m, n_classes))
-    onehot[np.arange(m), y] = 1.0
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        v = X[order, j]
-        valid = np.flatnonzero(v[:-1] < v[1:])
-        if valid.size == 0:
-            continue
-        left = np.cumsum(onehot[order], axis=0)[:-1]  # counts up to split point
-        k = left.sum(axis=1)
-        right = parent_counts - left
-        gl = 1.0 - np.sum((left / k[:, None]) ** 2, axis=1)
-        gr = 1.0 - np.sum((right / (m - k)[:, None]) ** 2, axis=1)
+    for start in range(0, n_features, width):
+        block = XT[start:start + width]
+        # tied values may come out in any order: the class counts at the
+        # positions where the sorted value changes do not depend on it
+        order = np.argsort(block, axis=1)
+        v = np.take_along_axis(block, order, axis=1)
+        left = np.cumsum(y[order] == classes, axis=2, dtype=float)[..., :-1]
+        right = counts[:, None, None] - left
+        gl = 1.0 - _sum_classes((left / k) ** 2)
+        gr = 1.0 - _sum_classes((right / (m - k)) ** 2)
         weighted = (k * gl + (m - k) * gr) / m
-        gains = parent_gini - weighted[valid]
-        bi = int(np.argmax(gains))
-        gain = float(gains[bi])
-        if gain <= 1e-15:
-            continue
-        if best is None or gain > best[0] + 1e-15:
-            pos = valid[bi]
-            thr = 0.5 * (v[pos] + v[pos + 1])
-            best = (gain, j, float(thr))
+        # only positions where the sorted value changes can split
+        gains = np.where(v[:, :-1] < v[:, 1:], parent_gini - weighted, -np.inf)
+        pos = np.argmax(gains, axis=1)
+        top = gains[np.arange(len(pos)), pos]
+        for j in np.flatnonzero(top > 1e-15):
+            gain = float(top[j])
+            if best is None or gain > best[0] + 1e-15:
+                p = pos[j]
+                best = (gain, start + int(j), float(0.5 * (v[j, p] + v[j, p + 1])))
     return best
 
 
@@ -115,39 +135,40 @@ class _TreeImpl:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self.n_classes = int(y.max()) + 1
-        idx_all = np.arange(len(y))
         counts = np.bincount(y, minlength=self.n_classes)
         self.root = _TreeNode(label=_majority(counts))
         # best-first growth: expand the pending split with the largest
-        # impurity decrease until the split budget runs out
-        heap: list[tuple[float, int, _TreeNode, np.ndarray, tuple]] = []
+        # impurity decrease until the split budget runs out; each node's
+        # class counts are computed once and travel with it
+        heap: list[tuple[float, int, _TreeNode, np.ndarray, np.ndarray, tuple]] = []
         order = 0
 
-        def push(node: _TreeNode, idx: np.ndarray):
+        def push(node: _TreeNode, idx: np.ndarray, counts: np.ndarray):
             nonlocal order
-            sub_counts = np.bincount(y[idx], minlength=self.n_classes)
-            if np.count_nonzero(sub_counts) < 2:
+            if np.count_nonzero(counts) < 2:
                 return
-            cand = _best_split(X[idx], y[idx], self.n_classes)
+            cand = _best_split(X[idx], y[idx], counts)
             if cand is None:
                 return
             gain, feat, thr = cand
-            heapq.heappush(heap, (-gain * len(idx), order, node, idx, (feat, thr)))
+            heapq.heappush(heap, (-gain * len(idx), order, node, idx, counts, (feat, thr)))
             order += 1
 
-        push(self.root, idx_all)
+        push(self.root, np.arange(len(y)), counts)
         splits = 0
         while heap and (self.max_splits is None or splits < self.max_splits):
-            _, _, node, idx, (feat, thr) = heapq.heappop(heap)
+            _, _, node, idx, counts, (feat, thr) = heapq.heappop(heap)
             mask = X[idx, feat] <= thr
             li, ri = idx[mask], idx[~mask]
+            left = np.bincount(y[li], minlength=self.n_classes)
+            right = counts - left
             node.feature = feat
             node.threshold = thr
-            node.left = _TreeNode(label=_majority(np.bincount(y[li], minlength=self.n_classes)))
-            node.right = _TreeNode(label=_majority(np.bincount(y[ri], minlength=self.n_classes)))
+            node.left = _TreeNode(label=_majority(left))
+            node.right = _TreeNode(label=_majority(right))
             splits += 1
-            push(node.left, li)
-            push(node.right, ri)
+            push(node.left, li, left)
+            push(node.right, ri, right)
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         labels = np.empty(len(X), dtype=int)
@@ -210,6 +231,7 @@ class _KnnImpl:
         self.X = X.copy()
         self.y = y.copy()
         self.n_classes = int(y.max()) + 1
+        self.onehot = (y[:, None] == np.arange(self.n_classes)).astype(float)
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = min(self.k, len(self.y))
@@ -218,11 +240,16 @@ class _KnnImpl:
             - 2.0 * X @ self.X.T
             + np.sum(self.X * self.X, axis=1)[None, :]
         )
-        # stable sort so equidistant neighbors resolve by training index
-        nn = np.argsort(sq, axis=1, kind="stable")[:, :k]
-        votes = np.zeros((len(X), self.n_classes), dtype=int)
-        for c in range(self.n_classes):
-            votes[:, c] = np.sum(self.y[nn] == c, axis=1)
+        # the first k of a stable sort by distance, without the sort: every
+        # neighbor closer than the k-th distance, then the lowest training
+        # indices at exactly that distance
+        kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
+        near = sq < kth
+        at = sq == kth
+        spare = k - near.sum(axis=1, keepdims=True)
+        tied = np.flatnonzero(at.sum(axis=1, keepdims=True) > spare)
+        at[tied] &= np.cumsum(at[tied], axis=1) <= spare[tied]
+        votes = (near | at) @ self.onehot
         labels = np.argmax(votes, axis=1)  # vote ties -> smallest class code
         scores = votes[np.arange(len(X)), labels] / k
         return labels, scores

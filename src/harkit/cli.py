@@ -74,6 +74,7 @@ PROTOCOL_ERRORS = (SingleSubject, TooFewInstances)
 
 # The treatments the grid compares; `eval --treatment unr-nrp` stays available.
 GRID_TREATMENTS = ("nr-rp", "nr-nrp", "unr-rp")
+DEFAULT_WINDOW = 75
 
 
 def _default_seed() -> int:
@@ -194,8 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bank", choices=["a", "b"], default="a")
         p.add_argument("--filter-order", type=int, default=3)
         p.add_argument("--sensor", choices=["accel", "gyro", "mag"], default="accel")
-    for p in (extract, eval_, grid):
-        p.add_argument("--window", type=_positive_int, default=75)
+    extract.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
+    for p in (eval_, grid):
+        p.add_argument("--window", type=_positive_int, default=None,
+                       help=f"samples per window (default: a features CSV's own, "
+                            f"else {DEFAULT_WINDOW})")
     for p in (eval_, sweep):
         p.add_argument("--protocol", choices=[proto.value for proto in Protocol],
                        default="personal")
@@ -268,17 +272,24 @@ def cmd_extract(args) -> int:
 
 
 def _load_vectors(args):
-    if is_features_csv(args.input):
-        return read_features_csv(args.input)
-    recordings = parse_recordings_csv(args.input)
-    return recordings_to_features(
-        recordings, Bank(args.bank), args.window, args.filter_order,
-        SensorKind(args.sensor),
-    )
+    """The input's feature vectors: a features CSV brings its own window, recordings
+    are cut at --window."""
+    window = args.window or DEFAULT_WINDOW
+    _check_preprocess_flags(args, (window,), "--window must be at least 4")
+    if not is_features_csv(args.input):
+        return recordings_to_features(
+            parse_recordings_csv(args.input), Bank(args.bank), window, args.filter_order,
+            SensorKind(args.sensor),
+        )
+    vectors = read_features_csv(args.input)
+    if vectors and args.window not in (None, vectors[0].window):
+        raise UsageError(f"--window {args.window} disagrees with {args.input}, "
+                         f"whose features were extracted at window {vectors[0].window}")
+    return vectors
 
 
 def _load_matrix(args):
-    """(bank, X, y, subjects) of the input, columns permuted if asked."""
+    """(bank, window, X, y, subjects) of the input, columns permuted if asked."""
     vectors = _load_vectors(args)
     if not vectors:
         raise TooFewInstances("no feature vectors available")
@@ -286,22 +297,21 @@ def _load_matrix(args):
     if args.permute_columns:
         col_order = np.random.default_rng(args.seed).permutation(X.shape[1])
         X = X[:, col_order]
-    return vectors[0].bank, X, y, subjects
+    return vectors[0].bank, vectors[0].window, X, y, subjects
 
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    _check_preprocess_flags(args, (args.window,), "--window must be at least 4")
-    bank, X, y, subjects = _load_matrix(args)
+    bank, window, X, y, subjects = _load_matrix(args)
     config = _eval_config(args, ModelKind(args.model), args.treatment, args.protocol, bank,
-                          args.window)
+                          window)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate(config, X, y, subjects)
     outputs = [out_dir / "results.csv", out_dir / "table.md"]
     write_results_csv(report_rows(config, report), outputs[0])
     atomic_write_text(outputs[1], report_markdown(config, report))
-    _write_run_manifest(out_dir, "eval", _manifest_config(args, bank=bank.value),
+    _write_run_manifest(out_dir, "eval", _manifest_config(args, bank=bank.value, window=window),
                         args.seed, [Path(args.input)], outputs, started)
     print(f"overall accuracy {report.overall_accuracy:.4f} "
           f"± {report.ci_halfwidth:.4f} (98% CI, n={report.n_units})")
@@ -310,8 +320,7 @@ def cmd_eval(args) -> int:
 
 def cmd_grid(args) -> int:
     started = time.monotonic()
-    _check_preprocess_flags(args, (args.window,), "--window must be at least 4")
-    bank, X, y, subjects = _load_matrix(args)
+    bank, window, X, y, subjects = _load_matrix(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -320,7 +329,7 @@ def cmd_grid(args) -> int:
     for kind in ModelKind:
         for treatment in GRID_TREATMENTS:
             for protocol in Protocol:
-                config = _eval_config(args, kind, treatment, protocol.value, bank, args.window)
+                config = _eval_config(args, kind, treatment, protocol.value, bank, window)
                 cell_started = time.monotonic()
                 report = evaluate(config, X, y, subjects)
                 rows.extend(report_rows(config, report))
@@ -333,7 +342,7 @@ def cmd_grid(args) -> int:
     write_results_csv(rows, outputs[0])
     atomic_write_text(outputs[1], "# Treatment grid\n\n" + "\n".join(summary) + "\n")
     config = _manifest_config(
-        args, bank=bank.value, models=[k.value for k in ModelKind],
+        args, bank=bank.value, window=window, models=[k.value for k in ModelKind],
         treatments=list(GRID_TREATMENTS), protocols=[p.value for p in Protocol],
     )
     _write_run_manifest(out_dir, "grid", config, args.seed, [Path(args.input)], outputs, started)

@@ -205,7 +205,8 @@ def recordings_to_features(
             continue
         filtered = filter_recording(rec, filter_order) if filter_order else rec
         values = bank_matrix(bank, window_block(filtered, samples_per_window))
-        vectors.extend(FeatureVector(bank, row, rec.activity, rec.subject_id) for row in values)
+        vectors.extend(FeatureVector(bank, row, rec.activity, rec.subject_id, samples_per_window)
+                       for row in values)
     return vectors
 
 

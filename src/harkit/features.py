@@ -269,6 +269,7 @@ class FeatureVector:
     values: np.ndarray
     activity: Activity
     subject_id: str
+    window: int  # samples per window the values were computed from
 
     def __post_init__(self):
         if len(self.values) != BANK_WIDTH[self.bank]:
@@ -358,12 +359,12 @@ def bank_matrix(bank: Bank, xyz: np.ndarray) -> np.ndarray:
 
 def extract_bank_a(w: Window) -> FeatureVector:
     values = bank_matrix(Bank.A43, np.stack([w.x, w.y, w.z])[:, None])[0]
-    return FeatureVector(Bank.A43, values, w.activity, w.subject_id)
+    return FeatureVector(Bank.A43, values, w.activity, w.subject_id, len(w.x))
 
 
 def extract_bank_b(w: Window) -> FeatureVector:
     values = bank_matrix(Bank.B70, np.stack([w.x, w.y, w.z])[:, None])[0]
-    return FeatureVector(Bank.B70, values, w.activity, w.subject_id)
+    return FeatureVector(Bank.B70, values, w.activity, w.subject_id, len(w.x))
 
 
 def feature_matrix(

@@ -38,19 +38,24 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+FEATURES_KEY_COLUMNS = ["subject_id", "activity", "bank", "window"]
+
+
 def write_features_csv(vectors: list[FeatureVector], path: str | Path) -> None:
     if not vectors:
         raise ValueError("no feature vectors to write")
-    bank = vectors[0].bank
+    bank, window = vectors[0].bank, vectors[0].window
     width = BANK_WIDTH[bank]
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["subject_id", "activity", "bank"] + [f"f{i}" for i in range(width)])
+    writer.writerow(FEATURES_KEY_COLUMNS + [f"f{i}" for i in range(width)])
     for fv in vectors:
         if fv.bank is not bank:
             raise ValueError("mixed banks in one feature file")
+        if fv.window != window:
+            raise ValueError("mixed windows in one feature file")
         writer.writerow(
-            [fv.subject_id, ACTIVITY_CSV_NAMES[fv.activity], bank.value]
+            [fv.subject_id, ACTIVITY_CSV_NAMES[fv.activity], bank.value, str(window)]
             + [repr(float(v)) for v in fv.values]
         )
     atomic_write_text(path, buf.getvalue())
@@ -58,28 +63,34 @@ def write_features_csv(vectors: list[FeatureVector], path: str | Path) -> None:
 
 def read_features_csv(path: str | Path) -> list[FeatureVector]:
     vectors = []
+    keys = len(FEATURES_KEY_COLUMNS)
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header or header[:3] != ["subject_id", "activity", "bank"]:
-            raise MalformedRow(1, "bad feature CSV header")
-        width = len(header) - 3
+        if not header or header[:keys] != FEATURES_KEY_COLUMNS:
+            raise MalformedRow(1, "bad feature CSV header: expected it to start with "
+                                  + ",".join(FEATURES_KEY_COLUMNS))
+        width = len(header) - keys
         for line_no, row in enumerate(reader, start=2):
-            if len(row) != width + 3:
-                raise MalformedRow(line_no, f"expected {width + 3} fields, got {len(row)}")
+            if len(row) != width + keys:
+                raise MalformedRow(line_no, f"expected {width + keys} fields, got {len(row)}")
             try:
                 bank = Bank(row[2])
                 activity = CSV_NAME_TO_ACTIVITY[row[1]]
-                values = np.array([float(v) for v in row[3:]])
+                window = int(row[3])
+                values = np.array([float(v) for v in row[keys:]])
             except (ValueError, KeyError):
                 raise MalformedRow(line_no, "unparseable feature row")
             if width != BANK_WIDTH[bank]:
                 raise MalformedRow(
                     line_no, f"bank {bank.value!r} has width {BANK_WIDTH[bank]}, the row {width}")
+            if window < 1 or (vectors and window != vectors[0].window):
+                raise MalformedRow(line_no, f"window {window} is not positive or differs "
+                                            "from the first row's")
             non_finite = np.flatnonzero(~np.isfinite(values))
             if non_finite.size:
-                raise NonFiniteValue(line_no, header[3 + non_finite[0]])
-            vectors.append(FeatureVector(bank, values, activity, row[0]))
+                raise NonFiniteValue(line_no, header[keys + non_finite[0]])
+            vectors.append(FeatureVector(bank, values, activity, row[0], window))
     return vectors
 
 

@@ -1,16 +1,26 @@
 """Classifier contracts: correctness oracles and determinism."""
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from harkit import classifiers
 from harkit.classifiers import (
     ModelKind,
     ModelSpec,
+    _best_split,
     bootstrap_indices,
     predict_batch,
     quadratic_kernel,
     train,
 )
 from harkit.errors import DimensionMismatch, EmptyTrainingSet
+from harkit.evaluation import recordings_to_features
+from harkit.features import Bank, feature_matrix
+from harkit.ingest import SensorKind, SynthParams, generate_synthetic
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -24,6 +34,106 @@ def blobs(rng, n_per_class=30, n_classes=3, d=5, sep=6.0):
         X.append(rng.normal(size=(n_per_class, d)) + center)
         y.append(np.full(n_per_class, c))
     return np.vstack(X), np.concatenate(y)
+
+
+def reference_best_split(X, y, n_classes):
+    """The per-feature CART split search harkit ran before the batched one, kept as
+    the oracle of `_best_split`: one stable sort and one cumulative count per feature."""
+    m = len(y)
+    parent_counts = np.bincount(y, minlength=n_classes)
+    p = parent_counts / m
+    parent_gini = float(1.0 - np.sum(p * p))
+    best = None
+    onehot = np.zeros((m, n_classes))
+    onehot[np.arange(m), y] = 1.0
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        v = X[order, j]
+        valid = np.flatnonzero(v[:-1] < v[1:])
+        if valid.size == 0:
+            continue
+        left = np.cumsum(onehot[order], axis=0)[:-1]
+        k = left.sum(axis=1)
+        right = parent_counts - left
+        gl = 1.0 - np.sum((left / k[:, None]) ** 2, axis=1)
+        gr = 1.0 - np.sum((right / (m - k)[:, None]) ** 2, axis=1)
+        weighted = (k * gl + (m - k) * gr) / m
+        gains = parent_gini - weighted[valid]
+        bi = int(np.argmax(gains))
+        gain = float(gains[bi])
+        if gain <= 1e-15:
+            continue
+        if best is None or gain > best[0] + 1e-15:
+            pos = valid[bi]
+            best = (gain, j, float(0.5 * (v[pos] + v[pos + 1])))
+    return best
+
+
+def reference_knn(model, X):
+    """KNN labels and scores by a full stable sort of every row's distances."""
+    impl = model.impl
+    k = min(impl.k, len(impl.y))
+    sq = (np.sum(X * X, axis=1)[:, None] - 2.0 * X @ impl.X.T
+          + np.sum(impl.X * impl.X, axis=1)[None, :])
+    nn = np.argsort(sq, axis=1, kind="stable")[:, :k]
+    votes = np.zeros((len(X), impl.n_classes), dtype=int)
+    for c in range(impl.n_classes):
+        votes[:, c] = np.sum(impl.y[nn] == c, axis=1)
+    labels = np.argmax(votes, axis=1)
+    return labels, votes[np.arange(len(X)), labels] / k
+
+
+def node_matrix(rng, kind, m, n_features, n_classes):
+    """(X, y) of one tree node of the given kind."""
+    y = rng.integers(0, n_classes, m)
+    if kind == "normal":
+        X = rng.normal(size=(m, n_features))
+    elif kind == "integer_ties":
+        X = rng.integers(-2, 3, size=(m, n_features)).astype(float)
+    elif kind == "signed_zeros":
+        X = rng.choice([-0.0, 0.0, 1.0], size=(m, n_features))
+    elif kind == "bootstrap":  # rows drawn with replacement, as bagging does
+        base = rng.normal(size=(m, n_features))
+        idx = rng.integers(0, m, m)
+        X, y = base[idx], y[idx]
+    elif kind == "constant_columns":
+        X = rng.normal(size=(m, n_features))
+        X[:, rng.random(n_features) < 0.5] = 1.25
+    elif kind == "class_indicators":
+        # balanced classes; feature j isolates class j % n_classes, so several
+        # features reach the same best gain and the lowest index must win
+        y = np.tile(np.arange(n_classes), -(-m // n_classes))[:m]
+        X = (y[:, None] == np.arange(n_features) % n_classes).astype(float)
+        X *= rng.integers(1, 3, size=n_features)
+    else:  # "no_gain": rows come in groups of one per class, a value per group, so
+        # no split helps (when m is a multiple of n_classes)
+        groups = -(-m // n_classes)
+        X = np.repeat(rng.integers(0, 4, size=(groups, n_features)).astype(float),
+                      n_classes, axis=0)[:m]
+        y = np.tile(np.arange(n_classes), groups)[:m]
+    return X, y
+
+
+NODE_KINDS = ["normal", "integer_ties", "signed_zeros", "bootstrap", "constant_columns",
+              "class_indicators", "no_gain"]
+
+
+def tree_digest(model, X) -> str:
+    """sha256 over every tree's nodes (label, feature, threshold; preorder) and the
+    labels and scores the model predicts for X."""
+    h = hashlib.sha256()
+    trees = model.impl.trees if model.spec.kind is ModelKind.Bagging else [model.impl]
+    for tree in trees:
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            h.update(f"{node.label},{node.feature},{node.threshold!r};".encode())
+            if node.feature >= 0:
+                stack += [node.right, node.left]
+    labels, scores = predict_batch(model, X)
+    h.update(labels.astype(np.int64).tobytes())
+    h.update(scores.tobytes())
+    return h.hexdigest()
 
 
 class TestModelSpec:
@@ -96,6 +206,76 @@ class TestDecisionTree:
         assert np.all(labels == 3)
 
 
+class TestBestSplit:
+    """The batched split search returns the per-feature search's (gain, feature,
+    threshold) exactly, over every block width the search can take."""
+
+    @given(
+        m=st.one_of(st.integers(2, 80), st.integers(81, 2000)),
+        n_features=st.integers(1, 80),
+        n_classes=st.integers(2, 5),
+        kind=st.sampled_from(NODE_KINDS),
+        block_elements=st.sampled_from([classifiers._SPLIT_BLOCK_ELEMENTS, 1, 97, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_feature_search(self, m, n_features, n_classes, kind,
+                                       block_elements, seed):
+        X, y = node_matrix(np.random.default_rng(seed), kind, m, n_features, n_classes)
+        counts = np.bincount(y, minlength=n_classes)
+        with mock.patch.object(classifiers, "_SPLIT_BLOCK_ELEMENTS", block_elements):
+            assert _best_split(X, y, counts) == reference_best_split(X, y, n_classes)
+
+    @pytest.mark.parametrize("n_classes", [7, 8, 9, 12])
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_equals_per_feature_search_with_many_classes(self, n_classes, kind):
+        rng = np.random.default_rng(n_classes)
+        for m in (2, 9, 150, 700):
+            X, y = node_matrix(rng, kind, m, 20, n_classes)
+            counts = np.bincount(y, minlength=n_classes)
+            assert _best_split(X, y, counts) == reference_best_split(X, y, n_classes)
+
+    @pytest.mark.parametrize("seed, kind, m, n_classes", [
+        (701, "normal", 33, 3), (1136, "normal", 28, 2), (2403, "bootstrap", 15, 5),
+    ])
+    def test_cross_feature_tie_rule(self, seed, kind, m, n_classes):
+        """Nodes where a later feature's best gain beats the first feature's by less
+        than 1e-15: the first one wins, as in the per-feature search."""
+        X, y = node_matrix(np.random.default_rng(seed), kind, m, 40, n_classes)
+        gains = [reference_best_split(X[:, [j]], y, n_classes) for j in range(40)]
+        best = _best_split(X, y, np.bincount(y, minlength=n_classes))
+        assert best == reference_best_split(X, y, n_classes)
+        assert any(0 < g[0] - best[0] <= 1e-15 for g in gains[best[1] + 1:] if g)
+
+    def test_no_helpful_split_is_none(self):
+        X, y = node_matrix(np.random.default_rng(0), "no_gain", 60, 5, 3)
+        assert _best_split(X, y, np.bincount(y)) is None
+
+    def test_bagging_trees_pinned(self):
+        """Tree structures, labels and scores of dtree and bagging equal those the
+        per-feature split search grew (digests computed before the batched search)."""
+        recordings, _ = generate_synthetic(SynthParams(n_subjects=2, minutes_per_activity=0.5,
+                                                       seed=7))
+        X, y, _ = feature_matrix(recordings_to_features(recordings, Bank.B70, 50, 3,
+                                                        SensorKind.Accelerometer))
+        rng = np.random.default_rng(5)
+        Xt = rng.integers(0, 4, size=(150, 12)).astype(float)
+        yt = rng.integers(0, 4, 150)
+        digests = [
+            tree_digest(train(ModelSpec(ModelKind.Bagging, seed=3, n_learners=10), X, y), X),
+            tree_digest(train(ModelSpec(ModelKind.DecisionTree, max_splits=5), X, y), X),
+            tree_digest(train(ModelSpec(ModelKind.Bagging, seed=1, n_learners=10), Xt, yt), Xt),
+        ]
+        assert digests == PINNED_TREE_DIGESTS
+
+
+PINNED_TREE_DIGESTS = [
+    "d7653cad9a21195d3f7c978da2427b85df5b43786f038768556926b9a45f1274",
+    "8117b6de80b6106c9f7e0325c0c444019badf21b6a11bc997de0df4304344567",
+    "efd3fcdce1d443d249d6b786f16e7e3a56036faa13c1080fa90ffa931eec3148",
+]
+
+
 class TestNaiveBayes:
     def test_matches_gaussian_posterior_oracle(self, rng):
         X, y = blobs(rng, n_per_class=50, n_classes=2, d=3)
@@ -143,6 +323,24 @@ class TestKnn:
             nn = np.argsort(d, kind="stable")[:7]
             votes = np.bincount(y[nn], minlength=3)
             assert labels[i] == np.argmax(votes)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_stable_sort_rule_with_distance_ties(self, seed):
+        """Neighbors at the k-th distance are taken from the lowest training indices,
+        as a stable sort takes them: labels and scores are bit-identical."""
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 120)), int(rng.integers(1, 4))
+        X = rng.integers(-2, 3, size=(n, d)).astype(float)  # a small grid: many ties
+        y = rng.integers(0, int(rng.integers(1, 6)), n)
+        Xte = np.vstack([rng.integers(-2, 3, size=(30, d)).astype(float),
+                         rng.normal(size=(10, d))])
+        for k in (1, 2, 5, 10, 13):
+            model = train(ModelSpec(ModelKind.Knn, k=k), X, y)
+            labels, scores = predict_batch(model, Xte)
+            ref_labels, ref_scores = reference_knn(model, Xte)
+            assert np.array_equal(labels, ref_labels)
+            assert scores.dtype == ref_scores.dtype
+            assert np.array_equal(scores, ref_scores)
 
     def test_k_larger_than_train_set_is_capped(self):
         X = np.array([[0.0], [1.0]])

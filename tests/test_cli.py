@@ -95,8 +95,9 @@ class TestExtract:
         assert main(["extract", str(recordings_csv), "--bank", "b",
                      "--window", "75", "-o", str(out)]) == EXIT_OK
         first = out.read_text().splitlines()[0]
-        assert first.startswith("subject_id,activity,bank")
-        assert first.count(",") == 3 + 70 - 1
+        assert first.startswith("subject_id,activity,bank,window,f0,")
+        assert first.count(",") == 4 + 70 - 1
+        assert {line.split(",")[3] for line in out.read_text().splitlines()[1:]} == {"75"}
 
     def test_window_too_small_is_usage_error(self, recordings_csv, tmp_path):
         assert main(["extract", str(recordings_csv), "--window", "2",
@@ -148,6 +149,31 @@ class TestEval:
         assert main(common + [str(recordings_csv), "-o", str(direct)]) == EXIT_OK
         assert main(common + [str(features), "-o", str(staged)]) == EXIT_OK
         assert (direct / "results.csv").read_bytes() == (staged / "results.csv").read_bytes()
+
+    def test_features_csv_supplies_its_window(self, recordings_csv, tmp_path):
+        """Results and manifest carry the window the features were extracted at,
+        not --window's default."""
+        features = tmp_path / "features.csv"
+        assert main(["extract", str(recordings_csv), "--bank", "b",
+                     "--window", "100", "-o", str(features)]) == EXIT_OK
+        out = tmp_path / "eval"
+        assert main(["--seed", "4", "eval", str(features), "--model", "nb",
+                     "-o", str(out)]) == EXIT_OK
+        assert {r["window"] for r in read_results_csv(out / "results.csv")} == {"100"}
+        manifest = json.loads((out / "eval_manifest.json").read_text())
+        assert manifest["config"]["window"] == 100
+        same = tmp_path / "same"
+        assert main(["--seed", "4", "eval", str(features), "--model", "nb",
+                     "--window", "100", "-o", str(same)]) == EXIT_OK
+        assert (same / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["eval", "grid"])
+    def test_window_disagreeing_with_features_csv_is_usage_error(
+            self, bank_b_csv, tmp_path, capsys, command):
+        assert main([command, str(bank_b_csv), "--window", "100",
+                     "-o", str(tmp_path / "x")]) == EXIT_USAGE
+        assert "extracted at window 75" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_permute_columns_leaves_knn_results_unchanged(self, recordings_csv, tmp_path):
         plain, permuted = tmp_path / "plain", tmp_path / "perm"
@@ -284,6 +310,16 @@ class TestGrid:
                 == ("bag", "unr-rp", "personal")]
         assert cell == read_results_csv(out / "results.csv")
 
+    def test_features_csv_supplies_its_window(self, recordings_csv, tmp_path):
+        features = tmp_path / "features.csv"
+        assert main(["extract", str(recordings_csv), "--bank", "b",
+                     "--window", "100", "-o", str(features)]) == EXIT_OK
+        out = tmp_path / "grid"
+        assert main(["--seed", "4", "grid", str(features), "--bag-learners", "2",
+                     "-o", str(out)]) == EXIT_OK
+        assert {r["window"] for r in read_results_csv(out / "grid_results.csv")} == {"100"}
+        assert json.loads((out / "grid_manifest.json").read_text())["config"]["window"] == 100
+
 
 class TestReport:
     def test_treatment_pair_gets_t_test_table(self, recordings_csv, tmp_path):
@@ -332,7 +368,7 @@ class TestExitCodes:
                                                 treatment, value):
         lines = bank_b_csv.read_text().splitlines()
         fields = lines[5].split(",")
-        fields[10] = value
+        fields[11] = value  # f7: four key columns come first
         lines[5] = ",".join(fields)
         bad = tmp_path / "non_finite.csv"
         bad.write_text("\n".join(lines) + "\n")

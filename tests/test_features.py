@@ -374,13 +374,13 @@ class TestBanks:
 
     def test_feature_vector_width_validated(self):
         with pytest.raises(ValueError):
-            FeatureVector(Bank.A43, np.zeros(10), Activity.Walking, "s0")
+            FeatureVector(Bank.A43, np.zeros(10), Activity.Walking, "s0", 75)
 
 
 class TestFeatureMatrix:
     def test_stacking(self, rng):
         vecs = [
-            FeatureVector(Bank.B70, rng.normal(size=70), Activity(i % 5), f"s{i % 2}")
+            FeatureVector(Bank.B70, rng.normal(size=70), Activity(i % 5), f"s{i % 2}", 75)
             for i in range(8)
         ]
         X, y, subjects = feature_matrix(vecs)

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from harkit.reporting import (
 @pytest.fixture
 def vectors(rng):
     return [
-        FeatureVector(Bank.B70, rng.normal(size=70), Activity(i % 5), f"s{i % 3}")
+        FeatureVector(Bank.B70, rng.normal(size=70), Activity(i % 5), f"s{i % 3}", 75)
         for i in range(30)
     ]
 
@@ -66,10 +67,48 @@ class TestFeaturesCsv:
             assert a.subject_id == b.subject_id
             np.testing.assert_array_equal(a.values, b.values)  # bit-exact
 
+    def test_window_round_trip(self, vectors, tmp_path):
+        path = tmp_path / "f.csv"
+        write_features_csv([replace(fv, window=80) for fv in vectors], path)
+        assert path.read_text().splitlines()[1].split(",")[2:4] == ["b", "80"]
+        assert {fv.window for fv in read_features_csv(path)} == {80}
+
+    def test_mixed_windows_rejected(self, vectors, tmp_path):
+        with pytest.raises(ValueError):
+            write_features_csv([vectors[0], replace(vectors[1], window=100)], tmp_path / "m.csv")
+        path = tmp_path / "f.csv"
+        write_features_csv(vectors[:3], path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace(",75,", ",100,", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRow) as ei:
+            read_features_csv(path)
+        assert ei.value.line_no == 4
+
+    @pytest.mark.parametrize("cell", ["0", "-75", "x", ""])
+    def test_bad_window_reports_line(self, vectors, tmp_path, cell):
+        path = tmp_path / "f.csv"
+        write_features_csv(vectors[:2], path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace(",75,", f",{cell},", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRow) as ei:
+            read_features_csv(path)
+        assert ei.value.line_no == 3
+
+    def test_header_without_window_column_rejected(self, vectors, tmp_path):
+        path = tmp_path / "old.csv"
+        write_features_csv(vectors[:2], path)
+        path.write_text("\n".join(",".join(line.split(",")[:3] + line.split(",")[4:])
+                                  for line in path.read_text().splitlines()) + "\n")
+        with pytest.raises(MalformedRow) as ei:
+            read_features_csv(path)
+        assert ei.value.line_no == 1
+
     def test_mixed_banks_rejected(self, rng, tmp_path):
         mixed = [
-            FeatureVector(Bank.B70, rng.normal(size=70), Activity.Walking, "s0"),
-            FeatureVector(Bank.A43, rng.normal(size=43), Activity.Walking, "s0"),
+            FeatureVector(Bank.B70, rng.normal(size=70), Activity.Walking, "s0", 75),
+            FeatureVector(Bank.A43, rng.normal(size=43), Activity.Walking, "s0", 75),
         ]
         with pytest.raises(ValueError):
             write_features_csv(mixed, tmp_path / "m.csv")
