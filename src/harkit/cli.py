@@ -2,15 +2,17 @@
 
 Exit codes: 0 ok, 2 usage, 3 I/O failure, 4 schema violation, 5 protocol
 precondition failure. `HAR_SEED` provides a default seed; an explicit
---seed flag wins.
+--seed flag wins. `grid` is the one experiment loop: it crosses models,
+treatments, protocols, banks and windows over one input.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +34,8 @@ from .evaluation import (
     Protocol,
     Treatment,
     evaluate,
+    feature_matrices,
     recordings_to_features,
-    window_sweep,
 )
 from .features import Bank, feature_matrix
 from .ingest import (
@@ -72,14 +74,18 @@ SCHEMA_ERRORS = (MalformedRow, NonFiniteValue, NonMonotonicTimestamps,
                  UnknownActivity, UnknownSensor)
 PROTOCOL_ERRORS = (SingleSubject, TooFewInstances)
 
-# The treatments the grid compares; `eval --treatment unr-nrp` stays available.
+# The treatments the grid compares by default; `--treatment unr-nrp` stays available.
 GRID_TREATMENTS = ("nr-rp", "nr-nrp", "unr-rp")
+TREATMENTS = (*GRID_TREATMENTS, "unr-nrp")
 DEFAULT_WINDOW = 75
 
 
 def _default_seed() -> int:
     env = os.environ.get("HAR_SEED")
-    return int(env) if env else 7
+    try:
+        return int(env) if env else 7
+    except ValueError:
+        raise UsageError(f"HAR_SEED must be an integer, got {env!r}") from None
 
 
 def _positive_int(value: str) -> int:
@@ -96,23 +102,33 @@ def _positive_float(value: str) -> float:
     return v
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    """lo:hi:step (hi included) or a comma list; () when the text is neither."""
+def _axis(values: list[str] | None, default) -> list[str]:
+    """A grid axis: the given values, else `default`, without repeats, in first-seen order."""
+    return list(dict.fromkeys(values or default))
+
+
+def _window_axis(text: str) -> tuple[int, ...]:
+    """--window's sizes: lo:hi:step (hi included) or a comma list, each at least 4."""
     try:
         if ":" in text:
             lo, hi, step = (int(p) for p in text.split(":"))
-            return tuple(range(lo, hi + 1, step))
-        return tuple(int(p) for p in text.split(","))
+            sizes = range(lo, hi + 1, step)
+        else:
+            sizes = [int(p) for p in text.split(",")]
     except ValueError:
-        return ()
-
-
-def _check_preprocess_flags(args, sizes: tuple[int, ...], sizes_error: str) -> None:
-    """Usage checks shared by the commands that filter and segment recordings."""
+        sizes = ()
     if not sizes or min(sizes) < 4:
-        raise UsageError(sizes_error)
-    if args.filter_order < 0:
+        raise UsageError("--window must be lo:hi:step or a comma list of window sizes >= 4, "
+                         f"got {text!r}")
+    return tuple(dict.fromkeys(sizes))
+
+
+def _recording_settings(args) -> tuple[str, int]:
+    """(--sensor, --filter-order) for recordings: accel and 3 unless given."""
+    order = 3 if args.filter_order is None else args.filter_order
+    if order < 0:
         raise UsageError("--filter-order must be >= 0 (0 turns the filter off)")
+    return args.sensor or "accel", order
 
 
 def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
@@ -165,6 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="global seed (default: HAR_SEED env var, else 7)")
     sub = parser.add_subparsers(dest="command", required=True)
     models = [k.value for k in ModelKind]
+    protocols = [proto.value for proto in Protocol]
+    banks = [b.value for b in Bank]
 
     p = sub.add_parser("synth", help="generate the synthetic dataset")
     p.add_argument("--subjects", type=_positive_int, default=6)
@@ -178,41 +196,38 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("-o", "--output", required=True, help="feature CSV path")
 
     eval_ = sub.add_parser("eval", help="run one evaluation cell")
-    eval_.add_argument("input", help="recordings CSV or feature CSV")
-    eval_.add_argument("--model", choices=models, default="dtree")
-
-    grid = sub.add_parser("grid", help="every model x treatment x protocol on one input")
-    grid.add_argument("input", help="recordings CSV or feature CSV")
-
-    sweep = sub.add_parser("sweep", help="window-size sweep")
-    sweep.add_argument("input", help="recordings CSV")
-    sweep.add_argument("--model", nargs="+", choices=models, default=["dtree"])
-    sweep.add_argument("--sizes", default="25:300:25",
-                       help="lo:hi:step or comma list, e.g. 75 or 25,75,150")
-
-    # each shared flag once, on the commands that read it
-    for p in (extract, eval_, grid, sweep):
-        p.add_argument("--bank", choices=["a", "b"], default="a")
-        p.add_argument("--filter-order", type=int, default=3)
-        p.add_argument("--sensor", choices=["accel", "gyro", "mag"], default="accel")
-    extract.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
-    for p in (eval_, grid):
-        p.add_argument("--window", type=_positive_int, default=None,
+    grid = sub.add_parser(
+        "grid", help="every cell of model x treatment x protocol x bank x window",
+        description="Each setting takes one or more values. Defaults: every model and "
+                    f"protocol, treatments {' '.join(GRID_TREATMENTS)}, and a features "
+                    f"CSV's own bank and window, else bank a and window {DEFAULT_WINDOW}.")
+    for p, nargs, defaults in ((eval_, None, ("dtree", "nr-rp", "personal")),
+                               (grid, "+", (None, None, None))):
+        p.add_argument("input", help="recordings CSV or feature CSV")
+        p.add_argument("--model", nargs=nargs, choices=models, default=defaults[0])
+        p.add_argument("--treatment", nargs=nargs, choices=TREATMENTS, default=defaults[1])
+        p.add_argument("--protocol", nargs=nargs, choices=protocols, default=defaults[2])
+        p.add_argument("--bank", nargs=nargs, choices=banks,
+                       help="default: a features CSV's own, else a")
+    eval_.add_argument("--window", type=_positive_int,
                        help=f"samples per window (default: a features CSV's own, "
                             f"else {DEFAULT_WINDOW})")
-    for p in (eval_, sweep):
-        p.add_argument("--protocol", choices=[proto.value for proto in Protocol],
-                       default="personal")
-        p.add_argument("--treatment", default="nr-rp",
-                       choices=["nr-rp", "nr-nrp", "unr-rp", "unr-nrp"])
-    for p in (eval_, grid, sweep):
+    grid.add_argument("--window", help="samples per window: 75, a comma list (25,75,150) "
+                                       "or lo:hi:step, hi included (25:300:25)")
+    extract.add_argument("--bank", choices=banks, default="a")
+    extract.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
+    # each shared flag once, on the commands that read it
+    for p in (extract, eval_, grid):
+        p.add_argument("--filter-order", type=int, help="recordings only (default 3)")
+        p.add_argument("--sensor", choices=["accel", "gyro", "mag"],
+                       help="recordings only (default accel)")
+    for p in (eval_, grid):
         p.add_argument("--folds", type=_positive_int, default=10)
         p.add_argument("--knn-k", type=_positive_int, default=10)
         p.add_argument("--bag-learners", type=_positive_int, default=50)
         p.add_argument("--svm-c", type=_positive_float, default=1.0)
         p.add_argument("--tree-splits", type=_positive_int, default=85)
         p.add_argument("-o", "--out-dir", required=True)
-    for p in (eval_, grid):
         p.add_argument("--permute-columns", action="store_true",
                        help="apply a seeded feature-column permutation to train and test")
 
@@ -257,52 +272,60 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    _check_preprocess_flags(args, (args.window,), "--window must be at least 4")
+    if args.window < 4:
+        raise UsageError("--window must be at least 4")
+    sensor, order = _recording_settings(args)
     recordings = parse_recordings_csv(args.input)
-    vectors = recordings_to_features(
-        recordings, Bank(args.bank), args.window, args.filter_order,
-        SensorKind(args.sensor),
-    )
+    vectors = recordings_to_features(recordings, Bank(args.bank), args.window, order,
+                                     SensorKind(sensor))
     if not vectors:
-        print("error: no windows produced (recordings too short?)", file=sys.stderr)
-        return EXIT_PROTOCOL
+        raise TooFewInstances(f"no windows of {args.window} samples in the recordings")
     write_features_csv(vectors, args.output)
     print(f"wrote {len(vectors)} feature vectors to {args.output}")
     return EXIT_OK
 
 
-def _load_vectors(args):
-    """The input's feature vectors: a features CSV brings its own window, recordings
-    are cut at --window."""
-    window = args.window or DEFAULT_WINDOW
-    _check_preprocess_flags(args, (window,), "--window must be at least 4")
-    if not is_features_csv(args.input):
-        return recordings_to_features(
-            parse_recordings_csv(args.input), Bank(args.bank), window, args.filter_order,
-            SensorKind(args.sensor),
-        )
-    vectors = read_features_csv(args.input)
-    if vectors and args.window not in (None, vectors[0].window):
-        raise UsageError(f"--window {args.window} disagrees with {args.input}, "
-                         f"whose features were extracted at window {vectors[0].window}")
-    return vectors
-
-
-def _load_matrix(args):
-    """(bank, window, X, y, subjects) of the input, columns permuted if asked."""
-    vectors = _load_vectors(args)
-    if not vectors:
-        raise TooFewInstances("no feature vectors available")
-    X, y, subjects = feature_matrix(vectors)
+def _load_matrices(args, banks: list[str] | None, windows: tuple[int, ...] | None):
+    """The input's {(bank, window): (X, y, subjects)}, columns permuted if asked, and the
+    sensor and filter order behind it. A features CSV brings its one bank and window, which
+    the flags may only repeat; recordings are filtered once, then extracted once per bank
+    (default a) and window (default 75)."""
+    if is_features_csv(args.input):
+        vectors = read_features_csv(args.input)
+        if not vectors:
+            raise TooFewInstances("no feature vectors available")
+        bank, window = vectors[0].bank, vectors[0].window
+        if banks not in (None, [bank.value]):
+            raise UsageError(f"--bank {' '.join(banks)} disagrees with {args.input}, "
+                             f"whose features are bank {bank.value}")
+        if windows not in (None, (window,)):
+            raise UsageError(f"--window {args.window} disagrees with {args.input}, "
+                             f"whose features were extracted at window {window}")
+        if args.sensor is not None or args.filter_order is not None:
+            raise UsageError(f"--sensor and --filter-order apply to recordings; "
+                             f"{args.input} holds features")
+        matrices = {(bank, window): feature_matrix(vectors)}
+        sensor, order = None, None
+    else:
+        windows = windows or (DEFAULT_WINDOW,)
+        if min(windows) < 4:
+            raise UsageError("--window must be at least 4")
+        sensor, order = _recording_settings(args)
+        matrices = feature_matrices(parse_recordings_csv(args.input),
+                                    [Bank(b) for b in banks or ["a"]], windows, order,
+                                    SensorKind(sensor))
     if args.permute_columns:
-        col_order = np.random.default_rng(args.seed).permutation(X.shape[1])
-        X = X[:, col_order]
-    return vectors[0].bank, vectors[0].window, X, y, subjects
+        for key, (X, y, subjects) in matrices.items():
+            col_order = np.random.default_rng(args.seed).permutation(X.shape[1])
+            matrices[key] = X[:, col_order], y, subjects
+    return matrices, {"sensor": sensor, "filter_order": order}
 
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    bank, window, X, y, subjects = _load_matrix(args)
+    matrices, settings = _load_matrices(args, args.bank and [args.bank],
+                                        args.window and (args.window,))
+    (bank, window), (X, y, subjects) = next(iter(matrices.items()))
     config = _eval_config(args, ModelKind(args.model), args.treatment, args.protocol, bank,
                           window)
     out_dir = Path(args.out_dir)
@@ -311,81 +334,62 @@ def cmd_eval(args) -> int:
     outputs = [out_dir / "results.csv", out_dir / "table.md"]
     write_results_csv(report_rows(config, report), outputs[0])
     atomic_write_text(outputs[1], report_markdown(config, report))
-    _write_run_manifest(out_dir, "eval", _manifest_config(args, bank=bank.value, window=window),
-                        args.seed, [Path(args.input)], outputs, started)
+    config = _manifest_config(args, bank=bank.value, window=window, **settings)
+    _write_run_manifest(out_dir, "eval", config, args.seed, [Path(args.input)], outputs, started)
     print(f"overall accuracy {report.overall_accuracy:.4f} "
           f"± {report.ci_halfwidth:.4f} (98% CI, n={report.n_units})")
     return EXIT_OK
 
 
+def _window_series(curves: dict[tuple[str, str, str, str], dict]) -> dict:
+    """Overall accuracy against window, one series per (model, bank, treatment, protocol)
+    curve, named after its model and whichever of the others vary. A lone curve also
+    charts its recall per activity."""
+    varying = [i for i in (1, 2, 3) if len({key[i] for key in curves}) > 1]
+    series = {", ".join([key[0], *(key[i] for i in varying)]):
+              {w: r.overall_accuracy for w, r in reports.items()}
+              for key, reports in curves.items()}
+    if len(curves) == 1:
+        reports = next(iter(curves.values()))
+        series.update({ACTIVITY_CSV_NAMES[act]: {w: r.per_activity_recall[act]
+                                                for w, r in reports.items()} for act in Activity})
+    return series
+
+
 def cmd_grid(args) -> int:
     started = time.monotonic()
-    bank, window, X, y, subjects = _load_matrix(args)
+    models = _axis(args.model, [k.value for k in ModelKind])
+    treatments = _axis(args.treatment, GRID_TREATMENTS)
+    protocols = _axis(args.protocol, [p.value for p in Protocol])
+    windows = None if args.window is None else _window_axis(args.window)
+    matrices, settings = _load_matrices(args, args.bank and _axis(args.bank, ()), windows)
+    banks = list(dict.fromkeys(bank.value for bank, _ in matrices))
+    windows = list(dict.fromkeys(window for _, window in matrices))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    summary = ["| model | treatment | protocol | accuracy | seconds |",
-               "| --- | --- | --- | --- | --- |"]
-    for kind in ModelKind:
-        for treatment in GRID_TREATMENTS:
-            for protocol in Protocol:
-                config = _eval_config(args, kind, treatment, protocol.value, bank, window)
-                cell_started = time.monotonic()
-                report = evaluate(config, X, y, subjects)
-                rows.extend(report_rows(config, report))
-                summary.append(
-                    f"| {kind.value} | {treatment} | {protocol.value} "
-                    f"| {report.overall_accuracy:.4f} | {time.monotonic() - cell_started:.1f} |"
-                )
-                print(summary[-1])
+    curves = {}  # (model, bank, treatment, protocol) -> {window: report}
+    summary = ["| model | treatment | protocol | bank | window | accuracy | seconds |",
+               "| --- | --- | --- | --- | --- | --- | --- |"]
+    for model, treatment, protocol, ((bank, window), (X, y, subjects)) in itertools.product(
+            models, treatments, protocols, matrices.items()):
+        config = _eval_config(args, ModelKind(model), treatment, protocol, bank, window)
+        cell_started = time.monotonic()
+        report = evaluate(config, X, y, subjects)
+        rows.extend(report_rows(config, report))
+        curves.setdefault((model, f"bank {bank.value}", treatment, protocol), {})[window] = report
+        summary.append(f"| {model} | {treatment} | {protocol} | {bank.value} | {window} "
+                       f"| {report.overall_accuracy:.4f} | {time.monotonic() - cell_started:.1f} |")
+        print(summary[-1])
     outputs = [out_dir / "grid_results.csv", out_dir / "summary.md"]
     write_results_csv(rows, outputs[0])
-    atomic_write_text(outputs[1], "# Treatment grid\n\n" + "\n".join(summary) + "\n")
-    config = _manifest_config(
-        args, bank=bank.value, window=window, models=[k.value for k in ModelKind],
-        treatments=list(GRID_TREATMENTS), protocols=[p.value for p in Protocol],
-    )
+    atomic_write_text(outputs[1], "# Settings grid\n\n" + "\n".join(summary) + "\n")
+    if len(windows) > 1:
+        outputs.append(out_dir / "sweep.svg")
+        atomic_write_text(outputs[2], sweep_svg(_window_series(curves)))
+    config = _manifest_config(args, model=models, treatment=treatments, protocol=protocols,
+                              bank=banks, window=windows, **settings)
     _write_run_manifest(out_dir, "grid", config, args.seed, [Path(args.input)], outputs, started)
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    started = time.monotonic()
-    sizes = _parse_sizes(args.sizes)
-    _check_preprocess_flags(args, sizes, "--sizes must be lo:hi:step or a comma list of "
-                            f"window sizes >= 4, got {args.sizes!r}")
-    models = list(dict.fromkeys(args.model))
-    recordings = parse_recordings_csv(args.input)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = {}
-    rows = []
-    for model in models:
-        config = _eval_config(args, ModelKind(model), args.treatment, args.protocol,
-                              Bank(args.bank), sizes[0])
-        results[model] = window_sweep(config, recordings, sizes,
-                                      args.filter_order, SensorKind(args.sensor))
-        for size in sizes:
-            rows.extend(report_rows(replace(config, samples_per_window=size),
-                                    results[model][size]))
-    series = {m: {s: reports[s].overall_accuracy for s in sizes}
-              for m, reports in results.items()}
-    if len(models) == 1:
-        # a single model's chart also shows its recall per activity
-        for act in Activity:
-            series[ACTIVITY_CSV_NAMES[act]] = {
-                s: results[models[0]][s].per_activity_recall[act] for s in sizes
-            }
-    outputs = [out_dir / "sweep_results.csv", out_dir / "sweep.svg"]
-    write_results_csv(rows, outputs[0])
-    atomic_write_text(outputs[1], sweep_svg(series))
-    _write_run_manifest(out_dir, "sweep", _manifest_config(args, model=models, sizes=list(sizes)),
-                        args.seed, [Path(args.input)], outputs, started)
-    for model, reports in results.items():
-        prefix = f"{model} " if len(models) > 1 else ""
-        for size in sizes:
-            print(f"{prefix}window {size:4d}: "
-                  f"overall accuracy {reports[size].overall_accuracy:.4f}")
     return EXIT_OK
 
 
@@ -409,12 +413,22 @@ def cmd_summary(args) -> int:
     return EXIT_OK
 
 
+def _undecodable(paths: list[str]) -> MalformedRow | None:
+    """The schema error for the first of `paths` that is not UTF-8 text."""
+    for path in paths:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            return MalformedRow(data.count(b"\n", 0, e.start) + 1,
+                                f"{path} is not UTF-8 text")
+
+
 COMMANDS = {
     "synth": cmd_synth,
     "extract": cmd_extract,
     "eval": cmd_eval,
     "grid": cmd_grid,
-    "sweep": cmd_sweep,
     "report": cmd_report,
     "summary": cmd_summary,
 }
@@ -423,10 +437,14 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = _default_seed()
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return COMMANDS[args.command](args)
+    except UnicodeDecodeError:
+        e = _undecodable(getattr(args, "inputs", None) or [args.input])
+        print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
+        return EXIT_SCHEMA
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

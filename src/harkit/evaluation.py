@@ -1,4 +1,4 @@
-"""Personal / impersonal evaluation protocols, treatments, and the window sweep."""
+"""Personal / impersonal evaluation protocols, treatments, and the feature matrices they run on."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
@@ -73,22 +73,18 @@ class EvalReport:
         return float(conf[activity.value, activity.value] / row) if row else 0.0
 
 
-def kfold_split(n: int, k: int, labels: np.ndarray, seed: int | None = None) -> list[np.ndarray]:
-    """Stratified k folds. Without a seed, instances are dealt round-robin in
-    their given order per label stratum, so fold composition tracks instance
-    order (the non-permuted treatment relies on this)."""
+def kfold_split(n: int, k: int, labels: np.ndarray) -> list[np.ndarray]:
+    """Stratified k folds. Instances are dealt round-robin in their given order
+    per label stratum, so fold composition tracks instance order (the
+    non-permuted treatment relies on this)."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < k:
         raise TooFewInstances(f"need at least {k} instances, got {n}")
     labels = np.asarray(labels)
-    rng = np.random.default_rng(seed) if seed is not None else None
     folds: list[list[int]] = [[] for _ in range(k)]
     for label in np.unique(labels):
-        idx = np.flatnonzero(labels == label)
-        if rng is not None:
-            idx = rng.permutation(idx)
-        for pos, i in enumerate(idx):
+        for pos, i in enumerate(np.flatnonzero(labels == label)):
             folds[pos % k].append(int(i))
     return [np.array(sorted(f), dtype=int) for f in folds]
 
@@ -152,7 +148,7 @@ def evaluate(
         split_index = 0
         for ui, s in enumerate(unit_ids):
             sub_idx = np.flatnonzero(ids == s)
-            folds = kfold_split(len(sub_idx), config.folds, y[sub_idx], seed=None)
+            folds = kfold_split(len(sub_idx), config.folds, y[sub_idx])
             correct = 0
             for fold in folds:
                 test_idx = sub_idx[fold]
@@ -210,36 +206,17 @@ def recordings_to_features(
     return vectors
 
 
-def evaluate_recordings(config: EvalConfig, recordings: list[Recording],
-                        filter_order: int = 3,
-                        sensor: SensorKind | None = SensorKind.Accelerometer) -> EvalReport:
-    vectors = recordings_to_features(
-        recordings, config.bank, config.samples_per_window, filter_order, sensor
-    )
-    if not vectors:
-        raise TooFewInstances("no windows produced from the recordings")
-    X, y, subjects = feature_matrix(vectors)
-    return evaluate(config, X, y, subjects)
-
-
-DEFAULT_SWEEP_SIZES = tuple(range(25, 301, 25))
-
-
-def window_sweep(
-    base_config: EvalConfig,
-    recordings: list[Recording],
-    sizes: tuple[int, ...] = DEFAULT_SWEEP_SIZES,
-    filter_order: int = 3,
-    sensor: SensorKind | None = SensorKind.Accelerometer,
-) -> dict[int, EvalReport]:
-    """Filter once, then re-segment, re-extract, and evaluate at each window size."""
-    if not sizes:
-        raise ValueError("sizes must be non-empty")
-    if filter_order:
-        recordings = [filter_recording(rec, filter_order) for rec in recordings
-                      if sensor is None or rec.sensor is sensor]
+def feature_matrices(recordings: list[Recording], banks: list[Bank], windows: tuple[int, ...],
+                     filter_order: int, sensor: SensorKind) -> dict:
+    """{(bank, window): (X, y, subjects)}, bank-major: each recording of `sensor` is
+    filtered once, then cut and extracted once per (bank, window)."""
+    recordings = [filter_recording(rec, filter_order) if filter_order else rec
+                  for rec in recordings if rec.sensor is sensor]
     out = {}
-    for size in sizes:
-        config = replace(base_config, samples_per_window=size)
-        out[size] = evaluate_recordings(config, recordings, 0, sensor)
+    for bank in banks:
+        for window in windows:
+            vectors = recordings_to_features(recordings, bank, window, 0, sensor)
+            if not vectors:
+                raise TooFewInstances(f"no windows of {window} samples in the recordings")
+            out[bank, window] = feature_matrix(vectors)
     return out

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import harkit.evaluation as ev
 from harkit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -17,11 +18,13 @@ from harkit.cli import (
     build_parser,
     main,
 )
-from harkit.reporting import read_results_csv
+from harkit.ingest import SensorKind, parse_recordings_csv
+from harkit.reporting import RESULTS_HEADER, read_results_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 HEADER = "subject_id,session_id,activity,sensor,timestamp_ms,x,y,z"
+SVG = {"s": "http://www.w3.org/2000/svg"}
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +71,11 @@ class TestSynth:
         assert main(["--seed", "8", "synth", "--subjects", "1", "--minutes", "0.1",
                      "-o", str(out)]) == EXIT_OK
         assert json.loads((out / "synth_manifest.json").read_text())["seed"] == 8
+
+    def test_non_integer_har_seed_is_usage_error(self, recordings_csv, monkeypatch, capsys):
+        monkeypatch.setenv("HAR_SEED", "abc")
+        assert main(["summary", str(recordings_csv)]) == EXIT_USAGE
+        assert "HAR_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 class TestSummary:
@@ -175,6 +183,25 @@ class TestEval:
         assert "extracted at window 75" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "grid"])
+    @pytest.mark.parametrize("flag", [["--bank", "a"], ["--sensor", "gyro"],
+                                      ["--sensor", "accel"], ["--filter-order", "9"],
+                                      ["--filter-order", "3"]])
+    def test_recordings_flags_on_features_csv_are_usage_errors(
+            self, bank_b_csv, tmp_path, command, flag):
+        """A features CSV fixes bank, sensor and filter order: a disagreeing --bank,
+        or any --sensor or --filter-order, would be silently ignored."""
+        assert main([command, str(bank_b_csv), *flag, "-o", str(tmp_path / "x")]) == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+
+    def test_features_csv_manifest_records_its_settings(self, bank_b_csv, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["--seed", "4", "eval", str(bank_b_csv), "--model", "nb", "--bank", "b",
+                     "-o", str(out)]) == EXIT_OK
+        config = json.loads((out / "eval_manifest.json").read_text())["config"]
+        assert (config["bank"], config["window"]) == ("b", 75)
+        assert config["sensor"] is None and config["filter_order"] is None
+
     def test_permute_columns_leaves_knn_results_unchanged(self, recordings_csv, tmp_path):
         plain, permuted = tmp_path / "plain", tmp_path / "perm"
         args = ["--seed", "4", "eval", str(recordings_csv),
@@ -202,74 +229,106 @@ class TestEval:
         }
 
 
-class TestSweep:
-    def test_single_size_artifacts(self, recordings_csv, tmp_path):
-        out = tmp_path / "sweep"
-        assert main(["--seed", "4", "sweep", str(recordings_csv),
-                     "--model", "dtree", "--bank", "b", "--sizes", "100,300",
-                     "--protocol", "impersonal", "-o", str(out)]) == EXIT_OK
-        svg = (out / "sweep.svg").read_text()
-        root = ET.fromstring(svg)  # well-formed XML
+class TestGridWindows:
+    """`grid` over a window axis: what `sweep` did, as one more grid axis."""
+
+    ONE_MODEL = ["--model", "dtree", "--treatment", "nr-rp", "--protocol", "impersonal",
+                 "--bank", "b"]
+
+    def test_rows_for_every_window(self, recordings_csv, tmp_path):
+        out = tmp_path / "grid"
+        assert main(["--seed", "4", "grid", str(recordings_csv), *self.ONE_MODEL,
+                     "--window", "100,300", "-o", str(out)]) == EXIT_OK
+        root = ET.fromstring((out / "sweep.svg").read_text())  # well-formed XML
         assert root.tag.endswith("svg")
-        results = (out / "sweep_results.csv").read_text()
-        assert ",100," in results and ",300," in results
+        rows = read_results_csv(out / "grid_results.csv")
+        assert [r["window"] for r in rows if r["metric"] == "accuracy"] == ["100", "300"]
+        assert {r["n_units"] for r in rows} == {"2"}
 
-    def test_colon_range_sizes(self, recordings_csv, tmp_path):
-        out = tmp_path / "sweep2"
-        assert main(["--seed", "4", "sweep", str(recordings_csv),
-                     "--model", "nb", "--bank", "b", "--sizes", "100:300:100",
-                     "--protocol", "impersonal", "-o", str(out)]) == EXIT_OK
-        manifest = json.loads((out / "sweep_manifest.json").read_text())
-        assert manifest["config"]["sizes"] == [100, 200, 300]
+    def test_colon_range_windows(self, recordings_csv, tmp_path):
+        out = tmp_path / "grid"
+        assert main(["--seed", "4", "grid", str(recordings_csv), *self.ONE_MODEL,
+                     "--window", "100:300:100", "-o", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "grid_manifest.json").read_text())
+        assert manifest["config"]["window"] == [100, 200, 300]
 
-    def test_bad_sizes_is_usage_error(self, recordings_csv, tmp_path):
-        assert main(["sweep", str(recordings_csv), "--sizes", "2",
+    @pytest.mark.parametrize("window", ["2", "a:b", "100:300", "100:300:0", "300:100:100", ""])
+    def test_malformed_or_small_window_is_usage_error(self, recordings_csv, tmp_path, window):
+        assert main(["grid", str(recordings_csv), "--window", window,
                      "-o", str(tmp_path / "x")]) == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("sizes", ["a:b", "100:300", "100:300:0"])
-    def test_malformed_sizes_is_usage_error(self, recordings_csv, tmp_path, sizes):
-        assert main(["sweep", str(recordings_csv), "--sizes", sizes,
-                     "-o", str(tmp_path / "x")]) == EXIT_USAGE
-
-    @pytest.mark.parametrize("flag", [["--window", "9999"], ["--permute-columns"]])
-    def test_flags_sweep_does_not_read_are_usage_errors(self, recordings_csv, tmp_path, flag):
-        with pytest.raises(SystemExit) as ei:
-            main(["sweep", str(recordings_csv), "--sizes", "100", *flag,
-                  "-o", str(tmp_path / "x")])
-        assert ei.value.code == EXIT_USAGE
+    def test_window_longer_than_recordings_is_protocol_error(self, recordings_csv, tmp_path):
+        assert main(["grid", str(recordings_csv), *self.ONE_MODEL, "--window", "100000",
+                     "-o", str(tmp_path / "x")]) == EXIT_PROTOCOL
 
     def test_one_model_outputs_are_unchanged(self, recordings_csv, tmp_path):
-        # sha256 of the files the single-model sweep wrote before --model took
-        # several models; one model must keep its rows and chart byte for byte
+        # sha256 of the files the one-model window sweep wrote before it became a
+        # grid axis; its rows and chart must stay byte for byte
         out = tmp_path / "one"
-        assert main(["--seed", "4", "sweep", str(recordings_csv), "--model", "dtree",
-                     "--bank", "b", "--sizes", "100,300", "--protocol", "impersonal",
-                     "-o", str(out)]) == EXIT_OK
+        assert main(["--seed", "4", "grid", str(recordings_csv), *self.ONE_MODEL,
+                     "--window", "100,300", "-o", str(out)]) == EXIT_OK
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("sweep_results.csv", "sweep.svg")}
+                   for name in ("grid_results.csv", "sweep.svg")}
         assert digests == {
-            "sweep_results.csv": "85bcb2eac0494cf232896034377e6e692441bc1c2eebb6595afe425ccd7d0b76",
+            "grid_results.csv": "85bcb2eac0494cf232896034377e6e692441bc1c2eebb6595afe425ccd7d0b76",
             "sweep.svg": "b96c0fc5652f40dbb4209c8aeb69d2be4afd9be2b4b313cfbbccf8cf53e0b500",
         }
 
     def test_several_models(self, recordings_csv, tmp_path):
-        common = ["--seed", "4", "sweep", str(recordings_csv), "--bank", "b",
-                  "--sizes", "100,300", "--protocol", "impersonal"]
+        common = ["--seed", "4", "grid", str(recordings_csv), "--bank", "b",
+                  "--window", "100,300", "--protocol", "impersonal", "--treatment", "nr-rp"]
         both, single = tmp_path / "both", tmp_path / "single"
         assert main(common + ["--model", "nb", "dtree", "-o", str(both)]) == EXIT_OK
         assert main(common + ["--model", "nb", "-o", str(single)]) == EXIT_OK
-        rows = read_results_csv(both / "sweep_results.csv")
+        rows = read_results_csv(both / "grid_results.csv")
         assert {r["classifier"] for r in rows} == {"nb", "dtree"}
         assert [r for r in rows if r["classifier"] == "nb"] == read_results_csv(
-            single / "sweep_results.csv")
+            single / "grid_results.csv")
         # one overall-accuracy series per model, no per-activity series
         root = ET.fromstring((both / "sweep.svg").read_text())
-        ns = {"s": "http://www.w3.org/2000/svg"}
-        assert len(root.findall("s:polyline", ns)) == 2
-        assert sorted(e.text for e in root.findall("s:text", ns)
+        assert len(root.findall("s:polyline", SVG)) == 2
+        assert sorted(e.text for e in root.findall("s:text", SVG)
                       if e.text in ("nb", "dtree")) == ["dtree", "nb"]
-        manifest = json.loads((both / "sweep_manifest.json").read_text())
+        manifest = json.loads((both / "grid_manifest.json").read_text())
         assert manifest["config"]["model"] == ["nb", "dtree"]
+
+    def test_filters_once_and_extracts_once_per_bank_and_window(
+            self, recordings_csv, tmp_path, monkeypatch):
+        calls = {"filter": 0, "bank": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ev, "filter_recording", counting("filter", ev.filter_recording))
+        monkeypatch.setattr(ev, "bank_matrix", counting("bank", ev.bank_matrix))
+        out = tmp_path / "grid"
+        assert main(["--seed", "4", "grid", str(recordings_csv), "--model", "nb", "dtree",
+                     "--treatment", "nr-rp", "--protocol", "impersonal", "personal",
+                     "--bank", "a", "b", "--window", "100:300:100", "-o", str(out)]) == EXIT_OK
+        accel = sum(r.sensor is SensorKind.Accelerometer
+                    for r in parse_recordings_csv(recordings_csv))
+        assert calls == {"filter": accel, "bank": accel * 2 * 3}
+        rows = read_results_csv(out / "grid_results.csv")
+        assert len([r for r in rows if r["metric"] == "accuracy"]) == 2 * 2 * 2 * 3
+        labels = {e.text for e in ET.fromstring((out / "sweep.svg").read_text())
+                  .findall("s:text", SVG) if e.text.startswith(("nb", "dtree"))}
+        assert labels == {f"{m}, bank {b}, {p}" for m in ("nb", "dtree") for b in "ab"
+                          for p in ("impersonal", "personal")}
+
+    def test_duplicate_axis_values_run_once(self, recordings_csv, tmp_path):
+        out = tmp_path / "dup"
+        assert main(["--seed", "4", "grid", str(recordings_csv), "--model", "nb", "nb",
+                     "--treatment", "nr-rp", "nr-rp", "--protocol", "impersonal", "impersonal",
+                     "--bank", "b", "b", "--window", "100,100,300", "-o", str(out)]) == EXIT_OK
+        rows = read_results_csv(out / "grid_results.csv")
+        assert [r["window"] for r in rows if r["metric"] == "accuracy"] == ["100", "300"]
+        config = json.loads((out / "grid_manifest.json").read_text())["config"]
+        assert [config[k] for k in ("model", "treatment", "protocol", "bank", "window")] == [
+            ["nb"], ["nr-rp"], ["impersonal"], ["b"], [100, 300]]
 
 
 class TestGrid:
@@ -287,7 +346,8 @@ class TestGrid:
                          for t in ("nr-rp", "nr-nrp", "unr-rp")
                          for p in ("personal", "impersonal")}
         summary = (grid_dir / "summary.md").read_text().splitlines()
-        assert summary[2] == "| model | treatment | protocol | accuracy | seconds |"
+        assert summary[2] == ("| model | treatment | protocol | bank | window | accuracy "
+                              "| seconds |")
         assert len(summary) == 4 + len(cells)
         manifest = json.loads((grid_dir / "grid_manifest.json").read_text())
         assert manifest["command"] == "grid"
@@ -318,7 +378,7 @@ class TestGrid:
         assert main(["--seed", "4", "grid", str(features), "--bag-learners", "2",
                      "-o", str(out)]) == EXIT_OK
         assert {r["window"] for r in read_results_csv(out / "grid_results.csv")} == {"100"}
-        assert json.loads((out / "grid_manifest.json").read_text())["config"]["window"] == 100
+        assert json.loads((out / "grid_manifest.json").read_text())["config"]["window"] == [100]
 
 
 class TestReport:
@@ -390,10 +450,23 @@ class TestExitCodes:
                      "--bank", "b", "--window", "75", "--protocol", "impersonal",
                      "-o", str(tmp_path / "res")]) == EXIT_PROTOCOL
 
-    @pytest.mark.parametrize("command", ["extract", "eval"])
+    @pytest.mark.parametrize("command", ["extract", "eval", "grid"])
     def test_negative_filter_order_is_usage_error(self, recordings_csv, tmp_path, command):
         out = "-o", str(tmp_path / "x")
         assert main([command, str(recordings_csv), "--filter-order", "-1", *out]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["summary", "extract", "eval", "grid", "report"])
+    def test_non_utf8_input_is_schema_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(HEADER.encode() + b"\ns0,s0,walking,accel,0,1,2,3\xff\n")
+        good = tmp_path / "results.csv"
+        good.write_text(",".join(RESULTS_HEADER) + "\n")
+        out = ["-o", str(tmp_path / "out")]
+        argv = {"summary": [str(bad)], "extract": [str(bad), *out],
+                "eval": [str(bad), *out], "grid": [str(bad), *out],
+                "report": [str(good), str(bad), *out]}
+        assert main([command, *argv[command]]) == EXIT_SCHEMA
+        assert f"line 2: {bad} is not UTF-8 text" in capsys.readouterr().err
 
     def test_negative_variability_is_usage_error(self, tmp_path):
         assert main(["synth", "--variability", "-1", "-o", str(tmp_path / "x")]) == EXIT_USAGE
@@ -417,4 +490,4 @@ def readme_commands() -> list[str]:
 def test_readme_commands_parse():
     parser = build_parser()
     parsed = {parser.parse_args(shlex.split(c)[1:]).command for c in readme_commands()}
-    assert parsed == {"synth", "summary", "extract", "eval", "grid", "sweep", "report"}
+    assert parsed == {"synth", "summary", "extract", "eval", "grid", "report"}

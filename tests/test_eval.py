@@ -1,4 +1,4 @@
-"""Protocols, treatments, split accounting, and the window sweep."""
+"""Protocols, treatments, split accounting, and the feature matrices they run on."""
 import numpy as np
 import pytest
 
@@ -6,7 +6,6 @@ import harkit.evaluation as ev
 from harkit.classifiers import ModelKind, ModelSpec
 from harkit.errors import SingleSubject, TooFewInstances
 from harkit.evaluation import (
-    DEFAULT_SWEEP_SIZES,
     NR_NRP,
     NR_RP,
     UNR_RP,
@@ -14,13 +13,12 @@ from harkit.evaluation import (
     Protocol,
     Treatment,
     evaluate,
-    evaluate_recordings,
+    feature_matrices,
     kfold_split,
     loso_split,
     recordings_to_features,
-    window_sweep,
 )
-from harkit.features import Bank
+from harkit.features import Bank, feature_matrix
 from harkit.ingest import Activity, SensorKind
 
 
@@ -72,17 +70,11 @@ class TestKfoldSplit:
             counts = np.bincount(labels[fold], minlength=5)
             assert np.all(counts == 2)
 
-    def test_unseeded_split_is_order_determined(self):
+    def test_split_is_order_determined(self):
         labels = np.repeat(np.arange(2), 10)
-        a = kfold_split(20, 5, labels, seed=None)
-        b = kfold_split(20, 5, labels, seed=None)
+        a = kfold_split(20, 5, labels)
+        b = kfold_split(20, 5, labels)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_seeded_split_reshuffles(self):
-        labels = np.repeat(np.arange(2), 30)
-        a = kfold_split(60, 10, labels, seed=None)
-        b = kfold_split(60, 10, labels, seed=3)
-        assert not all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_too_few_instances_raises(self):
         with pytest.raises(TooFewInstances):
@@ -243,52 +235,21 @@ class TestRecordingsPipeline:
         vecs = recordings_to_features(recordings, Bank.B70, 300, sensor=None)
         assert len(vecs) == len(recordings) * 4  # 1200 samples -> 4 windows each
 
-    def test_evaluate_recordings_end_to_end(self, small_dataset):
+    def test_feature_matrices_equal_recordings_to_features(self, small_dataset):
         _, recordings, _ = small_dataset
-        config = EvalConfig(ModelSpec(ModelKind.DecisionTree, seed=1), Bank.B70, 100,
-                            NR_RP, Protocol.Impersonal, seed=3)
-        report = evaluate_recordings(config, recordings)
-        assert report.confusion.sum() == 3 * 5 * (1200 // 100)
-        assert report.overall_accuracy > 0.5
+        matrices = feature_matrices(recordings, [Bank.B70, Bank.A43], (100, 300), 3,
+                                    SensorKind.Accelerometer)
+        assert list(matrices) == [(Bank.B70, 100), (Bank.B70, 300),
+                                  (Bank.A43, 100), (Bank.A43, 300)]
+        for (bank, window), (X, y, subjects) in matrices.items():
+            X0, y0, subjects0 = feature_matrix(recordings_to_features(recordings, bank, window))
+            np.testing.assert_array_equal(X, X0)
+            np.testing.assert_array_equal(y, y0)
+            assert subjects == subjects0
+        # floor(n / size) windows per accelerometer recording
+        assert len(matrices[Bank.B70, 300][1]) == 3 * 5 * 4
 
     def test_no_windows_raises(self, small_dataset):
         _, recordings, _ = small_dataset
-        config = EvalConfig(ModelSpec(ModelKind.DecisionTree), Bank.B70, 100000)
         with pytest.raises(TooFewInstances):
-            evaluate_recordings(config, recordings)
-
-
-class TestWindowSweep:
-    def test_default_sizes(self):
-        assert DEFAULT_SWEEP_SIZES == tuple(range(25, 301, 25))
-        assert len(DEFAULT_SWEEP_SIZES) == 12
-
-    def test_keys_equal_requested_sizes(self, small_dataset):
-        _, recordings, _ = small_dataset
-        config = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75,
-                            NR_RP, Protocol.Impersonal, seed=3)
-        out = window_sweep(config, recordings, sizes=(100, 300))
-        assert set(out) == {100, 300}
-        # floor(n / size) windows per recording feed each point
-        assert out[300].confusion.sum() == 3 * 5 * 4
-
-    def test_filters_each_recording_once(self, small_dataset, monkeypatch):
-        _, recordings, _ = small_dataset
-        original, calls = ev.filter_recording, []
-
-        def counting_filter(rec, order):
-            calls.append(rec)
-            return original(rec, order)
-
-        monkeypatch.setattr(ev, "filter_recording", counting_filter)
-        config = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75,
-                            NR_RP, Protocol.Impersonal, seed=3)
-        window_sweep(config, recordings, sizes=(100, 200, 300))
-        accel = [r for r in recordings if r.sensor is SensorKind.Accelerometer]
-        assert len(calls) == len(accel)
-
-    def test_empty_sizes_raise(self, small_dataset):
-        _, recordings, _ = small_dataset
-        config = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75)
-        with pytest.raises(ValueError):
-            window_sweep(config, recordings, sizes=())
+            feature_matrices(recordings, [Bank.B70], (100000,), 3, SensorKind.Accelerometer)
