@@ -1,8 +1,8 @@
 """Native implementations of the five classifiers behind one train/predict contract.
 
-All models are deterministic given (spec, X, y): the only randomness (SMO
-working-pair choice, bagging bootstraps) flows from spec.seed. Labels are
-integer class codes (Activity codes in the pipeline).
+All models are deterministic given (spec, X, y): the only randomness, the
+bagging bootstraps, flows from spec.seed. Labels are integer class codes
+(Activity codes in the pipeline).
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ class ModelSpec:
     k: int = 10                  # KNN neighbors
     n_learners: int = 50         # bagging ensemble size
     C: float = 1.0               # SVM box constraint
-    tol: float = 1e-3            # SMO KKT tolerance
+    tol: float = 1e-3            # SMO stop: maximal-violation gap (LIBSVM's eps)
     var_floor: float = 1e-9      # NB per-feature variance floor
 
     def __post_init__(self):
@@ -263,88 +263,134 @@ def quadratic_kernel(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (U @ V.T + 1.0) ** 2
 
 
-def _smo_binary(
-    X: np.ndarray, y: np.ndarray, C: float, tol: float, rng: np.random.Generator
-) -> tuple[np.ndarray, float, bool]:
-    """Train one binary machine (labels +-1) by sequential minimal optimization.
+# The step budget of one binary machine grows with its rows: _SMO_STEPS_PER_ROW * n.
+_SMO_STEPS_PER_ROW = 1000
+_TAU = 1e-12  # floor of the second-order curvature K_ii + K_jj - 2 K_ij (LIBSVM's TAU)
 
-    Returns (alphas, bias, converged). Convergence = a full pass with no
-    alpha updates; the pass budget is 10 * n.
+
+def _smo_binary(
+    X: np.ndarray, y: np.ndarray, C: float, tol: float
+) -> tuple[np.ndarray, float, int, bool]:
+    """Train one binary machine (labels +-1) by SMO with LIBSVM's working-set rule.
+
+    Solves min 1/2 a'Qa - sum(a), Q = (y y') * K, 0 <= a <= C, y'a = 0 (Platt, 1998;
+    Fan, Chen & Lin, JMLR 6, 2005). F = -y * grad = y - K (a * y) is kept up to date
+    with two kernel rows per step. Each step takes i with the largest F in I_up, j in
+    I_low by the second-order gain (WSS2), and solves the two-variable subproblem with
+    LIBSVM's clipping, which puts a clipped variable exactly on 0 or C. Convergence =
+    a maximal-violation gap max_{I_up} F - min_{I_low} F below `tol`, confirmed on a
+    freshly computed F; the step budget is _SMO_STEPS_PER_ROW * n.
+
+    Returns (alphas, bias, steps, converged).
     """
     n = len(y)
     K = quadratic_kernel(X, X)
-    alphas = np.zeros(n)
-    b = 0.0
-    max_passes = 10 * n
-    converged = False
-    for _ in range(max_passes):
-        changed = 0
-        for i in range(n):
-            Ei = float(np.dot(alphas * y, K[:, i])) + b - y[i]
-            ri = Ei * y[i]
-            if (ri < -tol and alphas[i] < C) or (ri > tol and alphas[i] > 0):
-                j = int(rng.integers(n - 1))
-                if j >= i:
-                    j += 1
-                Ej = float(np.dot(alphas * y, K[:, j])) + b - y[j]
-                ai_old, aj_old = alphas[i], alphas[j]
-                if y[i] != y[j]:
-                    L = max(0.0, aj_old - ai_old)
-                    H = min(C, C + aj_old - ai_old)
-                else:
-                    L = max(0.0, ai_old + aj_old - C)
-                    H = min(C, ai_old + aj_old)
-                if L >= H:
-                    continue
-                eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-                if eta >= 0:
-                    continue
-                aj = aj_old - y[j] * (Ei - Ej) / eta
-                aj = min(max(aj, L), H)
-                if abs(aj - aj_old) < 1e-5:
-                    continue
-                ai = ai_old + y[i] * y[j] * (aj_old - aj)
-                alphas[i], alphas[j] = ai, aj
-                b1 = b - Ei - y[i] * (ai - ai_old) * K[i, i] - y[j] * (aj - aj_old) * K[i, j]
-                b2 = b - Ej - y[i] * (ai - ai_old) * K[i, j] - y[j] * (aj - aj_old) * K[j, j]
-                if 0 < ai < C:
-                    b = b1
-                elif 0 < aj < C:
-                    b = b2
-                else:
-                    b = 0.5 * (b1 + b2)
-                changed += 1
-        if changed == 0:
-            converged = True
+    kd = np.diag(K)
+    curv = -2.0 * K  # curv[i, j] = K_ii + K_jj - 2 K_ij, the step's second derivative
+    curv += kd[:, None]
+    curv += kd
+    np.maximum(curv, _TAU, out=curv)
+    ys = y.tolist()
+    alphas = [0.0] * n
+    F = y.copy()
+    # I_up holds the a that may grow along y (a < C where y = +1, a > 0 where y = -1),
+    # I_low those that may shrink; as additive masks, 0 inside and -inf / +inf outside
+    up_mask = np.where(y > 0, 0.0, -np.inf)
+    low_mask = np.where(y > 0, np.inf, 0.0)
+    F_up, F_low, gain = np.empty(n), np.empty(n), np.empty(n)
+    budget = _SMO_STEPS_PER_ROW * n
+    steps = 0
+    fresh = True
+    while True:
+        np.add(F, up_mask, out=F_up)
+        i = int(F_up.argmax())
+        m = float(F_up[i])
+        np.add(F, low_mask, out=F_low)
+        M = float(F_low.min())
+        if m - M < tol:
+            if fresh:
+                converged = True
+                break
+            F = y - K @ (np.array(alphas) * y)  # confirm on a gradient free of update drift
+            fresh = True
+            continue
+        if steps == budget:
+            converged = False
             break
-    return alphas, b, converged
+        # WSS2: the j in I_low with F_j < m that maximises (m - F_j)^2 / curvature
+        np.subtract(m, F_low, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        gain *= gain
+        gain /= curv[i]
+        j = int(gain.argmax())
+        yi, yj, ai, aj = ys[i], ys[j], alphas[i], alphas[j]
+        if yi != yj:
+            delta = yi * (m - float(F[j])) / curv[i, j]
+            diff = ai - aj
+            ai_new, aj_new = ai + delta, aj + delta
+            if diff > 0:
+                if aj_new < 0:
+                    aj_new, ai_new = 0.0, diff
+                if ai_new > C:
+                    ai_new, aj_new = C, C - diff
+            else:
+                if ai_new < 0:
+                    ai_new, aj_new = 0.0, -diff
+                if aj_new > C:
+                    aj_new, ai_new = C, C + diff
+        else:
+            delta = yi * (float(F[j]) - m) / curv[i, j]
+            total = ai + aj
+            ai_new, aj_new = ai - delta, aj + delta
+            if total > C:
+                if ai_new > C:
+                    ai_new, aj_new = C, total - C
+                if aj_new > C:
+                    aj_new, ai_new = C, total - C
+            else:
+                if aj_new < 0:
+                    aj_new, ai_new = 0.0, total
+                if ai_new < 0:
+                    ai_new, aj_new = 0.0, total
+        F -= K[i] * (yi * (ai_new - ai)) + K[j] * (yj * (aj_new - aj))
+        for t, yt, a in ((i, yi, ai_new), (j, yj, aj_new)):
+            alphas[t] = a
+            grow, shrink = (a < C, a > 0) if yt > 0 else (a > 0, a < C)
+            up_mask[t] = 0.0 if grow else -np.inf
+            low_mask[t] = 0.0 if shrink else np.inf
+        steps += 1
+        fresh = False
+    alphas = np.array(alphas)
+    free = (alphas > 0) & (alphas < C)
+    b = float(F[free].mean()) if free.any() else 0.5 * (m + M)
+    return alphas, b, steps, converged
 
 
 class _SvmImpl:
-    def __init__(self, C: float, tol: float, seed: int):
+    def __init__(self, C: float, tol: float):
         self.C = C
         self.tol = tol
-        self.seed = seed
-        self.converged = True
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self.classes = np.unique(y)
         self.machines = []  # (class_a, class_b, support X, coef = alpha*y, bias)
-        pair_idx = 0
+        self.steps = []     # SMO steps of each pair, in machine order
+        self.budget_hits = 0
         for ia in range(len(self.classes)):
             for ib in range(ia + 1, len(self.classes)):
                 ca, cb = int(self.classes[ia]), int(self.classes[ib])
                 mask = (y == ca) | (y == cb)
                 Xp = X[mask]
                 yp = np.where(y[mask] == ca, 1.0, -1.0)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=self.seed, spawn_key=(pair_idx,))
-                )
-                alphas, b, converged = _smo_binary(Xp, yp, self.C, self.tol, rng)
-                self.converged = self.converged and converged
+                alphas, b, steps, converged = _smo_binary(Xp, yp, self.C, self.tol)
+                self.steps.append(steps)
+                self.budget_hits += not converged
                 sv = alphas > 0
                 self.machines.append((ca, cb, Xp[sv], alphas[sv] * yp[sv], b))
-                pair_idx += 1
+
+    @property
+    def converged(self) -> bool:
+        return self.budget_hits == 0
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not self.machines:  # single-class training set
@@ -429,7 +475,7 @@ def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     elif spec.kind is ModelKind.Knn:
         impl = _KnnImpl(spec.k)
     elif spec.kind is ModelKind.Svm:
-        impl = _SvmImpl(spec.C, spec.tol, spec.seed)
+        impl = _SvmImpl(spec.C, spec.tol)
     elif spec.kind is ModelKind.Bagging:
         impl = _BaggingImpl(spec.n_learners, spec.seed)
     else:  # pragma: no cover

@@ -132,7 +132,8 @@ def _recording_settings(args) -> tuple[str, int]:
 
 
 def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                        inputs: list[Path], outputs: list[Path], started: float) -> None:
+                        inputs: list[Path], outputs: list[Path], started: float,
+                        health: dict | None = None) -> None:
     """Write <command>_manifest.json; duration_s runs from `started` (time.monotonic)."""
     manifest = RunManifest(
         command=command,
@@ -141,8 +142,17 @@ def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
         input_digests={str(p): sha256_file(p) for p in inputs},
         output_digests={str(p): sha256_file(p) for p in outputs},
         duration_s=round(time.monotonic() - started, 3),
+        health=health,
     )
     atomic_write_text(out_dir / f"{command}_manifest.json", manifest.to_json())
+
+
+def _report_svm_budget(reports) -> None:
+    """One stderr line when any SVM pair of `reports` stopped at the SMO step budget."""
+    hits = sum(r.svm_budget_hits for r in reports)
+    if hits:
+        pairs = sum(r.svm_pairs for r in reports)
+        print(f"svm: {hits}/{pairs} pairs hit the step budget", file=sys.stderr)
 
 
 def _eval_config(args, kind: ModelKind, treatment: str, protocol: str,
@@ -335,7 +345,9 @@ def cmd_eval(args) -> int:
     write_results_csv(report_rows(config, report), outputs[0])
     atomic_write_text(outputs[1], report_markdown(config, report))
     config = _manifest_config(args, bank=bank.value, window=window, **settings)
-    _write_run_manifest(out_dir, "eval", config, args.seed, [Path(args.input)], outputs, started)
+    _write_run_manifest(out_dir, "eval", config, args.seed, [Path(args.input)], outputs, started,
+                        {"svm_budget_hits": report.svm_budget_hits})
+    _report_svm_budget([report])
     print(f"overall accuracy {report.overall_accuracy:.4f} "
           f"± {report.ci_halfwidth:.4f} (98% CI, n={report.n_units})")
     return EXIT_OK
@@ -369,6 +381,7 @@ def cmd_grid(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     curves = {}  # (model, bank, treatment, protocol) -> {window: report}
+    reports = {}  # "model treatment protocol bank window" -> report
     summary = ["| model | treatment | protocol | bank | window | accuracy | seconds |",
                "| --- | --- | --- | --- | --- | --- | --- |"]
     for model, treatment, protocol, ((bank, window), (X, y, subjects)) in itertools.product(
@@ -378,6 +391,7 @@ def cmd_grid(args) -> int:
         report = evaluate(config, X, y, subjects)
         rows.extend(report_rows(config, report))
         curves.setdefault((model, f"bank {bank.value}", treatment, protocol), {})[window] = report
+        reports[f"{model} {treatment} {protocol} {bank.value} {window}"] = report
         summary.append(f"| {model} | {treatment} | {protocol} | {bank.value} | {window} "
                        f"| {report.overall_accuracy:.4f} | {time.monotonic() - cell_started:.1f} |")
         print(summary[-1])
@@ -389,7 +403,10 @@ def cmd_grid(args) -> int:
         atomic_write_text(outputs[2], sweep_svg(_window_series(curves)))
     config = _manifest_config(args, model=models, treatment=treatments, protocol=protocols,
                               bank=banks, window=windows, **settings)
-    _write_run_manifest(out_dir, "grid", config, args.seed, [Path(args.input)], outputs, started)
+    health = {"svm_budget_hits": {cell: r.svm_budget_hits for cell, r in reports.items()}}
+    _write_run_manifest(out_dir, "grid", config, args.seed, [Path(args.input)], outputs, started,
+                        health)
+    _report_svm_budget(reports.values())
     return EXIT_OK
 
 

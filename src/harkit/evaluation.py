@@ -66,6 +66,8 @@ class EvalReport:
     n_units: int
     unit_ids: tuple[str, ...] = field(default=())
     unit_confusions: np.ndarray | None = None  # (n_units, 5, 5), aligned to unit_ids
+    svm_pairs: int = 0        # one-vs-one SVM machines trained over all splits
+    svm_budget_hits: int = 0  # of those, machines that stopped at the SMO step budget
 
     def unit_recall(self, unit_index: int, activity: Activity) -> float:
         conf = self.unit_confusions[unit_index]
@@ -105,7 +107,8 @@ def _run_split(
     train_idx: np.ndarray,
     test_idx: np.ndarray,
     split_index: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, int]:
+    """The test rows' predicted labels, the SVM pairs trained and how many hit the step budget."""
     Xtr, Xte = X[train_idx], X[test_idx]
     if config.treatment.normalized:
         norm = fit_normalizer(Xtr)
@@ -114,7 +117,8 @@ def _run_split(
     spec = replace(config.model_spec, seed=config.model_spec.seed ^ split_index)
     model = train(spec, Xtr, y[train_idx])
     labels, _ = predict_batch(model, Xte)
-    return labels
+    steps = getattr(model.impl, "steps", ())
+    return labels, len(steps), getattr(model.impl, "budget_hits", 0)
 
 
 def evaluate(
@@ -142,6 +146,7 @@ def evaluate(
     unit_ids = sorted(set(subjects))
     unit_conf = np.zeros((len(unit_ids), N_CLASSES, N_CLASSES), dtype=int)
     unit_acc = []
+    svm_health = np.zeros(2, dtype=int)  # SVM pairs trained, pairs that hit the step budget
 
     if config.protocol is Protocol.Personal:
         ids = np.asarray(subjects)
@@ -153,7 +158,8 @@ def evaluate(
             for fold in folds:
                 test_idx = sub_idx[fold]
                 train_idx = np.delete(sub_idx, fold)
-                pred = _run_split(config, X, y, train_idx, test_idx, split_index)
+                pred, *health = _run_split(config, X, y, train_idx, test_idx, split_index)
+                svm_health += health
                 split_index += 1
                 correct += int(np.sum(pred == y[test_idx]))
                 np.add.at(unit_conf[ui], (y[test_idx], pred), 1)
@@ -162,7 +168,8 @@ def evaluate(
         if len(np.unique(y)) < 2:
             raise TooFewInstances("impersonal evaluation needs at least 2 classes")
         for split_index, (train_idx, test_idx, _s) in enumerate(loso_split(subjects)):
-            pred = _run_split(config, X, y, train_idx, test_idx, split_index)
+            pred, *health = _run_split(config, X, y, train_idx, test_idx, split_index)
+            svm_health += health
             np.add.at(unit_conf[split_index], (y[test_idx], pred), 1)
             unit_acc.append(float(np.mean(pred == y[test_idx])))
 
@@ -184,6 +191,8 @@ def evaluate(
         n_units=len(per_unit),
         unit_ids=tuple(unit_ids),
         unit_confusions=unit_conf,
+        svm_pairs=int(svm_health[0]),
+        svm_budget_hits=int(svm_health[1]),
     )
 
 

@@ -261,13 +261,22 @@ def sweep_svg(
         )
     for i, (name, pts) in enumerate(sorted(series.items())):
         color = palette[i % len(palette)]
+        # each further round of the palette draws dashes of its own length: the first
+        # six series are solid, the next six "3 3", then "6 3", and so on
+        rounds = i // len(palette)
+        dash = f' stroke-dasharray="{3 * rounds} 3"' if rounds else ""
         coords = " ".join(f"{sx(s):.1f},{sy(v):.1f}" for s, v in sorted(pts.items()))
         if len(pts) > 1:
-            parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
+            parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"{dash}/>')
         for s, v in sorted(pts.items()):
             parts.append(f'<circle cx="{sx(s):.1f}" cy="{sy(v):.1f}" r="3" fill="{color}"/>')
+        label_x, label_y = ml + pw + 10, mt + 16 * i + 10
+        if dash:  # a swatch of the dash before the name
+            parts.append(f'<line x1="{label_x}" y1="{label_y - 4}" x2="{label_x + 20}" '
+                         f'y2="{label_y - 4}" stroke="{color}" stroke-width="2"{dash}/>')
+            label_x += 26
         parts.append(
-            f'<text x="{ml + pw + 10}" y="{mt + 16 * i + 10}" font-size="11" fill="{color}">{name}</text>'
+            f'<text x="{label_x}" y="{label_y}" font-size="11" fill="{color}">{name}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -282,9 +291,11 @@ class RunManifest:
     duration_s: float
     output_digests: dict[str, str] = field(default_factory=dict)
     toolkit_version: str = __version__
+    health: dict | None = None  # run-health counters of eval and grid; omitted when None
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
+        fields = {k: v for k, v in self.__dict__.items() if v is not None}
+        return json.dumps(fields, indent=2, sort_keys=True) + "\n"
 
 
 def sha256_file(path: str | Path) -> str:

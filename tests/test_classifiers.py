@@ -12,6 +12,7 @@ from harkit.classifiers import (
     ModelKind,
     ModelSpec,
     _best_split,
+    _smo_binary,
     bootstrap_indices,
     predict_batch,
     quadratic_kernel,
@@ -373,6 +374,63 @@ class TestSvm:
         model = train(ModelSpec(ModelKind.Svm), np.zeros((4, 2)), np.full(4, 2))
         labels, _ = predict_batch(model, np.ones((3, 2)))
         assert np.all(labels == 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 120), d=st.integers(1, 8),
+           C=st.sampled_from([0.01, 0.5, 1.0, 10.0, 100.0]),
+           spread=st.sampled_from([0.5, 1.0]))
+    def test_kkt_certificate(self, seed, n, d, C, spread):
+        """Random 2-class problems: the alphas are feasible, and a converged machine
+        has a maximal violation below tol on a gradient recomputed from scratch."""
+        rng = np.random.default_rng(seed)
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[:2] = 1.0, -1.0
+        X = rng.normal(size=(n, d)) * spread + y[:, None] * rng.normal(size=d)
+        tol = 1e-3
+        alphas, b, steps, converged = _smo_binary(X, y, C, tol)
+        assert np.all((alphas >= 0) & (alphas <= C))
+        assert abs(np.sum(alphas * y)) <= 1e-9 * C * n
+        assert 0 <= steps <= classifiers._SMO_STEPS_PER_ROW * n
+        # the machine train() returns is this solution
+        model = train(ModelSpec(ModelKind.Svm, C=C, tol=tol), X, np.where(y > 0, 0, 1))
+        (ca, cb, sv, coef, bias), = model.impl.machines
+        assert (ca, cb) == (0, 1) and bias == b
+        assert np.array_equal(sv, X[alphas > 0])
+        assert np.array_equal(coef, (alphas * y)[alphas > 0])
+        assert model.converged == converged
+        if converged:
+            F = y - quadratic_kernel(X, sv) @ coef  # -y * gradient of the dual
+            up = np.where(y > 0, alphas < C, alphas > 0)
+            low = np.where(y > 0, alphas > 0, alphas < C)
+            assert F[up].max(initial=-np.inf) - F[low].min(initial=np.inf) < tol
+
+    def test_large_features_still_train(self, rng):
+        """Features x 10 make every kernel entry large; the solver must still move off
+        alpha = 0 (it once took every step as too small and returned 0 support vectors)."""
+        X, y = blobs(rng, n_per_class=20, n_classes=3, d=4)
+        model = train(ModelSpec(ModelKind.Svm), X * 10.0, y)
+        labels, _ = predict_batch(model, X * 10.0)
+        assert np.mean(labels == y) >= 0.95
+        assert all(len(sv) > 0 for _, _, sv, _, _ in model.impl.machines)
+        assert model.converged
+
+    def test_output_does_not_depend_on_seed(self, rng):
+        X, y = blobs(rng, n_per_class=20, n_classes=3, d=4, sep=1.5)
+        Xte = rng.normal(size=(40, 4)) * 4.0
+        la, sa = predict_batch(train(ModelSpec(ModelKind.Svm, seed=0), X, y), Xte)
+        lb, sb = predict_batch(train(ModelSpec(ModelKind.Svm, seed=5), X, y), Xte)
+        assert np.array_equal(la, lb)
+        assert np.array_equal(sa, sb)
+
+    def test_steps_and_budget_hits_per_pair(self, rng, monkeypatch):
+        X, y = blobs(rng, n_per_class=10, n_classes=4, d=4)
+        model = train(ModelSpec(ModelKind.Svm), X, y)
+        assert len(model.impl.steps) == 6 and min(model.impl.steps) > 0
+        assert model.impl.budget_hits == 0 and model.converged
+        monkeypatch.setattr(classifiers, "_SMO_STEPS_PER_ROW", 0)
+        model = train(ModelSpec(ModelKind.Svm), X, y)
+        assert model.impl.steps == [0] * 6
+        assert model.impl.budget_hits == 6 and not model.converged
 
 
 class TestBagging:

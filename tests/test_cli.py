@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import harkit.classifiers as classifiers
 import harkit.evaluation as ev
 from harkit.cli import (
     EXIT_IO,
@@ -379,6 +380,45 @@ class TestGrid:
                      "-o", str(out)]) == EXIT_OK
         assert {r["window"] for r in read_results_csv(out / "grid_results.csv")} == {"100"}
         assert json.loads((out / "grid_manifest.json").read_text())["config"]["window"] == [100]
+
+
+class TestSvmBudgetHealth:
+    """The eval and grid manifests count, per cell, the SVM pairs that stopped at the
+    SMO step budget; a run with any prints one line on stderr."""
+
+    def test_eval_counts_pairs_at_the_budget(self, recordings_csv, tmp_path, capsys,
+                                             monkeypatch):
+        args = ["--seed", "4", "eval", str(recordings_csv), "--model", "svm", "--bank", "b",
+                "--protocol", "impersonal", "-o"]
+        assert main(args + [str(tmp_path / "full")]) == EXIT_OK
+        assert "budget" not in capsys.readouterr().err
+        monkeypatch.setattr(classifiers, "_SMO_STEPS_PER_ROW", 0)
+        assert main(args + [str(tmp_path / "tiny")]) == EXIT_OK
+        # 2 held-out subjects x 10 one-vs-one pairs
+        assert "svm: 20/20 pairs hit the step budget" in capsys.readouterr().err
+        full, tiny = (json.loads((tmp_path / d / "eval_manifest.json").read_text())
+                      for d in ("full", "tiny"))
+        assert full.pop("health") == {"svm_budget_hits": 0}
+        assert tiny.pop("health") == {"svm_budget_hits": 20}
+        # nothing else in the manifest moves but the timing and the outputs' digests
+        for manifest in (full, tiny):
+            del manifest["duration_s"]
+            manifest["output_digests"] = sorted(Path(p).name for p in manifest["output_digests"])
+        assert full == tiny
+
+    def test_grid_records_every_cell(self, recordings_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(classifiers, "_SMO_STEPS_PER_ROW", 0)
+        out = tmp_path / "grid"
+        assert main(["--seed", "4", "grid", str(recordings_csv), "--model", "svm", "nb",
+                     "--treatment", "nr-rp", "--protocol", "impersonal", "--bank", "b",
+                     "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.count("svm: 20/20 pairs hit the step budget") == 1
+        health = json.loads((out / "grid_manifest.json").read_text())["health"]
+        assert health == {"svm_budget_hits": {"svm nr-rp impersonal b 75": 20,
+                                              "nb nr-rp impersonal b 75": 0}}
+
+    def test_other_manifests_have_no_health(self, data_dir):
+        assert "health" not in json.loads((data_dir / "synth_manifest.json").read_text())
 
 
 class TestReport:

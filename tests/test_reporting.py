@@ -227,6 +227,25 @@ class TestSweepSvg:
         assert "samples per window" in texts
         assert "overall accuracy" in texts
 
+    @pytest.mark.parametrize("n_series", [8, 13])
+    def test_series_past_the_palette_get_their_own_dash(self, n_series):
+        series = {f"s{i:02d}": {w: 0.3 + 0.05 * i + w / 1000 for w in (25, 75, 150)}
+                  for i in range(n_series)}
+        svg = sweep_svg(series)
+        root = ET.fromstring(svg)
+        ns = {"s": "http://www.w3.org/2000/svg"}
+        styles = [(p.get("stroke"), p.get("stroke-dasharray"))
+                  for p in root.findall("s:polyline", ns)]
+        assert len(set(styles)) == len(styles) == n_series
+        assert all(dash is None for _, dash in styles[:6])
+        # the legend shows each dashed series' stroke and dash
+        swatches = [(e.get("stroke"), e.get("stroke-dasharray"))
+                    for e in root.findall("s:line", ns) if e.get("stroke-dasharray")]
+        assert swatches == styles[6:]
+        # the first six series draw exactly as in a chart of those six alone
+        six = sweep_svg(dict(list(series.items())[:6])).splitlines()[:-1]
+        assert svg.splitlines()[:len(six)] == six
+
     def test_single_point_degenerates_to_marker(self):
         svg = sweep_svg({"knn": {75: 0.8}})
         root = ET.fromstring(svg)
