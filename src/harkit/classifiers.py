@@ -32,7 +32,6 @@ class ModelSpec:
     n_learners: int = 50         # bagging ensemble size
     C: float = 1.0               # SVM box constraint
     tol: float = 1e-3            # SMO stop: maximal-violation gap (LIBSVM's eps)
-    var_floor: float = 1e-9      # NB per-feature variance floor
 
     def __post_init__(self):
         if self.k < 1:
@@ -189,15 +188,15 @@ class _TreeImpl:
 # Gaussian naive Bayes
 # ---------------------------------------------------------------------------
 
-class _NaiveBayesImpl:
-    def __init__(self, var_floor: float):
-        self.var_floor = var_floor
+_NB_VAR_FLOOR = 1e-9  # per-feature variance floor
 
+
+class _NaiveBayesImpl:
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self.classes = np.unique(y)
         self.means = np.vstack([X[y == c].mean(axis=0) for c in self.classes])
         self.vars = np.vstack(
-            [np.maximum(X[y == c].var(axis=0), self.var_floor) for c in self.classes]
+            [np.maximum(X[y == c].var(axis=0), _NB_VAR_FLOOR) for c in self.classes]
         )
         counts = np.array([np.sum(y == c) for c in self.classes], dtype=float)
         self.log_priors = np.log(counts / counts.sum())
@@ -274,12 +273,15 @@ def _smo_binary(
     """Train one binary machine (labels +-1) by SMO with LIBSVM's working-set rule.
 
     Solves min 1/2 a'Qa - sum(a), Q = (y y') * K, 0 <= a <= C, y'a = 0 (Platt, 1998;
-    Fan, Chen & Lin, JMLR 6, 2005). F = -y * grad = y - K (a * y) is kept up to date
-    with two kernel rows per step. Each step takes i with the largest F in I_up, j in
-    I_low by the second-order gain (WSS2), and solves the two-variable subproblem with
-    LIBSVM's clipping, which puts a clipped variable exactly on 0 or C. Convergence =
-    a maximal-violation gap max_{I_up} F - min_{I_low} F below `tol`, confirmed on a
-    freshly computed F; the step budget is _SMO_STEPS_PER_ROW * n.
+    Fan, Chen & Lin, JMLR 6, 2005) in the coordinates beta = a * y of Bottou & Lin
+    (2007): max y'beta - 1/2 beta'K beta, sum(beta) = 0, lo <= beta <= hi, where
+    [lo, hi] is [0, C] for y = +1 and [-C, 0] for y = -1. The gradient g = y - K beta
+    is kept up to date with two kernel rows per step. Each step takes i with the largest
+    g among beta < hi, j among beta > lo by the second-order gain (WSS2), and moves
+    beta_i up and beta_j down by the Newton step; a step that leaves the box stops on
+    the bound it meets first, where LIBSVM's clipping puts it. Convergence = a
+    maximal-violation gap max_{beta<hi} g - min_{beta>lo} g below `tol`, confirmed on
+    a freshly computed g; the step budget is _SMO_STEPS_PER_ROW * n.
 
     Returns (alphas, bias, steps, converged).
     """
@@ -290,79 +292,58 @@ def _smo_binary(
     curv += kd[:, None]
     curv += kd
     np.maximum(curv, _TAU, out=curv)
-    ys = y.tolist()
-    alphas = [0.0] * n
-    F = y.copy()
-    # I_up holds the a that may grow along y (a < C where y = +1, a > 0 where y = -1),
-    # I_low those that may shrink; as additive masks, 0 inside and -inf / +inf outside
+    lo, hi = np.minimum(0.0, C * y).tolist(), np.maximum(0.0, C * y).tolist()
+    beta = [0.0] * n
+    g = y.copy()
+    # beta may grow where beta < hi and shrink where beta > lo; as additive masks, 0
+    # where it may and -inf / +inf where it may not
     up_mask = np.where(y > 0, 0.0, -np.inf)
     low_mask = np.where(y > 0, np.inf, 0.0)
-    F_up, F_low, gain = np.empty(n), np.empty(n), np.empty(n)
+    g_up, g_low, gain = np.empty(n), np.empty(n), np.empty(n)
     budget = _SMO_STEPS_PER_ROW * n
     steps = 0
     fresh = True
     while True:
-        np.add(F, up_mask, out=F_up)
-        i = int(F_up.argmax())
-        m = float(F_up[i])
-        np.add(F, low_mask, out=F_low)
-        M = float(F_low.min())
+        np.add(g, up_mask, out=g_up)
+        i = int(g_up.argmax())
+        m = float(g_up[i])
+        np.add(g, low_mask, out=g_low)
+        M = float(g_low.min())
         if m - M < tol:
             if fresh:
                 converged = True
                 break
-            F = y - K @ (np.array(alphas) * y)  # confirm on a gradient free of update drift
+            g = y - K @ np.array(beta)  # confirm on a gradient free of update drift
             fresh = True
             continue
         if steps == budget:
             converged = False
             break
-        # WSS2: the j in I_low with F_j < m that maximises (m - F_j)^2 / curvature
-        np.subtract(m, F_low, out=gain)
+        # WSS2: the j with beta_j > lo_j and g_j < m maximising (m - g_j)^2 / curvature
+        np.subtract(m, g_low, out=gain)
         np.maximum(gain, 0.0, out=gain)
         gain *= gain
         gain /= curv[i]
         j = int(gain.argmax())
-        yi, yj, ai, aj = ys[i], ys[j], alphas[i], alphas[j]
-        if yi != yj:
-            delta = yi * (m - float(F[j])) / curv[i, j]
-            diff = ai - aj
-            ai_new, aj_new = ai + delta, aj + delta
-            if diff > 0:
-                if aj_new < 0:
-                    aj_new, ai_new = 0.0, diff
-                if ai_new > C:
-                    ai_new, aj_new = C, C - diff
+        s = beta[i] + beta[j]
+        t = (m - float(g[j])) / curv[i, j]
+        bi, bj = beta[i] + t, beta[j] - t
+        if bi > hi[i] or bj < lo[j]:
+            # beta_i meets hi_i before beta_j meets lo_j exactly when s > hi_i + lo_j
+            if s > hi[i] + lo[j]:
+                bi, bj = hi[i], s - hi[i]
             else:
-                if ai_new < 0:
-                    ai_new, aj_new = 0.0, -diff
-                if aj_new > C:
-                    aj_new, ai_new = C, C + diff
-        else:
-            delta = yi * (float(F[j]) - m) / curv[i, j]
-            total = ai + aj
-            ai_new, aj_new = ai - delta, aj + delta
-            if total > C:
-                if ai_new > C:
-                    ai_new, aj_new = C, total - C
-                if aj_new > C:
-                    aj_new, ai_new = C, total - C
-            else:
-                if aj_new < 0:
-                    aj_new, ai_new = 0.0, total
-                if ai_new < 0:
-                    ai_new, aj_new = 0.0, total
-        F -= K[i] * (yi * (ai_new - ai)) + K[j] * (yj * (aj_new - aj))
-        for t, yt, a in ((i, yi, ai_new), (j, yj, aj_new)):
-            alphas[t] = a
-            grow, shrink = (a < C, a > 0) if yt > 0 else (a > 0, a < C)
-            up_mask[t] = 0.0 if grow else -np.inf
-            low_mask[t] = 0.0 if shrink else np.inf
+                bi, bj = s - lo[j], lo[j]
+        g -= K[i] * (bi - beta[i]) + K[j] * (bj - beta[j])
+        for k, bk in ((i, bi), (j, bj)):
+            beta[k] = bk
+            up_mask[k] = 0.0 if bk < hi[k] else -np.inf
+            low_mask[k] = 0.0 if bk > lo[k] else np.inf
         steps += 1
         fresh = False
-    alphas = np.array(alphas)
+    alphas = np.abs(beta)  # = beta * y, with +0.0 where beta is 0
     free = (alphas > 0) & (alphas < C)
-    b = float(F[free].mean()) if free.any() else 0.5 * (m + M)
+    b = float(g[free].mean()) if free.any() else 0.5 * (m + M)
     return alphas, b, steps, converged
 
 
@@ -471,7 +452,7 @@ def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     if spec.kind is ModelKind.DecisionTree:
         impl = _TreeImpl(spec.max_splits)
     elif spec.kind is ModelKind.NaiveBayes:
-        impl = _NaiveBayesImpl(spec.var_floor)
+        impl = _NaiveBayesImpl()
     elif spec.kind is ModelKind.Knn:
         impl = _KnnImpl(spec.k)
     elif spec.kind is ModelKind.Svm:

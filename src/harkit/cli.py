@@ -95,6 +95,13 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _fold_count(value: str) -> int:
+    n = int(value)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {value}")
+    return n
+
+
 def _positive_float(value: str) -> float:
     v = float(value)
     if v <= 0:
@@ -232,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sensor", choices=["accel", "gyro", "mag"],
                        help="recordings only (default accel)")
     for p in (eval_, grid):
-        p.add_argument("--folds", type=_positive_int, default=10)
+        p.add_argument("--folds", type=_fold_count, default=10)
         p.add_argument("--knn-k", type=_positive_int, default=10)
         p.add_argument("--bag-learners", type=_positive_int, default=50)
         p.add_argument("--svm-c", type=_positive_float, default=1.0)
@@ -263,19 +270,11 @@ def cmd_synth(args) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from None
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        print(f"error: cannot create {out_dir}: {e}", file=sys.stderr)
-        return EXIT_IO
+    out_dir.mkdir(parents=True, exist_ok=True)
     recordings, metas = generate_synthetic(params)
     outputs = [out_dir / "recordings.csv", out_dir / "manifest.csv"]
-    try:
-        write_recordings_csv(recordings, outputs[0])
-        write_manifest_csv(metas, outputs[1])
-    except OSError as e:
-        print(f"error: write failed: {e}", file=sys.stderr)
-        return EXIT_IO
+    write_recordings_csv(recordings, outputs[0])
+    write_manifest_csv(metas, outputs[1])
     _write_run_manifest(out_dir, "synth", asdict(params), args.seed, [], outputs, started)
     print(f"wrote {len(recordings)} recordings to {outputs[0]}")
     return EXIT_OK

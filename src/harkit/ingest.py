@@ -1,6 +1,6 @@
 """Dataset ingestion: CSV parsing, synthetic generation, and summaries.
 
-On-disk layout is one recordings CSV plus one subject manifest CSV:
+On-disk layout is one recordings CSV plus one subject manifest CSV (written only):
 
     recordings: subject_id,session_id,activity,sensor,timestamp_ms,x,y,z
     manifest:   subject_id,gender,age_years,handedness
@@ -315,24 +315,6 @@ def write_manifest_csv(metas: Iterable[SubjectMeta], path: str | Path) -> None:
         writer.writerow(MANIFEST_HEADER)
         for m in metas:
             writer.writerow([m.subject_id, m.gender, m.age_years, m.handedness])
-
-
-def parse_manifest_csv(path: str | Path) -> list[SubjectMeta]:
-    metas = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise MalformedRow(1, f"bad manifest header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
-            try:
-                age = int(row[2])
-            except ValueError:
-                raise MalformedRow(line_no, f"bad age {row[2]!r}")
-            metas.append(SubjectMeta(row[0], row[1], age, row[3]))
-    return metas
 
 
 @dataclass(frozen=True)

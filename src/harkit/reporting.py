@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -146,12 +147,27 @@ def write_results_csv(rows: list[list[str]], path: str | Path) -> None:
 
 
 def read_results_csv(path: str | Path) -> list[dict[str, str]]:
+    """The rows of a results CSV as {column: text}; every row has all the columns and
+    a finite `value`."""
+    rows = []
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RESULTS_HEADER:
             raise MalformedRow(1, f"bad results header {header!r}")
-        return [dict(zip(RESULTS_HEADER, row)) for row in reader]
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(RESULTS_HEADER):
+                raise MalformedRow(line_no, f"expected {len(RESULTS_HEADER)} fields, "
+                                            f"got {len(row)}")
+            record = dict(zip(RESULTS_HEADER, row))
+            try:
+                value = float(record["value"])
+            except ValueError:
+                raise MalformedRow(line_no, "unparseable value") from None
+            if not math.isfinite(value):
+                raise NonFiniteValue(line_no, "value")
+            rows.append(record)
+    return rows
 
 
 def treatment_report(rows: list[dict[str, str]]) -> str:

@@ -70,6 +70,90 @@ def reference_best_split(X, y, n_classes):
     return best
 
 
+def reference_smo_binary(X, y, C, tol):
+    """The SMO harkit ran before the beta-coordinate one, kept as the oracle of
+    `_smo_binary`: LIBSVM's two-variable subproblem in alpha, one clipping case per
+    label pair and side."""
+    n = len(y)
+    K = quadratic_kernel(X, X)
+    kd = np.diag(K)
+    curv = -2.0 * K
+    curv += kd[:, None]
+    curv += kd
+    np.maximum(curv, classifiers._TAU, out=curv)
+    ys = y.tolist()
+    alphas = [0.0] * n
+    F = y.copy()
+    up_mask = np.where(y > 0, 0.0, -np.inf)
+    low_mask = np.where(y > 0, np.inf, 0.0)
+    F_up, F_low, gain = np.empty(n), np.empty(n), np.empty(n)
+    budget = classifiers._SMO_STEPS_PER_ROW * n
+    steps = 0
+    fresh = True
+    while True:
+        np.add(F, up_mask, out=F_up)
+        i = int(F_up.argmax())
+        m = float(F_up[i])
+        np.add(F, low_mask, out=F_low)
+        M = float(F_low.min())
+        if m - M < tol:
+            if fresh:
+                converged = True
+                break
+            F = y - K @ (np.array(alphas) * y)
+            fresh = True
+            continue
+        if steps == budget:
+            converged = False
+            break
+        np.subtract(m, F_low, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        gain *= gain
+        gain /= curv[i]
+        j = int(gain.argmax())
+        yi, yj, ai, aj = ys[i], ys[j], alphas[i], alphas[j]
+        if yi != yj:
+            delta = yi * (m - float(F[j])) / curv[i, j]
+            diff = ai - aj
+            ai_new, aj_new = ai + delta, aj + delta
+            if diff > 0:
+                if aj_new < 0:
+                    aj_new, ai_new = 0.0, diff
+                if ai_new > C:
+                    ai_new, aj_new = C, C - diff
+            else:
+                if ai_new < 0:
+                    ai_new, aj_new = 0.0, -diff
+                if aj_new > C:
+                    aj_new, ai_new = C, C + diff
+        else:
+            delta = yi * (float(F[j]) - m) / curv[i, j]
+            total = ai + aj
+            ai_new, aj_new = ai - delta, aj + delta
+            if total > C:
+                if ai_new > C:
+                    ai_new, aj_new = C, total - C
+                if aj_new > C:
+                    aj_new, ai_new = C, total - C
+            else:
+                if aj_new < 0:
+                    aj_new, ai_new = 0.0, total
+                if ai_new < 0:
+                    ai_new, aj_new = 0.0, total
+        F -= K[i] * (yi * (ai_new - ai)) + K[j] * (yj * (aj_new - aj))
+        for t, yt, a in ((i, yi, ai_new), (j, yj, aj_new)):
+            alphas[t] = a
+            grow, shrink = (a < C, a > 0) if yt > 0 else (a > 0, a < C)
+            up_mask[t] = 0.0 if grow else -np.inf
+            low_mask[t] = 0.0 if shrink else np.inf
+        steps += 1
+        fresh = False
+    alphas = np.array(alphas)
+    free = (alphas > 0) & (alphas < C)
+    b = float(F[free].mean()) if free.any() else 0.5 * (m + M)
+    return alphas, b, steps, converged
+
+
 def reference_knn(model, X):
     """KNN labels and scores by a full stable sort of every row's distances."""
     impl = model.impl
@@ -403,6 +487,32 @@ class TestSvm:
             up = np.where(y > 0, alphas < C, alphas > 0)
             low = np.where(y > 0, alphas > 0, alphas < C)
             assert F[up].max(initial=-np.inf) - F[low].min(initial=np.inf) < tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 120), d=st.integers(1, 8),
+           C=st.sampled_from([0.001, 0.01, 0.1, 0.5, 1.0, 10.0, 100.0]),
+           features=st.sampled_from(["normal", "integer", "scaled"]),
+           steps_per_row=st.sampled_from([classifiers._SMO_STEPS_PER_ROW, 3, 1]))
+    def test_equals_alpha_space_smo(self, seed, n, d, C, features, steps_per_row):
+        """The step in beta = alpha * y gives the alphas, bias, steps and convergence of
+        LIBSVM's alpha-space clipping exactly, with many clips (small C) and at the
+        step budget (patched down)."""
+        rng = np.random.default_rng(seed)
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[:2] = 1.0, -1.0
+        if features == "integer":  # ties in the kernel and in the gradient
+            X = rng.integers(-2, 3, size=(n, d)).astype(float)
+        else:
+            X = rng.normal(size=(n, d)) + y[:, None] * rng.normal(size=d)
+            if features == "scaled":
+                X *= 10.0
+        with mock.patch.object(classifiers, "_SMO_STEPS_PER_ROW", steps_per_row):
+            alphas, b, steps, converged = _smo_binary(X, y, C, 1e-3)
+            ref_alphas, ref_b, ref_steps, ref_converged = reference_smo_binary(X, y, C, 1e-3)
+        # equal values are equal bits, but for the sign of a zero: alpha-space clipping
+        # can set an alpha to -diff with diff = +0.0, where the beta step gives +0.0
+        assert np.array_equal(alphas, ref_alphas)
+        assert (b, steps, converged) == (ref_b, ref_steps, ref_converged)
 
     def test_large_features_still_train(self, rng):
         """Features x 10 make every kernel entry large; the solver must still move off

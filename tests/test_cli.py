@@ -452,6 +452,13 @@ class TestExitCodes:
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["summary", str(tmp_path / "missing.csv")]) == EXIT_IO
 
+    def test_unwritable_synth_output_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["synth", "--subjects", "1", "--minutes", "0.1",
+                     "-o", str(blocker / "out")]) == EXIT_IO
+        assert str(blocker / "out") in capsys.readouterr().err
+
     def test_malformed_csv_is_schema_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(HEADER + "\ns0,s0,walking,accel,0,1,2\n")
@@ -507,6 +514,37 @@ class TestExitCodes:
                 "report": [str(good), str(bad), *out]}
         assert main([command, *argv[command]]) == EXIT_SCHEMA
         assert f"line 2: {bad} is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("personal,nb,a", "MalformedRow", "line 3: expected 10 fields, got 3"),
+        ("personal,nb,b,NR_RP,75,overall,accuracy:s0,abc,,2", "MalformedRow",
+         "line 3: unparseable value"),
+        ("personal,nb,b,NR_RP,75,overall,accuracy:s0,nan,,2", "NonFiniteValue",
+         "line 3: non-finite value in column 'value'"),
+        ("personal,nb,b,NR_RP,75,overall,accuracy:s0,-inf,,2", "NonFiniteValue",
+         "line 3: non-finite value in column 'value'"),
+    ])
+    def test_malformed_results_row_is_schema_error(self, tmp_path, capsys, row, error,
+                                                   message):
+        results = tmp_path / "results.csv"
+        results.write_text(",".join(RESULTS_HEADER) + "\n"
+                           "personal,nb,b,NR_RP,75,overall,accuracy:s1,0.5,,2\n" + row + "\n")
+        out = tmp_path / "report.md"
+        assert main(["report", str(results), "-o", str(out)]) == EXIT_SCHEMA
+        assert f"error ({error}): {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "grid"])
+    @pytest.mark.parametrize("protocol", ["personal", "impersonal"])
+    def test_fewer_than_two_folds_is_usage_error(self, recordings_csv, tmp_path, capsys,
+                                                 command, protocol):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as ei:
+            main([command, str(recordings_csv), "--protocol", protocol, "--folds", "1",
+                  "-o", str(out)])
+        assert ei.value.code == EXIT_USAGE
+        assert "--folds: must be an integer >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_variability_is_usage_error(self, tmp_path):
         assert main(["synth", "--variability", "-1", "-o", str(tmp_path / "x")]) == EXIT_USAGE

@@ -1,4 +1,6 @@
 """CSV schema, synthetic generation, and summary behavior."""
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,10 @@ from harkit.ingest import (
     Activity,
     Recording,
     SensorKind,
+    SubjectMeta,
     SynthParams,
     dataset_summary,
     generate_synthetic,
-    parse_manifest_csv,
     parse_recordings_csv,
     samples_from_columns,
     write_manifest_csv,
@@ -234,21 +236,10 @@ class TestManifestCsv:
         _, _, metas = small_dataset
         path = tmp_path / "m.csv"
         write_manifest_csv(metas, path)
-        assert parse_manifest_csv(path) == metas
-
-    def test_empty_file_is_malformed(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("")
-        with pytest.raises(MalformedRow) as ei:
-            parse_manifest_csv(path)
-        assert ei.value.line_no == 1
-
-    def test_non_integer_age_is_malformed(self, tmp_path):
-        path = write_lines(tmp_path / "m.csv",
-                           ["subject_id,gender,age_years,handedness", "s0,F,thirty,Left"])
-        with pytest.raises(MalformedRow) as ei:
-            parse_manifest_csv(path)
-        assert ei.value.line_no == 2
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["subject_id", "gender", "age_years", "handedness"]
+        assert [SubjectMeta(s, g, int(a), h) for s, g, a, h in rows[1:]] == metas
 
 
 class TestDatasetSummary:
