@@ -31,7 +31,6 @@ class ModelSpec:
     k: int = 10                  # KNN neighbors
     n_learners: int = 50         # bagging ensemble size
     C: float = 1.0               # SVM box constraint
-    tol: float = 1e-3            # SMO stop: maximal-violation gap (LIBSVM's eps)
 
     def __post_init__(self):
         if self.k < 1:
@@ -265,6 +264,7 @@ def quadratic_kernel(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 # The step budget of one binary machine grows with its rows: _SMO_STEPS_PER_ROW * n.
 _SMO_STEPS_PER_ROW = 1000
 _TAU = 1e-12  # floor of the second-order curvature K_ii + K_jj - 2 K_ij (LIBSVM's TAU)
+_SMO_TOL = 1e-3  # SMO stop: maximal-violation gap (LIBSVM's eps)
 
 
 def _smo_binary(
@@ -348,9 +348,8 @@ def _smo_binary(
 
 
 class _SvmImpl:
-    def __init__(self, C: float, tol: float):
+    def __init__(self, C: float):
         self.C = C
-        self.tol = tol
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self.classes = np.unique(y)
@@ -363,7 +362,7 @@ class _SvmImpl:
                 mask = (y == ca) | (y == cb)
                 Xp = X[mask]
                 yp = np.where(y[mask] == ca, 1.0, -1.0)
-                alphas, b, steps, converged = _smo_binary(Xp, yp, self.C, self.tol)
+                alphas, b, steps, converged = _smo_binary(Xp, yp, self.C, _SMO_TOL)
                 self.steps.append(steps)
                 self.budget_hits += not converged
                 sv = alphas > 0
@@ -456,7 +455,7 @@ def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     elif spec.kind is ModelKind.Knn:
         impl = _KnnImpl(spec.k)
     elif spec.kind is ModelKind.Svm:
-        impl = _SvmImpl(spec.C, spec.tol)
+        impl = _SvmImpl(spec.C)
     elif spec.kind is ModelKind.Bagging:
         impl = _BaggingImpl(spec.n_learners, spec.seed)
     else:  # pragma: no cover

@@ -2,13 +2,15 @@
 
 Exit codes: 0 ok, 2 usage, 3 I/O failure, 4 schema violation, 5 protocol
 precondition failure. `HAR_SEED` provides a default seed; an explicit
---seed flag wins. `grid` is the one experiment loop: it crosses models,
-treatments, protocols, banks and windows over one input.
+--seed flag wins. `grid` is the one experiment command: it crosses models,
+treatments, protocols, banks and windows over one input, and one value per
+axis runs a single cell.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 import time
@@ -55,7 +57,6 @@ from .reporting import (
     is_features_csv,
     read_features_csv,
     read_results_csv,
-    report_markdown,
     report_rows,
     sha256_file,
     sweep_svg,
@@ -88,25 +89,23 @@ def _default_seed() -> int:
         raise UsageError(f"HAR_SEED must be an integer, got {env!r}") from None
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return n
+def _number(parse, rule: str, holds):
+    """An argparse type: `parse` the text, then check `holds`; any failure is a usage
+    error that states `rule`."""
+    def convert(value: str):
+        try:
+            number = parse(value)
+        except ValueError:
+            number = None
+        if number is None or not holds(number):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return number
+    return convert
 
 
-def _fold_count(value: str) -> int:
-    n = int(value)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {value}")
-    return n
-
-
-def _positive_float(value: str) -> float:
-    v = float(value)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return v
+_positive_int = _number(int, "a positive integer", lambda n: n >= 1)
+_fold_count = _number(int, "an integer >= 2", lambda n: n >= 2)
+_positive_float = _number(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 
 
 def _axis(values: list[str] | None, default) -> list[str]:
@@ -211,42 +210,36 @@ def build_parser() -> argparse.ArgumentParser:
     extract = sub.add_parser("extract", help="filter, segment, and extract features")
     extract.add_argument("input", help="recordings CSV")
     extract.add_argument("-o", "--output", required=True, help="feature CSV path")
-
-    eval_ = sub.add_parser("eval", help="run one evaluation cell")
-    grid = sub.add_parser(
-        "grid", help="every cell of model x treatment x protocol x bank x window",
-        description="Each setting takes one or more values. Defaults: every model and "
-                    f"protocol, treatments {' '.join(GRID_TREATMENTS)}, and a features "
-                    f"CSV's own bank and window, else bank a and window {DEFAULT_WINDOW}.")
-    for p, nargs, defaults in ((eval_, None, ("dtree", "nr-rp", "personal")),
-                               (grid, "+", (None, None, None))):
-        p.add_argument("input", help="recordings CSV or feature CSV")
-        p.add_argument("--model", nargs=nargs, choices=models, default=defaults[0])
-        p.add_argument("--treatment", nargs=nargs, choices=TREATMENTS, default=defaults[1])
-        p.add_argument("--protocol", nargs=nargs, choices=protocols, default=defaults[2])
-        p.add_argument("--bank", nargs=nargs, choices=banks,
-                       help="default: a features CSV's own, else a")
-    eval_.add_argument("--window", type=_positive_int,
-                       help=f"samples per window (default: a features CSV's own, "
-                            f"else {DEFAULT_WINDOW})")
-    grid.add_argument("--window", help="samples per window: 75, a comma list (25,75,150) "
-                                       "or lo:hi:step, hi included (25:300:25)")
     extract.add_argument("--bank", choices=banks, default="a")
     extract.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
+
+    grid = sub.add_parser(
+        "grid", help="every cell of model x treatment x protocol x bank x window",
+        description="Each setting takes one or more values; one value each runs a single "
+                    "cell. Defaults: every model and protocol, treatments "
+                    f"{' '.join(GRID_TREATMENTS)}, and a features CSV's own bank and "
+                    f"window, else bank a and window {DEFAULT_WINDOW}.")
+    grid.add_argument("input", help="recordings CSV or feature CSV")
+    grid.add_argument("--model", nargs="+", choices=models)
+    grid.add_argument("--treatment", nargs="+", choices=TREATMENTS)
+    grid.add_argument("--protocol", nargs="+", choices=protocols)
+    grid.add_argument("--bank", nargs="+", choices=banks,
+                      help="default: a features CSV's own, else a")
+    grid.add_argument("--window", help="samples per window: 75, a comma list (25,75,150) "
+                                       "or lo:hi:step, hi included (25:300:25)")
     # each shared flag once, on the commands that read it
-    for p in (extract, eval_, grid):
+    for p in (extract, grid):
         p.add_argument("--filter-order", type=int, help="recordings only (default 3)")
         p.add_argument("--sensor", choices=["accel", "gyro", "mag"],
                        help="recordings only (default accel)")
-    for p in (eval_, grid):
-        p.add_argument("--folds", type=_fold_count, default=10)
-        p.add_argument("--knn-k", type=_positive_int, default=10)
-        p.add_argument("--bag-learners", type=_positive_int, default=50)
-        p.add_argument("--svm-c", type=_positive_float, default=1.0)
-        p.add_argument("--tree-splits", type=_positive_int, default=85)
-        p.add_argument("-o", "--out-dir", required=True)
-        p.add_argument("--permute-columns", action="store_true",
-                       help="apply a seeded feature-column permutation to train and test")
+    grid.add_argument("--folds", type=_fold_count, default=10)
+    grid.add_argument("--knn-k", type=_positive_int, default=10)
+    grid.add_argument("--bag-learners", type=_positive_int, default=50)
+    grid.add_argument("--svm-c", type=_positive_float, default=1.0)
+    grid.add_argument("--tree-splits", type=_positive_int, default=85)
+    grid.add_argument("-o", "--out-dir", required=True)
+    grid.add_argument("--permute-columns", action="store_true",
+                      help="apply a seeded feature-column permutation to train and test")
 
     p = sub.add_parser("report", help="combine results CSVs with treatment t-tests")
     p.add_argument("inputs", nargs="+", help="results CSV files")
@@ -294,20 +287,22 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_matrices(args, banks: list[str] | None, windows: tuple[int, ...] | None):
+def _load_matrices(args):
     """The input's {(bank, window): (X, y, subjects)}, columns permuted if asked, and the
     sensor and filter order behind it. A features CSV brings its one bank and window, which
-    the flags may only repeat; recordings are filtered once, then extracted once per bank
-    (default a) and window (default 75)."""
+    --bank and --window may only repeat; recordings are filtered once, then extracted once
+    per bank (default a) and window (default 75)."""
+    banks = _axis(args.bank, ())
+    windows = () if args.window is None else _window_axis(args.window)
     if is_features_csv(args.input):
         vectors = read_features_csv(args.input)
         if not vectors:
             raise TooFewInstances("no feature vectors available")
         bank, window = vectors[0].bank, vectors[0].window
-        if banks not in (None, [bank.value]):
+        if banks not in ([], [bank.value]):
             raise UsageError(f"--bank {' '.join(banks)} disagrees with {args.input}, "
                              f"whose features are bank {bank.value}")
-        if windows not in (None, (window,)):
+        if windows not in ((), (window,)):
             raise UsageError(f"--window {args.window} disagrees with {args.input}, "
                              f"whose features were extracted at window {window}")
         if args.sensor is not None or args.filter_order is not None:
@@ -316,40 +311,16 @@ def _load_matrices(args, banks: list[str] | None, windows: tuple[int, ...] | Non
         matrices = {(bank, window): feature_matrix(vectors)}
         sensor, order = None, None
     else:
-        windows = windows or (DEFAULT_WINDOW,)
-        if min(windows) < 4:
-            raise UsageError("--window must be at least 4")
         sensor, order = _recording_settings(args)
         matrices = feature_matrices(parse_recordings_csv(args.input),
-                                    [Bank(b) for b in banks or ["a"]], windows, order,
+                                    [Bank(b) for b in banks or ["a"]],
+                                    windows or (DEFAULT_WINDOW,), order,
                                     SensorKind(sensor))
     if args.permute_columns:
         for key, (X, y, subjects) in matrices.items():
             col_order = np.random.default_rng(args.seed).permutation(X.shape[1])
             matrices[key] = X[:, col_order], y, subjects
     return matrices, {"sensor": sensor, "filter_order": order}
-
-
-def cmd_eval(args) -> int:
-    started = time.monotonic()
-    matrices, settings = _load_matrices(args, args.bank and [args.bank],
-                                        args.window and (args.window,))
-    (bank, window), (X, y, subjects) = next(iter(matrices.items()))
-    config = _eval_config(args, ModelKind(args.model), args.treatment, args.protocol, bank,
-                          window)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluate(config, X, y, subjects)
-    outputs = [out_dir / "results.csv", out_dir / "table.md"]
-    write_results_csv(report_rows(config, report), outputs[0])
-    atomic_write_text(outputs[1], report_markdown(config, report))
-    config = _manifest_config(args, bank=bank.value, window=window, **settings)
-    _write_run_manifest(out_dir, "eval", config, args.seed, [Path(args.input)], outputs, started,
-                        {"svm_budget_hits": report.svm_budget_hits})
-    _report_svm_budget([report])
-    print(f"overall accuracy {report.overall_accuracy:.4f} "
-          f"± {report.ci_halfwidth:.4f} (98% CI, n={report.n_units})")
-    return EXIT_OK
 
 
 def _window_series(curves: dict[tuple[str, str, str, str], dict]) -> dict:
@@ -372,8 +343,7 @@ def cmd_grid(args) -> int:
     models = _axis(args.model, [k.value for k in ModelKind])
     treatments = _axis(args.treatment, GRID_TREATMENTS)
     protocols = _axis(args.protocol, [p.value for p in Protocol])
-    windows = None if args.window is None else _window_axis(args.window)
-    matrices, settings = _load_matrices(args, args.bank and _axis(args.bank, ()), windows)
+    matrices, settings = _load_matrices(args)
     banks = list(dict.fromkeys(bank.value for bank, _ in matrices))
     windows = list(dict.fromkeys(window for _, window in matrices))
     out_dir = Path(args.out_dir)
@@ -443,7 +413,6 @@ def _undecodable(paths: list[str]) -> MalformedRow | None:
 COMMANDS = {
     "synth": cmd_synth,
     "extract": cmd_extract,
-    "eval": cmd_eval,
     "grid": cmd_grid,
     "report": cmd_report,
     "summary": cmd_summary,

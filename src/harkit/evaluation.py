@@ -100,6 +100,21 @@ def loso_split(subject_ids: list[str]) -> list[tuple[np.ndarray, np.ndarray, str
     return [(np.flatnonzero(ids != s), np.flatnonzero(ids == s), s) for s in subjects]
 
 
+def _splits(config: EvalConfig, y: np.ndarray, subjects: list[str], unit_ids: list[str]):
+    """(unit index, train rows, test rows) of each split of the protocol, in order."""
+    if config.protocol is Protocol.Personal:
+        ids = np.asarray(subjects)
+        for ui, s in enumerate(unit_ids):
+            sub_idx = np.flatnonzero(ids == s)
+            for fold in kfold_split(len(sub_idx), config.folds, y[sub_idx]):
+                yield ui, np.delete(sub_idx, fold), sub_idx[fold]
+    else:
+        if len(np.unique(y)) < 2:
+            raise TooFewInstances("impersonal evaluation needs at least 2 classes")
+        for ui, (train_idx, test_idx, _s) in enumerate(loso_split(subjects)):
+            yield ui, train_idx, test_idx
+
+
 def _run_split(
     config: EvalConfig,
     X: np.ndarray,
@@ -145,33 +160,12 @@ def evaluate(
 
     unit_ids = sorted(set(subjects))
     unit_conf = np.zeros((len(unit_ids), N_CLASSES, N_CLASSES), dtype=int)
-    unit_acc = []
     svm_health = np.zeros(2, dtype=int)  # SVM pairs trained, pairs that hit the step budget
-
-    if config.protocol is Protocol.Personal:
-        ids = np.asarray(subjects)
-        split_index = 0
-        for ui, s in enumerate(unit_ids):
-            sub_idx = np.flatnonzero(ids == s)
-            folds = kfold_split(len(sub_idx), config.folds, y[sub_idx])
-            correct = 0
-            for fold in folds:
-                test_idx = sub_idx[fold]
-                train_idx = np.delete(sub_idx, fold)
-                pred, *health = _run_split(config, X, y, train_idx, test_idx, split_index)
-                svm_health += health
-                split_index += 1
-                correct += int(np.sum(pred == y[test_idx]))
-                np.add.at(unit_conf[ui], (y[test_idx], pred), 1)
-            unit_acc.append(correct / len(sub_idx))
-    else:
-        if len(np.unique(y)) < 2:
-            raise TooFewInstances("impersonal evaluation needs at least 2 classes")
-        for split_index, (train_idx, test_idx, _s) in enumerate(loso_split(subjects)):
-            pred, *health = _run_split(config, X, y, train_idx, test_idx, split_index)
-            svm_health += health
-            np.add.at(unit_conf[split_index], (y[test_idx], pred), 1)
-            unit_acc.append(float(np.mean(pred == y[test_idx])))
+    for split_index, (ui, train_idx, test_idx) in enumerate(
+            _splits(config, y, subjects, unit_ids)):
+        pred, *health = _run_split(config, X, y, train_idx, test_idx, split_index)
+        svm_health += health
+        np.add.at(unit_conf[ui], (y[test_idx], pred), 1)
 
     confusion = unit_conf.sum(axis=0)
     total = confusion.sum()
@@ -180,7 +174,8 @@ def evaluate(
     for act in Activity:
         row = confusion[act.value].sum()
         recall[act] = float(confusion[act.value, act.value]) / row if row else 0.0
-    per_unit = np.array(unit_acc)
+    # every row is tested once, so a unit's confusion sums to its row count
+    per_unit = np.trace(unit_conf, axis1=1, axis2=2) / unit_conf.sum(axis=(1, 2))
     _, halfwidth = confidence_interval(per_unit) if len(per_unit) >= 2 else (0.0, 0.0)
     return EvalReport(
         overall_accuracy=overall,

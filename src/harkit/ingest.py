@@ -121,8 +121,9 @@ class SynthParams:
             raise ValueError("n_subjects must be positive")
         if self.minutes_per_activity <= 0:
             raise ValueError("minutes_per_activity must be positive")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz <= 1000:
+            raise ValueError("sample_rate_hz must be positive and at most 1000: "
+                             "timestamps are whole milliseconds")
         if self.subject_variability < 0:
             raise ValueError("subject_variability must be non-negative")
 

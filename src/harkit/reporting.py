@@ -1,4 +1,4 @@
-"""Staged-artifact file formats: feature CSV, results CSV, markdown, SVG charts."""
+"""Staged-artifact file formats: feature CSV, results CSV, treatment report, SVG charts."""
 from __future__ import annotations
 
 import csv
@@ -221,25 +221,6 @@ def treatment_report(rows: list[dict[str, str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_markdown(config: EvalConfig, report: EvalReport) -> str:
-    """Activity x metric table mirroring the per-activity result layout."""
-    lines = [
-        f"### {config.model_spec.kind.value} / bank {config.bank.value} / "
-        f"window {config.samples_per_window} / {config.treatment.name} / "
-        f"{config.protocol.value}",
-        "",
-        "| Activity | Recall |",
-        "|---|---|",
-    ]
-    for act in Activity:
-        lines.append(f"| {ACTIVITY_CSV_NAMES[act]} | {report.per_activity_recall[act]:.4f} |")
-    lines.append(
-        f"| **overall** | **{report.overall_accuracy:.4f} ± {report.ci_halfwidth:.4f} "
-        f"(98% CI, n={report.n_units})** |"
-    )
-    return "\n".join(lines) + "\n"
-
-
 def sweep_svg(
     series: dict[str, dict[int, float]],
     title: str = "Accuracy vs samples per window",
@@ -307,7 +288,7 @@ class RunManifest:
     duration_s: float
     output_digests: dict[str, str] = field(default_factory=dict)
     toolkit_version: str = __version__
-    health: dict | None = None  # run-health counters of eval and grid; omitted when None
+    health: dict | None = None  # grid's run-health counters; omitted when None
 
     def to_json(self) -> str:
         fields = {k: v for k, v in self.__dict__.items() if v is not None}

@@ -476,7 +476,7 @@ class TestSvm:
         assert abs(np.sum(alphas * y)) <= 1e-9 * C * n
         assert 0 <= steps <= classifiers._SMO_STEPS_PER_ROW * n
         # the machine train() returns is this solution
-        model = train(ModelSpec(ModelKind.Svm, C=C, tol=tol), X, np.where(y > 0, 0, 1))
+        model = train(ModelSpec(ModelKind.Svm, C=C), X, np.where(y > 0, 0, 1))
         (ca, cb, sv, coef, bias), = model.impl.machines
         assert (ca, cb) == (0, 1) and bias == b
         assert np.array_equal(sv, X[alphas > 0])

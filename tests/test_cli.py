@@ -73,6 +73,17 @@ class TestSynth:
                      "-o", str(out)]) == EXIT_OK
         assert json.loads((out / "synth_manifest.json").read_text())["seed"] == 8
 
+    def test_rate_above_1000_hz_is_usage_error(self, tmp_path, capsys):
+        """Timestamps are whole milliseconds: faster samples would share one."""
+        out = tmp_path / "fast"
+        assert main(["synth", "--subjects", "1", "--minutes", "0.01", "--rate", "3000",
+                     "-o", str(out)]) == EXIT_USAGE
+        assert "at most 1000" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["synth", "--subjects", "1", "--minutes", "0.01", "--rate", "1000",
+                     "-o", str(out)]) == EXIT_OK
+        assert main(["summary", str(out / "recordings.csv")]) == EXIT_OK
+
     def test_non_integer_har_seed_is_usage_error(self, recordings_csv, monkeypatch, capsys):
         monkeypatch.setenv("HAR_SEED", "abc")
         assert main(["summary", str(recordings_csv)]) == EXIT_USAGE
@@ -113,51 +124,57 @@ class TestExtract:
                      "-o", str(tmp_path / "f.csv")]) == EXIT_USAGE
 
 
-class TestEval:
-    def test_personal_eval_artifacts(self, recordings_csv, tmp_path):
-        out = tmp_path / "eval"
-        assert main(["--seed", "4", "eval", str(recordings_csv),
+class TestCell:
+    """`grid` with one value per axis runs a single evaluation cell."""
+
+    def test_one_cell_artifacts(self, recordings_csv, tmp_path):
+        out = tmp_path / "cell"
+        assert main(["--seed", "4", "grid", str(recordings_csv),
                      "--model", "dtree", "--bank", "b", "--window", "75",
                      "--protocol", "personal", "--treatment", "nr-rp",
                      "-o", str(out)]) == EXIT_OK
-        results = (out / "results.csv").read_text()
+        results = (out / "grid_results.csv").read_text()
         assert results.splitlines()[0] == (
             "protocol,classifier,bank,treatment,window,activity,metric,value,ci_halfwidth,n_units"
         )
         assert "walking" in results
-        assert (out / "table.md").exists()
-        assert json.loads((out / "eval_manifest.json").read_text())["command"] == "eval"
+        summary = (out / "summary.md").read_text().splitlines()
+        assert len(summary) == 5 and summary[4].startswith(
+            "| dtree | nr-rp | personal | b | 75 | ")
+        assert json.loads((out / "grid_manifest.json").read_text())["command"] == "grid"
 
     def test_manifest_holds_output_digests(self, recordings_csv, tmp_path):
-        out = tmp_path / "eval"
-        assert main(["--seed", "4", "eval", str(recordings_csv), "--model", "nb",
-                     "--bank", "b", "-o", str(out)]) == EXIT_OK
-        manifest = json.loads((out / "eval_manifest.json").read_text())
-        results = out / "results.csv"
+        out = tmp_path / "cell"
+        assert main(["--seed", "4", "grid", str(recordings_csv), "--model", "nb",
+                     "--treatment", "nr-rp", "--protocol", "personal", "--bank", "b",
+                     "-o", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "grid_manifest.json").read_text())
+        results = out / "grid_results.csv"
         digest = hashlib.sha256(results.read_bytes()).hexdigest()
         assert manifest["output_digests"][str(results)] == digest
-        assert set(manifest["output_digests"]) == {str(results), str(out / "table.md")}
+        assert set(manifest["output_digests"]) == {str(results), str(out / "summary.md")}
 
     def test_same_seed_same_output(self, recordings_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        args = ["--seed", "4", "eval", str(recordings_csv),
+        args = ["--seed", "4", "grid", str(recordings_csv),
                 "--model", "knn", "--bank", "b", "--window", "100",
-                "--protocol", "impersonal"]
+                "--treatment", "nr-rp", "--protocol", "impersonal"]
         assert main(args + ["-o", str(a)]) == EXIT_OK
         assert main(args + ["-o", str(b)]) == EXIT_OK
-        assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+        assert (a / "grid_results.csv").read_bytes() == (b / "grid_results.csv").read_bytes()
 
-    def test_eval_accepts_feature_csv_and_matches_recordings_path(
-            self, recordings_csv, tmp_path):
+    def test_accepts_feature_csv_and_matches_recordings_path(self, recordings_csv, tmp_path):
         features = tmp_path / "features.csv"
         assert main(["extract", str(recordings_csv), "--bank", "b",
                      "--window", "100", "-o", str(features)]) == EXIT_OK
         direct, staged = tmp_path / "direct", tmp_path / "staged"
-        common = ["--seed", "4", "eval", "--model", "nb", "--bank", "b",
-                  "--window", "100", "--protocol", "impersonal"]
-        assert main(common + [str(recordings_csv), "-o", str(direct)]) == EXIT_OK
-        assert main(common + [str(features), "-o", str(staged)]) == EXIT_OK
-        assert (direct / "results.csv").read_bytes() == (staged / "results.csv").read_bytes()
+        cell = ["--model", "nb", "--bank", "b", "--window", "100", "--treatment", "nr-rp",
+                "--protocol", "impersonal"]
+        assert main(["--seed", "4", "grid", str(recordings_csv), *cell,
+                     "-o", str(direct)]) == EXIT_OK
+        assert main(["--seed", "4", "grid", str(features), *cell, "-o", str(staged)]) == EXIT_OK
+        assert ((direct / "grid_results.csv").read_bytes()
+                == (staged / "grid_results.csv").read_bytes())
 
     def test_features_csv_supplies_its_window(self, recordings_csv, tmp_path):
         """Results and manifest carry the window the features were extracted at,
@@ -165,66 +182,64 @@ class TestEval:
         features = tmp_path / "features.csv"
         assert main(["extract", str(recordings_csv), "--bank", "b",
                      "--window", "100", "-o", str(features)]) == EXIT_OK
-        out = tmp_path / "eval"
-        assert main(["--seed", "4", "eval", str(features), "--model", "nb",
-                     "-o", str(out)]) == EXIT_OK
-        assert {r["window"] for r in read_results_csv(out / "results.csv")} == {"100"}
-        manifest = json.loads((out / "eval_manifest.json").read_text())
-        assert manifest["config"]["window"] == 100
+        cell = ["--seed", "4", "grid", str(features), "--model", "nb", "--treatment", "nr-rp",
+                "--protocol", "personal"]
+        out = tmp_path / "cell"
+        assert main(cell + ["-o", str(out)]) == EXIT_OK
+        assert {r["window"] for r in read_results_csv(out / "grid_results.csv")} == {"100"}
+        manifest = json.loads((out / "grid_manifest.json").read_text())
+        assert manifest["config"]["window"] == [100]
         same = tmp_path / "same"
-        assert main(["--seed", "4", "eval", str(features), "--model", "nb",
-                     "--window", "100", "-o", str(same)]) == EXIT_OK
-        assert (same / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
+        assert main(cell + ["--window", "100", "-o", str(same)]) == EXIT_OK
+        assert (same / "grid_results.csv").read_bytes() == (out / "grid_results.csv").read_bytes()
 
-    @pytest.mark.parametrize("command", ["eval", "grid"])
     def test_window_disagreeing_with_features_csv_is_usage_error(
-            self, bank_b_csv, tmp_path, capsys, command):
-        assert main([command, str(bank_b_csv), "--window", "100",
+            self, bank_b_csv, tmp_path, capsys):
+        assert main(["grid", str(bank_b_csv), "--window", "100",
                      "-o", str(tmp_path / "x")]) == EXIT_USAGE
         assert "extracted at window 75" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("command", ["eval", "grid"])
     @pytest.mark.parametrize("flag", [["--bank", "a"], ["--sensor", "gyro"],
                                       ["--sensor", "accel"], ["--filter-order", "9"],
                                       ["--filter-order", "3"]])
-    def test_recordings_flags_on_features_csv_are_usage_errors(
-            self, bank_b_csv, tmp_path, command, flag):
+    def test_recordings_flags_on_features_csv_are_usage_errors(self, bank_b_csv, tmp_path, flag):
         """A features CSV fixes bank, sensor and filter order: a disagreeing --bank,
         or any --sensor or --filter-order, would be silently ignored."""
-        assert main([command, str(bank_b_csv), *flag, "-o", str(tmp_path / "x")]) == EXIT_USAGE
+        assert main(["grid", str(bank_b_csv), *flag, "-o", str(tmp_path / "x")]) == EXIT_USAGE
         assert not (tmp_path / "x").exists()
 
     def test_features_csv_manifest_records_its_settings(self, bank_b_csv, tmp_path):
-        out = tmp_path / "eval"
-        assert main(["--seed", "4", "eval", str(bank_b_csv), "--model", "nb", "--bank", "b",
-                     "-o", str(out)]) == EXIT_OK
-        config = json.loads((out / "eval_manifest.json").read_text())["config"]
-        assert (config["bank"], config["window"]) == ("b", 75)
+        out = tmp_path / "cell"
+        assert main(["--seed", "4", "grid", str(bank_b_csv), "--model", "nb", "--bank", "b",
+                     "--treatment", "nr-rp", "--protocol", "personal", "-o", str(out)]) == EXIT_OK
+        config = json.loads((out / "grid_manifest.json").read_text())["config"]
+        assert (config["bank"], config["window"]) == (["b"], [75])
         assert config["sensor"] is None and config["filter_order"] is None
 
     def test_permute_columns_leaves_knn_results_unchanged(self, recordings_csv, tmp_path):
         plain, permuted = tmp_path / "plain", tmp_path / "perm"
-        args = ["--seed", "4", "eval", str(recordings_csv),
+        args = ["--seed", "4", "grid", str(recordings_csv),
                 "--model", "knn", "--bank", "b", "--window", "100",
-                "--protocol", "impersonal"]
+                "--treatment", "nr-rp", "--protocol", "impersonal"]
         assert main(args + ["-o", str(plain)]) == EXIT_OK
         assert main(args + ["--permute-columns", "-o", str(permuted)]) == EXIT_OK
-        assert (plain / "results.csv").read_bytes() == (permuted / "results.csv").read_bytes()
-
+        assert ((plain / "grid_results.csv").read_bytes()
+                == (permuted / "grid_results.csv").read_bytes())
 
     def test_manifest_config_records_every_flag(self, recordings_csv, tmp_path):
         configs = []
         for learners in ("2", "3"):
             out = tmp_path / learners
-            assert main(["--seed", "4", "eval", str(recordings_csv), "--model", "bag",
-                         "--bank", "b", "--window", "100", "--bag-learners", learners,
+            assert main(["--seed", "4", "grid", str(recordings_csv), "--model", "bag",
+                         "--bank", "b", "--window", "100", "--treatment", "nr-rp",
+                         "--protocol", "personal", "--bag-learners", learners,
                          "-o", str(out)]) == EXIT_OK
-            configs.append(json.loads((out / "eval_manifest.json").read_text())["config"])
+            configs.append(json.loads((out / "grid_manifest.json").read_text())["config"])
         assert configs[0] != configs[1]
         assert configs[0] == {
-            "model": "bag", "bank": "b", "window": 100, "treatment": "nr-rp",
-            "protocol": "personal", "folds": 10, "permute_columns": False,
+            "model": ["bag"], "bank": ["b"], "window": [100], "treatment": ["nr-rp"],
+            "protocol": ["personal"], "folds": 10, "permute_columns": False,
             "knn_k": 10, "bag_learners": 2, "svm_c": 1.0, "tree_splits": 85,
             "filter_order": 3, "sensor": "accel",
         }
@@ -361,15 +376,15 @@ class TestGrid:
         assert "| p |" in md
         assert "| impersonal | svm | b | 75 | overall |" in md
 
-    def test_cell_rows_equal_eval(self, grid_dir, recordings_csv, tmp_path):
-        out = tmp_path / "eval"
-        assert main(["--seed", "4", "eval", str(recordings_csv), "--bank", "b",
+    def test_one_cell_rows_equal_its_block(self, grid_dir, recordings_csv, tmp_path):
+        out = tmp_path / "cell"
+        assert main(["--seed", "4", "grid", str(recordings_csv), "--bank", "b",
                      "--bag-learners", "2", "--model", "bag", "--treatment", "unr-rp",
                      "--protocol", "personal", "-o", str(out)]) == EXIT_OK
-        cell = [r for r in read_results_csv(grid_dir / "grid_results.csv")
-                if (r["classifier"], r["treatment"], r["protocol"])
-                == ("bag", "unr-rp", "personal")]
-        assert cell == read_results_csv(out / "results.csv")
+        block = [r for r in read_results_csv(grid_dir / "grid_results.csv")
+                 if (r["classifier"], r["treatment"], r["protocol"])
+                 == ("bag", "unr-rp", "personal")]
+        assert block == read_results_csv(out / "grid_results.csv")
 
     def test_features_csv_supplies_its_window(self, recordings_csv, tmp_path):
         features = tmp_path / "features.csv"
@@ -383,23 +398,23 @@ class TestGrid:
 
 
 class TestSvmBudgetHealth:
-    """The eval and grid manifests count, per cell, the SVM pairs that stopped at the
-    SMO step budget; a run with any prints one line on stderr."""
+    """The grid manifest counts, per cell, the SVM pairs that stopped at the SMO step
+    budget; a run with any prints one line on stderr."""
 
-    def test_eval_counts_pairs_at_the_budget(self, recordings_csv, tmp_path, capsys,
-                                             monkeypatch):
-        args = ["--seed", "4", "eval", str(recordings_csv), "--model", "svm", "--bank", "b",
-                "--protocol", "impersonal", "-o"]
+    def test_one_cell_counts_pairs_at_the_budget(self, recordings_csv, tmp_path, capsys,
+                                                 monkeypatch):
+        args = ["--seed", "4", "grid", str(recordings_csv), "--model", "svm", "--bank", "b",
+                "--treatment", "nr-rp", "--protocol", "impersonal", "-o"]
         assert main(args + [str(tmp_path / "full")]) == EXIT_OK
         assert "budget" not in capsys.readouterr().err
         monkeypatch.setattr(classifiers, "_SMO_STEPS_PER_ROW", 0)
         assert main(args + [str(tmp_path / "tiny")]) == EXIT_OK
         # 2 held-out subjects x 10 one-vs-one pairs
         assert "svm: 20/20 pairs hit the step budget" in capsys.readouterr().err
-        full, tiny = (json.loads((tmp_path / d / "eval_manifest.json").read_text())
+        full, tiny = (json.loads((tmp_path / d / "grid_manifest.json").read_text())
                       for d in ("full", "tiny"))
-        assert full.pop("health") == {"svm_budget_hits": 0}
-        assert tiny.pop("health") == {"svm_budget_hits": 20}
+        assert full.pop("health") == {"svm_budget_hits": {"svm nr-rp impersonal b 75": 0}}
+        assert tiny.pop("health") == {"svm_budget_hits": {"svm nr-rp impersonal b 75": 20}}
         # nothing else in the manifest moves but the timing and the outputs' digests
         for manifest in (full, tiny):
             del manifest["duration_s"]
@@ -426,11 +441,11 @@ class TestReport:
         dirs = {}
         for treatment in ("nr-rp", "unr-rp"):
             d = tmp_path / treatment
-            assert main(["--seed", "4", "eval", str(recordings_csv),
+            assert main(["--seed", "4", "grid", str(recordings_csv),
                          "--model", "dtree", "--bank", "b", "--window", "100",
                          "--protocol", "impersonal", "--treatment", treatment,
                          "-o", str(d)]) == EXIT_OK
-            dirs[treatment] = d / "results.csv"
+            dirs[treatment] = d / "grid_results.csv"
         out = tmp_path / "report.md"
         assert main(["report", str(dirs["nr-rp"]), str(dirs["unr-rp"]),
                      "-o", str(out)]) == EXIT_OK
@@ -440,11 +455,11 @@ class TestReport:
 
     def test_without_pair_emits_note(self, recordings_csv, tmp_path):
         d = tmp_path / "single"
-        assert main(["--seed", "4", "eval", str(recordings_csv),
-                     "--model", "nb", "--bank", "b", "--window", "100",
+        assert main(["--seed", "4", "grid", str(recordings_csv),
+                     "--model", "nb", "--bank", "b", "--window", "100", "--treatment", "nr-rp",
                      "--protocol", "impersonal", "-o", str(d)]) == EXIT_OK
         out = tmp_path / "report.md"
-        assert main(["report", str(d / "results.csv"), "-o", str(out)]) == EXIT_OK
+        assert main(["report", str(d / "grid_results.csv"), "-o", str(out)]) == EXIT_OK
         assert "t-test column omitted" in out.read_text()
 
 
@@ -479,30 +494,30 @@ class TestExitCodes:
         lines[5] = ",".join(fields)
         bad = tmp_path / "non_finite.csv"
         bad.write_text("\n".join(lines) + "\n")
-        assert main(["eval", str(bad), "--model", "nb", "--treatment", treatment,
+        assert main(["grid", str(bad), "--model", "nb", "--treatment", treatment,
                      "-o", str(tmp_path / "res")]) == EXIT_SCHEMA
         assert "line 6: non-finite value in column 'f7'" in capsys.readouterr().err
 
     def test_bank_tag_of_other_width_is_schema_error(self, bank_b_csv, tmp_path, capsys):
         bad = tmp_path / "relabelled.csv"
         bad.write_text(bank_b_csv.read_text().replace(",b,", ",a,"))
-        assert main(["eval", str(bad), "--model", "nb", "-o", str(tmp_path / "res")]) == EXIT_SCHEMA
+        assert main(["grid", str(bad), "--model", "nb", "-o", str(tmp_path / "res")]) == EXIT_SCHEMA
         assert "MalformedRow" in capsys.readouterr().err
 
     def test_single_subject_impersonal_is_protocol_error(self, tmp_path):
         out = tmp_path / "one"
         assert main(["--seed", "1", "synth", "--subjects", "1", "--minutes", "0.5",
                      "-o", str(out)]) == EXIT_OK
-        assert main(["--seed", "1", "eval", str(out / "recordings.csv"),
-                     "--bank", "b", "--window", "75", "--protocol", "impersonal",
-                     "-o", str(tmp_path / "res")]) == EXIT_PROTOCOL
+        assert main(["--seed", "1", "grid", str(out / "recordings.csv"), "--model", "dtree",
+                     "--treatment", "nr-rp", "--bank", "b", "--window", "75",
+                     "--protocol", "impersonal", "-o", str(tmp_path / "res")]) == EXIT_PROTOCOL
 
-    @pytest.mark.parametrize("command", ["extract", "eval", "grid"])
+    @pytest.mark.parametrize("command", ["extract", "grid"])
     def test_negative_filter_order_is_usage_error(self, recordings_csv, tmp_path, command):
         out = "-o", str(tmp_path / "x")
         assert main([command, str(recordings_csv), "--filter-order", "-1", *out]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("command", ["summary", "extract", "eval", "grid", "report"])
+    @pytest.mark.parametrize("command", ["summary", "extract", "grid", "report"])
     def test_non_utf8_input_is_schema_error(self, tmp_path, capsys, command):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes(HEADER.encode() + b"\ns0,s0,walking,accel,0,1,2,3\xff\n")
@@ -510,7 +525,7 @@ class TestExitCodes:
         good.write_text(",".join(RESULTS_HEADER) + "\n")
         out = ["-o", str(tmp_path / "out")]
         argv = {"summary": [str(bad)], "extract": [str(bad), *out],
-                "eval": [str(bad), *out], "grid": [str(bad), *out],
+                "grid": [str(bad), *out],
                 "report": [str(good), str(bad), *out]}
         assert main([command, *argv[command]]) == EXIT_SCHEMA
         assert f"line 2: {bad} is not UTF-8 text" in capsys.readouterr().err
@@ -534,13 +549,12 @@ class TestExitCodes:
         assert f"error ({error}): {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "grid"])
     @pytest.mark.parametrize("protocol", ["personal", "impersonal"])
     def test_fewer_than_two_folds_is_usage_error(self, recordings_csv, tmp_path, capsys,
-                                                 command, protocol):
+                                                 protocol):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as ei:
-            main([command, str(recordings_csv), "--protocol", protocol, "--folds", "1",
+            main(["grid", str(recordings_csv), "--protocol", protocol, "--folds", "1",
                   "-o", str(out)])
         assert ei.value.code == EXIT_USAGE
         assert "--folds: must be an integer >= 2, got 1" in capsys.readouterr().err
@@ -549,9 +563,24 @@ class TestExitCodes:
     def test_negative_variability_is_usage_error(self, tmp_path):
         assert main(["synth", "--variability", "-1", "-o", str(tmp_path / "x")]) == EXIT_USAGE
 
-    def test_unknown_flag_is_usage_error(self):
+    @pytest.mark.parametrize("argv", [
+        ["grid", "in.csv", "--folds", "x"], ["grid", "in.csv", "--knn-k", "x"],
+        ["grid", "in.csv", "--svm-c", "x"], ["grid", "in.csv", "--svm-c", "nan"],
+        ["synth", "--subjects", "x"], ["extract", "in.csv", "--window", "x"],
+    ])
+    def test_non_number_is_usage_error_naming_the_rule(self, tmp_path, capsys, argv):
+        flag, value = argv[-2:]
         with pytest.raises(SystemExit) as ei:
-            main(["eval", "--no-such-flag"])
+            main([*argv, "-o", str(tmp_path / "out")])
+        assert ei.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be " in err and f", got {value}" in err
+        assert "invalid" not in err and not re.search(r"\b_[a-z]", err)
+
+    @pytest.mark.parametrize("command", ["grid", "eval"])
+    def test_unknown_flag_or_command_is_usage_error(self, command):
+        with pytest.raises(SystemExit) as ei:
+            main([command, "--no-such-flag"])
         assert ei.value.code == EXIT_USAGE
 
 
@@ -568,4 +597,4 @@ def readme_commands() -> list[str]:
 def test_readme_commands_parse():
     parser = build_parser()
     parsed = {parser.parse_args(shlex.split(c)[1:]).command for c in readme_commands()}
-    assert parsed == {"synth", "summary", "extract", "eval", "grid", "report"}
+    assert parsed == {"synth", "summary", "extract", "grid", "report"}

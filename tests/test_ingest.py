@@ -44,6 +44,7 @@ class TestSynthParams:
             {"n_subjects": 0},
             {"minutes_per_activity": 0.0},
             {"sample_rate_hz": -1.0},
+            {"sample_rate_hz": 1000.5},  # samples closer than 1 ms share a timestamp
             {"subject_variability": -0.5},
         ],
     )

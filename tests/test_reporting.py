@@ -1,4 +1,4 @@
-"""File formats: feature CSV, results CSV, markdown tables, SVG, manifests."""
+"""File formats: feature CSV, results CSV, treatment report, SVG, manifests."""
 import hashlib
 import json
 import xml.etree.ElementTree as ET
@@ -19,7 +19,6 @@ from harkit.reporting import (
     is_features_csv,
     read_features_csv,
     read_results_csv,
-    report_markdown,
     report_rows,
     sha256_file,
     sweep_svg,
@@ -164,17 +163,6 @@ class TestResultsCsv:
             read_results_csv(path)
 
 
-class TestMarkdown:
-    def test_contains_all_activities_and_overall(self, config_and_report):
-        config, report = config_and_report
-        md = report_markdown(config, report)
-        for name in ("walking", "upstairs", "downstairs", "running", "jogging"):
-            assert f"| {name} |" in md
-        assert "overall" in md
-        assert "98% CI" in md
-        assert f"{report.overall_accuracy:.4f}" in md
-
-
 def result_rows(treatment, activity, values):
     """Results-CSV rows of one impersonal nb cell: a summary row plus one row per unit."""
     base = {"protocol": "impersonal", "classifier": "nb", "bank": "b", "treatment": treatment,
@@ -256,10 +244,10 @@ class TestSweepSvg:
 
 class TestManifest:
     def test_json_fields(self):
-        m = RunManifest(command="eval", config={"window": 75}, seed=7,
+        m = RunManifest(command="grid", config={"window": 75}, seed=7,
                         input_digests={"a.csv": "ff"}, duration_s=1.5)
         data = json.loads(m.to_json())
-        assert data["command"] == "eval"
+        assert data["command"] == "grid"
         assert data["seed"] == 7
         assert data["config"] == {"window": 75}
         assert "toolkit_version" in data
