@@ -517,17 +517,21 @@ class TestExitCodes:
         out = "-o", str(tmp_path / "x")
         assert main([command, str(recordings_csv), "--filter-order", "-1", *out]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("command", ["summary", "extract", "grid", "report"])
+    @pytest.mark.parametrize("command", ["summary", "extract", "grid", "report",
+                                         "grid-features-csv"])
     def test_non_utf8_input_is_schema_error(self, tmp_path, capsys, command):
         bad = tmp_path / "latin1.csv"
-        bad.write_bytes(HEADER.encode() + b"\ns0,s0,walking,accel,0,1,2,3\xff\n")
+        if command == "grid-features-csv":
+            bad.write_bytes(b"subject_id,activity,bank,window,f0\ns0,walking,b,75,1\xff\n")
+        else:
+            bad.write_bytes(HEADER.encode() + b"\ns0,s0,walking,accel,0,1,2,3\xff\n")
         good = tmp_path / "results.csv"
         good.write_text(",".join(RESULTS_HEADER) + "\n")
         out = ["-o", str(tmp_path / "out")]
         argv = {"summary": [str(bad)], "extract": [str(bad), *out],
-                "grid": [str(bad), *out],
+                "grid": [str(bad), *out], "grid-features-csv": [str(bad), *out],
                 "report": [str(good), str(bad), *out]}
-        assert main([command, *argv[command]]) == EXIT_SCHEMA
+        assert main([command.split("-")[0], *argv[command]]) == EXIT_SCHEMA
         assert f"line 2: {bad} is not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row, error, message", [
@@ -566,6 +570,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["grid", "in.csv", "--folds", "x"], ["grid", "in.csv", "--knn-k", "x"],
         ["grid", "in.csv", "--svm-c", "x"], ["grid", "in.csv", "--svm-c", "nan"],
+        ["grid", "in.csv", "--bag-learners", "x"], ["synth", "--rate", "x"],
         ["synth", "--subjects", "x"], ["extract", "in.csv", "--window", "x"],
     ])
     def test_non_number_is_usage_error_naming_the_rule(self, tmp_path, capsys, argv):
