@@ -106,6 +106,8 @@ def _number(parse, rule: str, holds):
 _positive_int = _number(int, "a positive integer", lambda n: n >= 1)
 _fold_count = _number(int, "an integer >= 2", lambda n: n >= 2)
 _positive_float = _number(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+_window_size = _number(int, "an integer >= 4", lambda n: n >= 4)
+_nonnegative_float = _number(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
 
 
 def _axis(values: list[str] | None, default) -> list[str]:
@@ -204,14 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subjects", type=_positive_int, default=6)
     p.add_argument("--minutes", type=_positive_float, default=10.0)
     p.add_argument("--rate", type=_positive_float, default=20.0)
-    p.add_argument("--variability", type=float, default=1.0)
+    p.add_argument("--variability", type=_nonnegative_float, default=1.0)
     p.add_argument("-o", "--out-dir", required=True)
 
     extract = sub.add_parser("extract", help="filter, segment, and extract features")
     extract.add_argument("input", help="recordings CSV")
     extract.add_argument("-o", "--output", required=True, help="feature CSV path")
     extract.add_argument("--bank", choices=banks, default="a")
-    extract.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
+    extract.add_argument("--window", type=_window_size, default=DEFAULT_WINDOW)
 
     grid = sub.add_parser(
         "grid", help="every cell of model x treatment x protocol x bank x window",
@@ -274,8 +276,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    if args.window < 4:
-        raise UsageError("--window must be at least 4")
     sensor, order = _recording_settings(args)
     recordings = parse_recordings_csv(args.input)
     vectors = recordings_to_features(recordings, Bank(args.bank), args.window, order,

@@ -119,13 +119,13 @@ class SynthParams:
     def __post_init__(self):
         if self.n_subjects < 1:
             raise ValueError("n_subjects must be positive")
-        if self.minutes_per_activity <= 0:
-            raise ValueError("minutes_per_activity must be positive")
+        if not 0 < self.minutes_per_activity < math.inf:
+            raise ValueError("minutes_per_activity must be positive and finite")
         if not 0 < self.sample_rate_hz <= 1000:
             raise ValueError("sample_rate_hz must be positive and at most 1000: "
                              "timestamps are whole milliseconds")
-        if self.subject_variability < 0:
-            raise ValueError("subject_variability must be non-negative")
+        if not 0 <= self.subject_variability < math.inf:
+            raise ValueError("subject_variability must be non-negative and finite")
 
 
 # Synthetic signal model, per activity:

@@ -203,18 +203,25 @@ NODE_KINDS = ["normal", "integer_ties", "signed_zeros", "bootstrap", "constant_c
               "class_indicators", "no_gain"]
 
 
+def tree_nodes(tree) -> list[tuple]:
+    """(label, feature, threshold) of every node of a tree, in preorder."""
+    nodes, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        nodes.append((node.label, node.feature, node.threshold))
+        if node.feature >= 0:
+            stack += [node.right, node.left]
+    return nodes
+
+
 def tree_digest(model, X) -> str:
     """sha256 over every tree's nodes (label, feature, threshold; preorder) and the
     labels and scores the model predicts for X."""
     h = hashlib.sha256()
     trees = model.impl.trees if model.spec.kind is ModelKind.Bagging else [model.impl]
     for tree in trees:
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            h.update(f"{node.label},{node.feature},{node.threshold!r};".encode())
-            if node.feature >= 0:
-                stack += [node.right, node.left]
+        for label, feature, threshold in tree_nodes(tree):
+            h.update(f"{label},{feature},{threshold!r};".encode())
     labels, scores = predict_batch(model, X)
     h.update(labels.astype(np.int64).tobytes())
     h.update(scores.tobytes())
@@ -291,9 +298,19 @@ class TestDecisionTree:
         assert np.all(labels == 3)
 
 
+def presorted_split(X, y, n_classes, w=None):
+    """`_best_split` on the node of rows X, row i counted w[i] times (default once), with
+    each feature's rows in ascending order, as a fit presorts them."""
+    w = np.ones(len(y), dtype=np.int64) if w is None else w
+    XT = np.ascontiguousarray(X.T)
+    rows = classifiers._kept(np.argsort(XT, axis=1), w > 0)
+    counts = np.bincount(y, weights=w, minlength=n_classes).astype(np.int64)
+    return _best_split(XT, y, w, rows, counts)
+
+
 class TestBestSplit:
-    """The batched split search returns the per-feature search's (gain, feature,
-    threshold) exactly, over every block width the search can take."""
+    """The presorted, count-weighted split search returns the per-feature search's
+    (gain, feature, threshold) exactly, over every block width the search can take."""
 
     @given(
         m=st.one_of(st.integers(2, 80), st.integers(81, 2000)),
@@ -307,9 +324,8 @@ class TestBestSplit:
     def test_equals_per_feature_search(self, m, n_features, n_classes, kind,
                                        block_elements, seed):
         X, y = node_matrix(np.random.default_rng(seed), kind, m, n_features, n_classes)
-        counts = np.bincount(y, minlength=n_classes)
         with mock.patch.object(classifiers, "_SPLIT_BLOCK_ELEMENTS", block_elements):
-            assert _best_split(X, y, counts) == reference_best_split(X, y, n_classes)
+            assert presorted_split(X, y, n_classes) == reference_best_split(X, y, n_classes)
 
     @pytest.mark.parametrize("n_classes", [7, 8, 9, 12])
     @pytest.mark.parametrize("kind", NODE_KINDS)
@@ -317,8 +333,37 @@ class TestBestSplit:
         rng = np.random.default_rng(n_classes)
         for m in (2, 9, 150, 700):
             X, y = node_matrix(rng, kind, m, 20, n_classes)
-            counts = np.bincount(y, minlength=n_classes)
-            assert _best_split(X, y, counts) == reference_best_split(X, y, n_classes)
+            assert presorted_split(X, y, n_classes) == reference_best_split(X, y, n_classes)
+
+    @given(
+        m=st.one_of(st.integers(2, 80), st.integers(81, 1000)),
+        n_features=st.integers(1, 40),
+        n_classes=st.integers(2, 12),
+        kind=st.sampled_from(NODE_KINDS),
+        block_elements=st.sampled_from([classifiers._SPLIT_BLOCK_ELEMENTS, 1, 97, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_row_counts_equal_duplicated_rows(self, m, n_features, n_classes, kind,
+                                              block_elements, seed):
+        """A node of distinct rows with bootstrap counts is the node of the rows drawn."""
+        rng = np.random.default_rng(seed)
+        X, y = node_matrix(rng, kind, m, n_features, n_classes)
+        w = np.bincount(rng.integers(0, m, m), minlength=m)
+        with mock.patch.object(classifiers, "_SPLIT_BLOCK_ELEMENTS", block_elements):
+            got = presorted_split(X, y, n_classes, w)
+        assert got == reference_best_split(np.repeat(X, w, axis=0), np.repeat(y, w), n_classes)
+
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_two_packed_words(self, kind, weighted):
+        """From 4,096 rows on a count takes 13 bits, so five classes need two words."""
+        rng = np.random.default_rng(4096)
+        X, y = node_matrix(rng, kind, 5000, 6, 5)
+        w = rng.integers(0, 3, 5000) if weighted else np.ones(5000, dtype=np.int64)
+        assert int(w.sum()).bit_length() == 13 and 63 // 13 < 5
+        got = presorted_split(X, y, 5, w)
+        assert got == reference_best_split(np.repeat(X, w, axis=0), np.repeat(y, w), 5)
 
     @pytest.mark.parametrize("seed, kind, m, n_classes", [
         (701, "normal", 33, 3), (1136, "normal", 28, 2), (2403, "bootstrap", 15, 5),
@@ -328,13 +373,13 @@ class TestBestSplit:
         than 1e-15: the first one wins, as in the per-feature search."""
         X, y = node_matrix(np.random.default_rng(seed), kind, m, 40, n_classes)
         gains = [reference_best_split(X[:, [j]], y, n_classes) for j in range(40)]
-        best = _best_split(X, y, np.bincount(y, minlength=n_classes))
+        best = presorted_split(X, y, n_classes)
         assert best == reference_best_split(X, y, n_classes)
         assert any(0 < g[0] - best[0] <= 1e-15 for g in gains[best[1] + 1:] if g)
 
     def test_no_helpful_split_is_none(self):
         X, y = node_matrix(np.random.default_rng(0), "no_gain", 60, 5, 3)
-        assert _best_split(X, y, np.bincount(y)) is None
+        assert presorted_split(X, y, 3) is None
 
     def test_bagging_trees_pinned(self):
         """Tree structures, labels and scores of dtree and bagging equal those the
@@ -554,6 +599,21 @@ class TestBagging:
         bl, _ = predict_batch(bag, Xte)
         tl, _ = predict_batch(tree, Xte)
         assert np.array_equal(bl, tl)
+
+    def test_trees_equal_trees_grown_on_bootstrap_rows(self, rng):
+        """Each bagged tree, grown on row counts, is the tree grown on the rows its
+        bootstrap drew, including bootstraps that miss the highest class."""
+        X, y = blobs(rng, n_per_class=8, sep=1.0)
+        X, y = X[:17], y[:17]  # class 2 keeps one row, which some bootstraps miss
+        bag = train(ModelSpec(ModelKind.Bagging, seed=3, n_learners=12), X, y)
+        missed = 0
+        for i, tree in enumerate(bag.impl.trees):
+            idx = bootstrap_indices(3, i, len(y))
+            missed += y[idx].max() < 2
+            alone = train(ModelSpec(ModelKind.DecisionTree, max_splits=None), X[idx], y[idx])
+            assert tree.n_classes == alone.impl.n_classes
+            assert tree_nodes(tree) == tree_nodes(alone.impl)
+        assert missed > 0
 
     def test_bootstrap_indices_are_seeded(self):
         a = bootstrap_indices(7, 3, 100)

@@ -119,9 +119,15 @@ class TestExtract:
         assert first.count(",") == 4 + 70 - 1
         assert {line.split(",")[3] for line in out.read_text().splitlines()[1:]} == {"75"}
 
-    def test_window_too_small_is_usage_error(self, recordings_csv, tmp_path):
-        assert main(["extract", str(recordings_csv), "--window", "2",
-                     "-o", str(tmp_path / "f.csv")]) == EXIT_USAGE
+    @pytest.mark.parametrize("window", ["2", "0"])
+    def test_window_too_small_is_usage_error(self, recordings_csv, tmp_path, capsys, window):
+        """One rule for every size below 4, the one grid's --window states too."""
+        out = tmp_path / "f.csv"
+        with pytest.raises(SystemExit) as ei:
+            main(["extract", str(recordings_csv), "--window", window, "-o", str(out)])
+        assert ei.value.code == EXIT_USAGE
+        assert f"--window: must be an integer >= 4, got {window}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCell:
@@ -564,8 +570,23 @@ class TestExitCodes:
         assert "--folds: must be an integer >= 2, got 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_variability_is_usage_error(self, tmp_path):
-        assert main(["synth", "--variability", "-1", "-o", str(tmp_path / "x")]) == EXIT_USAGE
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_negative_or_non_finite_variability_is_usage_error(self, tmp_path, capsys, value):
+        """A nan variability would write a recordings CSV that harkit itself rejects."""
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as ei:
+            main(["synth", "--subjects", "1", "--minutes", "0.01", "--variability", value,
+                  "-o", str(out)])
+        assert ei.value.code == EXIT_USAGE
+        assert (f"--variability: must be a finite number >= 0, got {value}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_zero_variability_is_allowed(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["synth", "--subjects", "1", "--minutes", "0.01", "--variability", "0",
+                     "-o", str(out)]) == EXIT_OK
+        assert main(["summary", str(out / "recordings.csv")]) == EXIT_OK
 
     @pytest.mark.parametrize("argv", [
         ["grid", "in.csv", "--folds", "x"], ["grid", "in.csv", "--knn-k", "x"],

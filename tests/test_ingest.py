@@ -46,6 +46,11 @@ class TestSynthParams:
             {"sample_rate_hz": -1.0},
             {"sample_rate_hz": 1000.5},  # samples closer than 1 ms share a timestamp
             {"subject_variability": -0.5},
+            # a nan or infinite value would pass a plain sign check
+            {"minutes_per_activity": float("nan")},
+            {"minutes_per_activity": float("inf")},
+            {"subject_variability": float("nan")},
+            {"subject_variability": float("inf")},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
