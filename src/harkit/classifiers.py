@@ -7,7 +7,7 @@ bagging bootstraps, flows from spec.seed. Labels are integer class codes
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -279,8 +279,7 @@ class _NaiveBayesImpl:
         post = np.exp(shifted)
         post /= post.sum(axis=1, keepdims=True)
         labels = self.classes[best]
-        scores = post[np.arange(len(X)), best]
-        return labels, np.clip(scores, 0.0, 1.0)
+        return labels, post[np.arange(len(X)), best]
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +450,7 @@ class _SvmImpl:
             votes[:, ca] += f >= 0
             votes[:, cb] += f < 0
         labels = np.argmax(votes, axis=1)  # ties -> smallest class code
-        n_pairs = max(len(self.machines), 1)
-        scores = votes[np.arange(len(X)), labels] / n_pairs
-        return labels, np.clip(scores, 0.0, 1.0)
+        return labels, votes[np.arange(len(X)), labels] / len(self.machines)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +498,6 @@ class TrainedModel:
     spec: ModelSpec
     impl: object
     n_features: int
-    classes: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
     @property
     def converged(self) -> bool:
@@ -530,7 +526,7 @@ def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     else:  # pragma: no cover
         raise ValueError(f"unknown model kind {spec.kind}")
     impl.fit(X, y)
-    return TrainedModel(spec=spec, impl=impl, n_features=X.shape[1], classes=np.unique(y))
+    return TrainedModel(spec=spec, impl=impl, n_features=X.shape[1])
 
 
 def predict_batch(model: TrainedModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,8 +17,6 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .classifiers import ModelKind, ModelSpec
 from .errors import (
     HarkitError,
@@ -84,9 +82,12 @@ DEFAULT_WINDOW = 75
 def _default_seed() -> int:
     env = os.environ.get("HAR_SEED")
     try:
-        return int(env) if env else 7
+        seed = int(env) if env else 7
     except ValueError:
         raise UsageError(f"HAR_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise UsageError(f"HAR_SEED must be a non-negative integer, got {env!r}")
+    return seed
 
 
 def _number(parse, rule: str, holds):
@@ -103,6 +104,7 @@ def _number(parse, rule: str, holds):
     return convert
 
 
+_seed = _number(int, "a non-negative integer", lambda n: n >= 0)
 _positive_int = _number(int, "a positive integer", lambda n: n >= 1)
 _fold_count = _number(int, "an integer >= 2", lambda n: n >= 2)
 _positive_float = _number(float, "a finite number > 0", lambda v: 0 < v < math.inf)
@@ -195,7 +197,7 @@ def _manifest_config(args, **resolved) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="harkit",
                                      description="Smartwatch activity-recognition experiment toolkit")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="global seed (default: HAR_SEED env var, else 7)")
     sub = parser.add_subparsers(dest="command", required=True)
     models = [k.value for k in ModelKind]
@@ -240,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--svm-c", type=_positive_float, default=1.0)
     grid.add_argument("--tree-splits", type=_positive_int, default=85)
     grid.add_argument("-o", "--out-dir", required=True)
-    grid.add_argument("--permute-columns", action="store_true",
-                      help="apply a seeded feature-column permutation to train and test")
 
     p = sub.add_parser("report", help="combine results CSVs with treatment t-tests")
     p.add_argument("inputs", nargs="+", help="results CSV files")
@@ -288,10 +288,10 @@ def cmd_extract(args) -> int:
 
 
 def _load_matrices(args):
-    """The input's {(bank, window): (X, y, subjects)}, columns permuted if asked, and the
-    sensor and filter order behind it. A features CSV brings its one bank and window, which
-    --bank and --window may only repeat; recordings are filtered once, then extracted once
-    per bank (default a) and window (default 75)."""
+    """The input's {(bank, window): (X, y, subjects)} and the sensor and filter order
+    behind it. A features CSV brings its one bank and window, which --bank and --window
+    may only repeat; recordings are filtered once, then extracted once per bank (default
+    a) and window (default 75)."""
     banks = _axis(args.bank, ())
     windows = () if args.window is None else _window_axis(args.window)
     if is_features_csv(args.input):
@@ -316,10 +316,6 @@ def _load_matrices(args):
                                     [Bank(b) for b in banks or ["a"]],
                                     windows or (DEFAULT_WINDOW,), order,
                                     SensorKind(sensor))
-    if args.permute_columns:
-        for key, (X, y, subjects) in matrices.items():
-            col_order = np.random.default_rng(args.seed).permutation(X.shape[1])
-            matrices[key] = X[:, col_order], y, subjects
     return matrices, {"sensor": sensor, "filter_order": order}
 
 

@@ -75,15 +75,15 @@ class EvalReport:
         return float(conf[activity.value, activity.value] / row) if row else 0.0
 
 
-def kfold_split(n: int, k: int, labels: np.ndarray) -> list[np.ndarray]:
-    """Stratified k folds. Instances are dealt round-robin in their given order
-    per label stratum, so fold composition tracks instance order (the
-    non-permuted treatment relies on this)."""
+def kfold_split(k: int, labels: np.ndarray) -> list[np.ndarray]:
+    """Stratified k folds of the rows of `labels`. Instances are dealt round-robin in
+    their given order per label stratum, so fold composition tracks instance order
+    (the non-permuted treatment relies on this)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if n < k:
-        raise TooFewInstances(f"need at least {k} instances, got {n}")
     labels = np.asarray(labels)
+    if len(labels) < k:
+        raise TooFewInstances(f"need at least {k} instances, got {len(labels)}")
     folds: list[list[int]] = [[] for _ in range(k)]
     for label in np.unique(labels):
         for pos, i in enumerate(np.flatnonzero(labels == label)):
@@ -106,7 +106,7 @@ def _splits(config: EvalConfig, y: np.ndarray, subjects: list[str], unit_ids: li
         ids = np.asarray(subjects)
         for ui, s in enumerate(unit_ids):
             sub_idx = np.flatnonzero(ids == s)
-            for fold in kfold_split(len(sub_idx), config.folds, y[sub_idx]):
+            for fold in kfold_split(config.folds, y[sub_idx]):
                 yield ui, np.delete(sub_idx, fold), sub_idx[fold]
     else:
         if len(np.unique(y)) < 2:
@@ -196,12 +196,12 @@ def recordings_to_features(
     bank: Bank,
     samples_per_window: int,
     filter_order: int = 3,
-    sensor: SensorKind | None = SensorKind.Accelerometer,
+    sensor: SensorKind = SensorKind.Accelerometer,
 ):
-    """filter -> segment -> one bank call per recording; returns FeatureVectors."""
+    """filter -> segment -> one bank call per recording of `sensor`; returns FeatureVectors."""
     vectors = []
     for rec in recordings:
-        if sensor is not None and rec.sensor is not sensor:
+        if rec.sensor is not sensor:
             continue
         filtered = filter_recording(rec, filter_order) if filter_order else rec
         values = bank_matrix(bank, window_block(filtered, samples_per_window))

@@ -83,7 +83,6 @@ class Recording:
     activity: Activity
     sensor: SensorKind
     samples: np.recarray  # SAMPLE_DTYPE, built by samples_from_columns
-    sample_rate_hz: float = 20.0
     session_id: str = "s0"
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,9 +92,8 @@ class Recording:
         if not isinstance(other, Recording):
             return NotImplemented
         return (
-            (self.subject_id, self.activity, self.sensor, self.sample_rate_hz, self.session_id)
-            == (other.subject_id, other.activity, other.sensor, other.sample_rate_hz,
-                other.session_id)
+            (self.subject_id, self.activity, self.sensor, self.session_id)
+            == (other.subject_id, other.activity, other.sensor, other.session_id)
             and bool(np.array_equal(self.samples, other.samples))
         )
 
@@ -126,6 +124,8 @@ class SynthParams:
                              "timestamps are whole milliseconds")
         if not 0 <= self.subject_variability < math.inf:
             raise ValueError("subject_variability must be non-negative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 # Synthetic signal model, per activity:
@@ -196,6 +196,9 @@ def generate_synthetic(params: SynthParams) -> tuple[list[Recording], list[Subje
         t_ms = np.round(t * 1000.0).astype(int)
         for activity in Activity:
             f0, amp, harm, noise_std = ACTIVITY_SIGNAL_TABLE[activity]
+            # each spawn call advances the subject's spawn counter, so activity a
+            # draws from spawn key (si, 6a), not from child a of one spawn; kept
+            # as is, since the pinned dataset depends on it
             rec_seqs = subject_seqs[si].spawn(len(Activity))[activity.value].spawn(3)
             f_subj = f0 * freq_mult
             a_subj = amp * amp_mult
@@ -223,7 +226,6 @@ def generate_synthetic(params: SynthParams) -> tuple[list[Recording], list[Subje
                         activity=activity,
                         sensor=sensor,
                         samples=samples_from_columns(t_ms, *cols),
-                        sample_rate_hz=params.sample_rate_hz,
                         session_id="s0",
                     )
                 )
@@ -301,13 +303,10 @@ def write_recordings_csv(recordings: Iterable[Recording], path: str | Path) -> N
         writer = csv.writer(fh)
         writer.writerow(RECORDINGS_HEADER)
         for rec in recordings:
-            act = ACTIVITY_CSV_NAMES[rec.activity]
-            sensor = rec.sensor.value
-            for t_ms, x, y, z in rec.samples.tolist():
-                writer.writerow(
-                    [rec.subject_id, rec.session_id, act, sensor,
-                     t_ms, repr(x), repr(y), repr(z)]
-                )
+            # csv writes a float as its repr, so the samples round-trip exactly
+            key = (rec.subject_id, rec.session_id, ACTIVITY_CSV_NAMES[rec.activity],
+                   rec.sensor.value)
+            writer.writerows(key + row for row in rec.samples.tolist())
 
 
 def write_manifest_csv(metas: Iterable[SubjectMeta], path: str | Path) -> None:
@@ -316,6 +315,10 @@ def write_manifest_csv(metas: Iterable[SubjectMeta], path: str | Path) -> None:
         writer.writerow(MANIFEST_HEADER)
         for m in metas:
             writer.writerow([m.subject_id, m.gender, m.age_years, m.handedness])
+
+
+# The recordings CSV stores no rate: a one-sample recording's duration assumes this one.
+NOMINAL_RATE_HZ = 20.0
 
 
 @dataclass(frozen=True)
@@ -334,10 +337,10 @@ class DatasetSummary:
 
 
 def _duration_s(rec: Recording) -> float:
-    """n samples times the mean timestamp step; the nominal rate when there is no step."""
+    """n samples times the mean timestamp step; NOMINAL_RATE_HZ when there is no step."""
     n = len(rec.samples)
     if n < 2:
-        return n / rec.sample_rate_hz
+        return n / NOMINAL_RATE_HZ
     span_ms = int(rec.samples.t_ms[-1]) - int(rec.samples.t_ms[0])  # no int64 wrap-around
     return n * span_ms / (n - 1) / 1000.0
 

@@ -221,10 +221,7 @@ def treatment_report(rows: list[dict[str, str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_svg(
-    series: dict[str, dict[int, float]],
-    title: str = "Accuracy vs samples per window",
-) -> str:
+def sweep_svg(series: dict[str, dict[int, float]]) -> str:
     """Self-contained SVG line chart; one polyline per series."""
     width, height = 720, 440
     ml, mr, mt, mb = 60, 160, 40, 50
@@ -242,7 +239,7 @@ def sweep_svg(
     palette = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">Accuracy vs samples per window</text>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
         f'<text x="{ml + pw / 2}" y="{height - 12}" text-anchor="middle" font-size="12">samples per window</text>',

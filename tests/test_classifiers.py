@@ -265,7 +265,7 @@ class TestTrainContract:
         model = train(spec, X, y)
         labels, scores = predict_batch(model, X)
         assert labels.shape == scores.shape == (len(X),)
-        assert np.all(np.isin(labels, model.classes))
+        assert np.all(np.isin(labels, y))
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 

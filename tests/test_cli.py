@@ -89,6 +89,30 @@ class TestSynth:
         assert main(["summary", str(recordings_csv)]) == EXIT_USAGE
         assert "HAR_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["synth", "--subjects", "1", "--minutes", "0.05"],
+        ["grid", "RECORDINGS", "--model", "nb", "--treatment", "nr-rp",
+         "--protocol", "personal"],
+    ])
+    def test_negative_seed_flag_is_usage_error(self, recordings_csv, tmp_path, capsys,
+                                               command):
+        """NumPy seeds only from non-negative entropy."""
+        out = tmp_path / "neg"
+        argv = [str(recordings_csv) if a == "RECORDINGS" else a for a in command]
+        with pytest.raises(SystemExit) as ei:
+            main(["--seed", "-3", *argv, "-o", str(out)])
+        assert ei.value.code == EXIT_USAGE
+        assert "--seed: must be a non-negative integer, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_har_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HAR_SEED", "-2")
+        out = tmp_path / "neg"
+        assert main(["synth", "--subjects", "1", "--minutes", "0.05",
+                     "-o", str(out)]) == EXIT_USAGE
+        assert "HAR_SEED must be a non-negative integer, got '-2'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSummary:
     def test_prints_rows_and_balance(self, recordings_csv, capsys):
@@ -223,16 +247,6 @@ class TestCell:
         assert (config["bank"], config["window"]) == (["b"], [75])
         assert config["sensor"] is None and config["filter_order"] is None
 
-    def test_permute_columns_leaves_knn_results_unchanged(self, recordings_csv, tmp_path):
-        plain, permuted = tmp_path / "plain", tmp_path / "perm"
-        args = ["--seed", "4", "grid", str(recordings_csv),
-                "--model", "knn", "--bank", "b", "--window", "100",
-                "--treatment", "nr-rp", "--protocol", "impersonal"]
-        assert main(args + ["-o", str(plain)]) == EXIT_OK
-        assert main(args + ["--permute-columns", "-o", str(permuted)]) == EXIT_OK
-        assert ((plain / "grid_results.csv").read_bytes()
-                == (permuted / "grid_results.csv").read_bytes())
-
     def test_manifest_config_records_every_flag(self, recordings_csv, tmp_path):
         configs = []
         for learners in ("2", "3"):
@@ -245,7 +259,7 @@ class TestCell:
         assert configs[0] != configs[1]
         assert configs[0] == {
             "model": ["bag"], "bank": ["b"], "window": [100], "treatment": ["nr-rp"],
-            "protocol": ["personal"], "folds": 10, "permute_columns": False,
+            "protocol": ["personal"], "folds": 10,
             "knn_k": 10, "bag_learners": 2, "svm_c": 1.0, "tree_splits": 85,
             "filter_order": 3, "sensor": "accel",
         }

@@ -59,30 +59,30 @@ class TestTreatment:
 class TestKfoldSplit:
     def test_partitions_everything_once(self):
         labels = np.repeat(np.arange(5), 20)
-        folds = kfold_split(100, 10, labels)
+        folds = kfold_split(10, labels)
         combined = np.concatenate(folds)
         assert sorted(combined) == list(range(100))
         assert all(len(f) == 10 for f in folds)
 
     def test_stratified(self):
         labels = np.repeat(np.arange(5), 20)
-        for fold in kfold_split(100, 10, labels):
+        for fold in kfold_split(10, labels):
             counts = np.bincount(labels[fold], minlength=5)
             assert np.all(counts == 2)
 
     def test_split_is_order_determined(self):
         labels = np.repeat(np.arange(2), 10)
-        a = kfold_split(20, 5, labels)
-        b = kfold_split(20, 5, labels)
+        a = kfold_split(5, labels)
+        b = kfold_split(5, labels)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_too_few_instances_raises(self):
         with pytest.raises(TooFewInstances):
-            kfold_split(5, 10, np.zeros(5, dtype=int))
+            kfold_split(10, np.zeros(5, dtype=int))
 
     def test_bad_k_raises(self):
         with pytest.raises(ValueError):
-            kfold_split(10, 1, np.zeros(10, dtype=int))
+            kfold_split(1, np.zeros(10, dtype=int))
 
 
 class TestLosoSplit:
@@ -229,11 +229,6 @@ class TestRecordingsPipeline:
         accel_recs = [r for r in recordings if r.sensor is SensorKind.Accelerometer]
         assert len(vecs) == len(accel_recs) * (n_samples // 75)
         assert all(len(v.values) == 70 for v in vecs)
-
-    def test_sensor_none_keeps_all(self, small_dataset):
-        _, recordings, _ = small_dataset
-        vecs = recordings_to_features(recordings, Bank.B70, 300, sensor=None)
-        assert len(vecs) == len(recordings) * 4  # 1200 samples -> 4 windows each
 
     def test_feature_matrices_equal_recordings_to_features(self, small_dataset):
         _, recordings, _ = small_dataset

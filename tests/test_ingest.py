@@ -46,6 +46,7 @@ class TestSynthParams:
             {"sample_rate_hz": -1.0},
             {"sample_rate_hz": 1000.5},  # samples closer than 1 ms share a timestamp
             {"subject_variability": -0.5},
+            {"seed": -1},  # NumPy's SeedSequence takes only non-negative entropy
             # a nan or infinite value would pass a plain sign check
             {"minutes_per_activity": float("nan")},
             {"minutes_per_activity": float("inf")},
@@ -113,6 +114,14 @@ class TestRecordingsCsvRoundTrip:
             subset, key=lambda r: (r.subject_id, r.activity.value, r.sensor.value)
         )
 
+    def test_round_trip_at_50_hz(self, tmp_path):
+        """The CSV stores no rate, so a recording holds none that could read back different."""
+        recordings, _ = generate_synthetic(
+            SynthParams(n_subjects=1, minutes_per_activity=0.05, sample_rate_hz=50))
+        path = tmp_path / "recs.csv"
+        write_recordings_csv(recordings, path)
+        assert parse_recordings_csv(path) == recordings
+
     def test_unsorted_rows_are_sorted_by_timestamp(self, tmp_path):
         path = write_lines(
             tmp_path / "r.csv",
@@ -171,8 +180,7 @@ class TestRecordingsCsvProperties:
                 filtered = filter_recording(got, 3)
             assert filtered.samples.t_ms.tobytes() == got.samples.t_ms.tobytes()
             assert (filtered.subject_id, filtered.session_id, filtered.activity,
-                    filtered.sensor, filtered.sample_rate_hz) == (
-                got.subject_id, got.session_id, got.activity, got.sensor, got.sample_rate_hz)
+                    filtered.sensor) == (got.subject_id, got.session_id, got.activity, got.sensor)
 
 
 class TestRecordingsCsvErrors:
