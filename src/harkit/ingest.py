@@ -8,6 +8,7 @@ On-disk layout is one recordings CSV plus one subject manifest CSV (written only
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -82,7 +83,7 @@ class Recording:
     subject_id: str
     activity: Activity
     sensor: SensorKind
-    samples: np.recarray  # SAMPLE_DTYPE, built by samples_from_columns
+    samples: np.recarray  # SAMPLE_DTYPE, read-only, as samples_from_columns builds it
     session_id: str = "s0"
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,10 +236,88 @@ def generate_synthetic(params: SynthParams) -> tuple[list[Recording], list[Subje
 def parse_recordings_csv(path: str | Path) -> list[Recording]:
     """Parse a recordings CSV into Recordings grouped by (subject, session, activity, sensor).
 
-    The whole parse fails on the first malformed row; groups keep their order
-    of first appearance and samples are sorted by timestamp.
+    Groups keep their order of first appearance and samples are sorted by
+    timestamp. A well-formed file is read on a fast path: one ``np.loadtxt``
+    pass for the numbers, one pass over the lines for the keys, and vectorised
+    checks. Only a file the fast path rejects is parsed again row by row, so
+    the whole parse fails on the first malformed row, naming its line.
     """
     path = Path(path)
+    try:
+        recordings = _parse_fast(path)
+    except Exception:  # whatever went wrong, a UnicodeDecodeError included, the row path names it
+        recordings = None
+    return _parse_rows(path) if recordings is None else recordings
+
+
+_HEADER_LINE = ",".join(RECORDINGS_HEADER) + "\n"
+_LINES_PER_READ = 1 << 16  # characters of whole lines taken per read of the key pass
+# np.loadtxt skips these as blanks around a number, where int() and float() refuse them
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_fast(path: Path) -> list[Recording] | None:
+    """The recordings of a well-formed file, or None when the row path must judge it.
+
+    It accepts only what ``_parse_rows`` accepts, with the same values: no field
+    is quoted, and the numbers are ASCII, which np.loadtxt reads as int() and
+    float() do (non-ASCII characters can pass its digit test).
+    """
+    groups: dict[str, int] = {}  # key "subject,session,activity,sensor" -> group
+    run_groups, run_starts = [], []  # each run of rows with one key: its group, first row
+    with path.open(encoding="utf-8") as fh:
+        if fh.readline() != _HEADER_LINE:
+            return None
+        n_rows, run_key = 0, None
+        while lines := fh.readlines(_LINES_PER_READ):
+            block = "".join(lines)
+            if any(c in block for c in _LOADTXT_ONLY_SPACE):
+                return None
+            if not block.isascii() and not all(
+                    line[len(line.rsplit(",", 4)[0]):].isascii() for line in lines):
+                return None
+            for line in lines:
+                key = line.rsplit(",", 4)[0]
+                if key != run_key:
+                    run_key = key
+                    run_groups.append(groups.setdefault(key, len(groups)))
+                    run_starts.append(n_rows)
+                n_rows += 1
+        if not n_rows:
+            return []
+        keys = [key.split(",") for key in groups]
+        # a quote needs csv's reading; csv before Python 3.11 refuses a NUL
+        if any(len(k) != 4 or '"' in key or "\0" in key
+               or k[2] not in CSV_NAME_TO_ACTIVITY or k[3] not in CSV_NAME_TO_SENSOR
+               for k, key in zip(keys, groups)):
+            return None
+        fh.seek(0)
+        data = np.loadtxt(fh, dtype=SAMPLE_DTYPE, comments=None, delimiter=",", skiprows=1,
+                          usecols=(4, 5, 6, 7), ndmin=1)
+    # both passes must have seen the same rows (np.loadtxt skips blank lines)
+    if len(data) != n_rows:
+        return None
+    if not all(np.isfinite(data[axis]).all() for axis in "xyz"):
+        return None
+    group = np.repeat(run_groups, np.diff(run_starts + [n_rows]))
+    order = np.lexsort((data["t_ms"], group))
+    data, group = data[order], group[order]
+    same = group[1:] == group[:-1]
+    if np.any(same & (data["t_ms"][1:] <= data["t_ms"][:-1])):
+        return None
+    data.flags.writeable = False
+    bounds = np.flatnonzero(np.r_[True, ~same, True])
+    return [
+        Recording(subject_id=subject_id, activity=CSV_NAME_TO_ACTIVITY[act_name],
+                  sensor=CSV_NAME_TO_SENSOR[sensor_name],
+                  samples=data[lo:hi].view(np.recarray), session_id=session_id)
+        for (subject_id, session_id, act_name, sensor_name), lo, hi
+        in zip(keys, bounds[:-1], bounds[1:])
+    ]
+
+
+def _parse_rows(path: Path) -> list[Recording]:
+    """The row-by-row parse: fails on the first malformed row, naming its line."""
     groups: dict[tuple[str, str, Activity, SensorKind], list[tuple[int, float, float, float]]] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -300,13 +379,16 @@ def parse_recordings_csv(path: str | Path) -> list[Recording]:
 
 def write_recordings_csv(recordings: Iterable[Recording], path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORDINGS_HEADER)
+        csv.writer(fh).writerow(RECORDINGS_HEADER)
         for rec in recordings:
-            # csv writes a float as its repr, so the samples round-trip exactly
-            key = (rec.subject_id, rec.session_id, ACTIVITY_CSV_NAMES[rec.activity],
-                   rec.sensor.value)
-            writer.writerows(key + row for row in rec.samples.tolist())
+            # the key once, quoted as csv quotes it; then each sample as csv writes
+            # it, the float as its repr, so the samples round-trip exactly
+            buf = io.StringIO()
+            csv.writer(buf).writerow((rec.subject_id, rec.session_id,
+                                      ACTIVITY_CSV_NAMES[rec.activity], rec.sensor.value, ""))
+            key = buf.getvalue()[:-2]  # "subject,session,activity,sensor," less the \r\n
+            fh.write("".join([f"{key}{t},{x!r},{y!r},{z!r}\r\n"
+                              for t, x, y, z in rec.samples.tolist()]))
 
 
 def write_manifest_csv(metas: Iterable[SubjectMeta], path: str | Path) -> None:

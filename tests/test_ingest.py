@@ -1,5 +1,6 @@
 """CSV schema, synthetic generation, and summary behavior."""
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from harkit.errors import (
 )
 from harkit.ingest import (
     ACTIVITY_CSV_NAMES,
+    RECORDINGS_HEADER,
     Activity,
     Recording,
     SensorKind,
     SubjectMeta,
     SynthParams,
+    _parse_rows,
     dataset_summary,
     generate_synthetic,
     parse_recordings_csv,
@@ -243,6 +246,179 @@ class TestRecordingsCsvErrors:
         )
         with pytest.raises(NonMonotonicTimestamps):
             parse_recordings_csv(path)
+
+
+def _rec(subject_id="s0", t_ms=(0, 50), activity=Activity.Walking):
+    n = len(t_ms)
+    return Recording(subject_id, activity, SensorKind.Accelerometer,
+                     samples_from_columns(t_ms, np.arange(n) + 0.5, -np.arange(n) / 3,
+                                          np.full(n, 9.8)))
+
+
+class TestRecordingsCsvEdges:
+    ROWS = ["s0,s0,walking,accel,0,1.0,2.0,3.0", "s0,s0,walking,accel,50,4.0,5.0,6.0"]
+
+    def test_blank_line_mid_file_is_malformed_at_its_line(self, tmp_path):
+        path = write_lines(tmp_path / "b.csv", [HEADER, self.ROWS[0], "", self.ROWS[1]])
+        with pytest.raises(MalformedRow) as ei:
+            parse_recordings_csv(path)
+        assert ei.value.line_no == 3
+        assert str(ei.value) == "line 3: expected 8 fields, got 0"
+
+    def test_extra_blank_line_at_end_is_malformed_at_its_line(self, tmp_path):
+        path = write_lines(tmp_path / "e.csv", [HEADER, *self.ROWS, ""])
+        with pytest.raises(MalformedRow) as ei:
+            parse_recordings_csv(path)
+        assert ei.value.line_no == 4
+        assert str(ei.value) == "line 4: expected 8 fields, got 0"
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+    def test_line_endings_parse_the_same(self, tmp_path, ending):
+        path = tmp_path / "r.csv"
+        path.write_bytes(ending.join([HEADER, *self.ROWS, ""]).encode())
+        (rec,) = parse_recordings_csv(path)
+        assert rec.samples.tolist() == [(0, 1.0, 2.0, 3.0), (50, 4.0, 5.0, 6.0)]
+        assert (rec.subject_id, rec.session_id) == ("s0", "s0")
+
+    @pytest.mark.parametrize("subject_id", ['a,b', 'say "hi"', '"', ',"x",'])
+    def test_subject_id_needing_quotes_round_trips(self, tmp_path, subject_id):
+        recs = [_rec(subject_id), _rec("plain", activity=Activity.Running)]
+        path = tmp_path / "q.csv"
+        write_recordings_csv(recs, path)
+        assert parse_recordings_csv(path) == recs
+
+    @pytest.mark.parametrize("column,value", [("timestamp", "\x1c7"), ("timestamp", "7\x1f"),
+                                              ("timestamp", "Ǿ5"), ("timestamp", "5ǿ"),
+                                              ("x", "\x1c7")])
+    def test_numbers_np_loadtxt_would_misread_are_malformed(self, tmp_path, column, value):
+        """np.loadtxt reads these as 7, 7, 4625, 513 and 7.0; int() and float() refuse them."""
+        row = "s0,s0,walking,accel,{},{},2,3".format(
+            *((value, "1") if column == "timestamp" else ("0", value)))
+        path = write_lines(tmp_path / "m.csv", [HEADER, self.ROWS[0], row])
+        with pytest.raises(MalformedRow) as ei:
+            parse_recordings_csv(path)
+        assert ei.value.line_no == 3
+        assert str(ei.value).startswith("line 3: bad ")
+
+    def test_underscore_numbers_after_a_valid_row_parse_as_int_and_float_do(self, tmp_path):
+        path = write_lines(tmp_path / "u.csv",
+                           [HEADER, "s0,s0,walking,accel,0,1,2,3", "s0,s0,walking,accel,1_0,1_5,2,3"])
+        (rec,) = parse_recordings_csv(path)
+        assert rec.samples.tolist() == [(0, 1.0, 2.0, 3.0), (10, 15.0, 2.0, 3.0)]
+
+
+def reference_write(recs, fh):
+    """The row-at-a-time csv.writer the recordings CSV is defined by."""
+    writer = csv.writer(fh)
+    writer.writerow(RECORDINGS_HEADER)
+    for rec in recs:
+        key = (rec.subject_id, rec.session_id, ACTIVITY_CSV_NAMES[rec.activity], rec.sensor.value)
+        writer.writerows(key + row for row in rec.samples.tolist())
+
+
+# ids that csv writes as they are (one of them not ASCII), and ids that csv must quote
+PLAIN_KEYS = ["s0", "subj01", "", " s ", "josé"]
+QUOTED_KEYS = ["a,b", 'say "hi"', "line\nbreak"]
+
+
+@st.composite
+def any_recordings(draw, key_text=st.sampled_from(PLAIN_KEYS + QUOTED_KEYS) | st.text(),
+                   min_size=0, max_size=6):
+    """0-3 recordings with any keys and sensors; by default a recording may hold no sample."""
+    out = []
+    for _ in range(draw(st.integers(min(min_size, 1), 3))):
+        t_ms = draw(st.lists(st.one_of(st.sampled_from([INT64.min, INT64.max, 0, -1]),
+                                       st.integers(INT64.min, INT64.max)),
+                             min_size=min_size, max_size=max_size, unique=True))
+        n = len(t_ms)
+        x, y, z = (draw(st.lists(edge_floats, min_size=n, max_size=n)) for _ in range(3))
+        out.append(Recording(draw(key_text), draw(st.sampled_from(list(Activity))),
+                             draw(st.sampled_from(list(SensorKind))),
+                             samples_from_columns(t_ms, x, y, z), session_id=draw(key_text)))
+    return out
+
+
+NAMES = [*ACTIVITY_CSV_NAMES.values(), *(s.value for s in SensorKind)]
+# np.loadtxt reads " 7 " and "+7" as int() does, "\x1c7" and "Ǿ5" where int() fails
+BAD_VALUES = ["nan", "inf", "-Infinity", "1e400", "99999999999999999999", "-9223372036854775809",
+              "1_0", "1.5", " 7 ", "+7", "", "0x10", "\x1c7", "7\x1f", "Ǿ5", "5ǿ", "７", '"7"']
+
+
+@st.composite
+def corrupted_csv(draw):
+    """The bytes of a written recordings CSV, with samples, after 0-2 random corruptions."""
+    # one file in four may quote a key, which sends it down the row path as a whole
+    keys = PLAIN_KEYS + (QUOTED_KEYS if draw(st.integers(0, 3)) == 0 else [])
+    recs = draw(any_recordings(key_text=st.sampled_from(keys), min_size=1, max_size=4))
+    buf = io.StringIO(newline="")
+    reference_write(recs, buf)
+    lines = buf.getvalue().split("\r\n")[:-1]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["drop_field", "add_field", "blank_line", "bad_value",
+                                     "bad_value", "bad_value", "bad_name", "duplicate_row",
+                                     "quote"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "blank_line":
+            lines.insert(draw(st.integers(1, len(lines))), "")
+        elif kind == "duplicate_row":
+            lines.insert(draw(st.integers(1, len(lines))), lines[i])
+        elif kind == "bad_name":
+            lines[i] = lines[i].replace(draw(st.sampled_from(NAMES)), "flying", 1)
+        elif kind == "quote":
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + '"' + lines[i][j:]
+        else:
+            fields = lines[i].rsplit(",", 4)  # the key, then the numbers
+            j = draw(st.integers(min(1, len(fields) - 1), len(fields) - 1))
+            if kind == "drop_field":
+                del fields[j]
+            elif kind == "add_field":
+                fields.insert(j, "7")
+            else:
+                fields[j] = draw(st.sampled_from(BAD_VALUES))
+            lines[i] = ",".join(fields)
+    ends = draw(st.lists(st.sampled_from(["\r\n", "\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:len(text) - len(ends[-1])]
+    return text.encode("utf-8")
+
+
+def parse_outcome(parse, path):
+    """What a parser makes of a file: its error (class, message, line) or its recordings."""
+    try:
+        recs = parse(path)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "line_no", None)
+    return [(r.subject_id, r.session_id, r.activity, r.sensor, r.samples.dtype,
+             r.samples.tobytes()) for r in recs]
+
+
+class TestRecordingsCsvFastPath:
+    @given(corrupted_csv())
+    @settings(max_examples=500, deadline=None)
+    def test_parse_matches_the_row_path(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fp") / "r.csv"
+        path.write_bytes(data)
+        assert parse_outcome(parse_recordings_csv, path) == parse_outcome(_parse_rows, path)
+
+    @given(any_recordings())
+    @settings(max_examples=150, deadline=None)
+    def test_written_bytes_match_csv_writer(self, tmp_path_factory, recs):
+        tmp = tmp_path_factory.mktemp("wr")
+        write_recordings_csv(recs, tmp / "fast.csv")
+        with (tmp / "ref.csv").open("w", newline="", encoding="utf-8") as fh:
+            reference_write(recs, fh)
+        assert (tmp / "fast.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+    def test_parsed_samples_are_read_only(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_recordings_csv([_rec(t_ms=(50, 0, 100))], path)
+        (rec,) = parse_recordings_csv(path)
+        assert rec.samples.t_ms.tolist() == [0, 50, 100]
+        with pytest.raises(ValueError):
+            rec.samples.x[0] = 1.0
 
 
 class TestManifestCsv:
