@@ -443,10 +443,7 @@ class _SvmImpl:
         n_classes = int(self.classes.max()) + 1
         votes = np.zeros((len(X), n_classes), dtype=int)
         for ca, cb, sv, coef, b in self.machines:
-            if len(sv):
-                f = quadratic_kernel(X, sv) @ coef + b
-            else:
-                f = np.full(len(X), b)
+            f = quadratic_kernel(X, sv) @ coef + b
             votes[:, ca] += f >= 0
             votes[:, cb] += f < 0
         labels = np.argmax(votes, axis=1)  # ties -> smallest class code

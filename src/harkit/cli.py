@@ -18,17 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .classifiers import ModelKind, ModelSpec
-from .errors import (
-    HarkitError,
-    MalformedRow,
-    NonFiniteValue,
-    NonMonotonicTimestamps,
-    SingleSubject,
-    TooFewInstances,
-    UnknownActivity,
-    UnknownSensor,
-    UsageError,
-)
+from .errors import HarkitError, SchemaError, TooFewInstances, UsageError
 from .evaluation import (
     EvalConfig,
     Protocol,
@@ -64,14 +54,10 @@ from .reporting import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
+EXIT_USAGE = UsageError.exit_code
 EXIT_IO = 3
-EXIT_SCHEMA = 4
-EXIT_PROTOCOL = 5
-
-SCHEMA_ERRORS = (MalformedRow, NonFiniteValue, NonMonotonicTimestamps,
-                 UnknownActivity, UnknownSensor)
-PROTOCOL_ERRORS = (SingleSubject, TooFewInstances)
+EXIT_SCHEMA = SchemaError.exit_code
+EXIT_PROTOCOL = HarkitError.exit_code
 
 # The treatments the grid compares by default; `--treatment unr-nrp` stays available.
 GRID_TREATMENTS = ("nr-rp", "nr-nrp", "unr-rp")
@@ -110,6 +96,7 @@ _fold_count = _number(int, "an integer >= 2", lambda n: n >= 2)
 _positive_float = _number(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 _window_size = _number(int, "an integer >= 4", lambda n: n >= 4)
 _nonnegative_float = _number(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+_filter_order = _number(int, "an integer >= 0 (0 turns the filter off)", lambda n: n >= 0)
 
 
 def _axis(values: list[str] | None, default) -> list[str]:
@@ -135,10 +122,7 @@ def _window_axis(text: str) -> tuple[int, ...]:
 
 def _recording_settings(args) -> tuple[str, int]:
     """(--sensor, --filter-order) for recordings: accel and 3 unless given."""
-    order = 3 if args.filter_order is None else args.filter_order
-    if order < 0:
-        raise UsageError("--filter-order must be >= 0 (0 turns the filter off)")
-    return args.sensor or "accel", order
+    return args.sensor or "accel", 3 if args.filter_order is None else args.filter_order
 
 
 def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
@@ -233,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "or lo:hi:step, hi included (25:300:25)")
     # each shared flag once, on the commands that read it
     for p in (extract, grid):
-        p.add_argument("--filter-order", type=int, help="recordings only (default 3)")
+        p.add_argument("--filter-order", type=_filter_order, help="recordings only (default 3)")
         p.add_argument("--sensor", choices=["accel", "gyro", "mag"],
                        help="recordings only (default accel)")
     grid.add_argument("--folds", type=_fold_count, default=10)
@@ -395,17 +379,6 @@ def cmd_summary(args) -> int:
     return EXIT_OK
 
 
-def _undecodable(paths: list[str]) -> MalformedRow | None:
-    """The schema error for the first of `paths` that is not UTF-8 text."""
-    for path in paths:
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            return MalformedRow(data.count(b"\n", 0, e.start) + 1,
-                                f"{path} is not UTF-8 text")
-
-
 COMMANDS = {
     "synth": cmd_synth,
     "extract": cmd_extract,
@@ -422,25 +395,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is None:
             args.seed = _default_seed()
         return COMMANDS[args.command](args)
-    except UnicodeDecodeError:
-        e = _undecodable(getattr(args, "inputs", None) or [args.input])
-        print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except PROTOCOL_ERRORS as e:
-        print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
-        return EXIT_PROTOCOL
-    except SCHEMA_ERRORS as e:
-        print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
-        return EXIT_SCHEMA
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except HarkitError as e:
-        print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
-        return EXIT_PROTOCOL
+        kind = "" if isinstance(e, UsageError) else f" ({type(e).__name__})"
+        print(f"error{kind}: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -2,35 +2,43 @@
 
 
 class HarkitError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; `exit_code` is the command line's exit code.
+    Unless a subclass says otherwise, a protocol precondition failed."""
+    exit_code = 5
 
 
 class UsageError(HarkitError):
-    """A command-line value the command cannot run with (exit code 2)."""
+    """A command-line value the command cannot run with."""
+    exit_code = 2
 
 
-class MalformedRow(HarkitError):
+class SchemaError(HarkitError):
+    """An input file breaks its format."""
+    exit_code = 4
+
+
+class MalformedRow(SchemaError):
     def __init__(self, line_no: int, reason: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {reason}")
 
 
-class NonMonotonicTimestamps(HarkitError):
+class NonMonotonicTimestamps(SchemaError):
     pass
 
 
-class NonFiniteValue(HarkitError):
+class NonFiniteValue(SchemaError):
     def __init__(self, line_no: int, field: str):
         self.line_no = line_no
         self.field = field
         super().__init__(f"line {line_no}: non-finite value in column '{field}'")
 
 
-class UnknownActivity(HarkitError):
+class UnknownActivity(SchemaError):
     pass
 
 
-class UnknownSensor(HarkitError):
+class UnknownSensor(SchemaError):
     pass
 
 

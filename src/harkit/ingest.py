@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -123,6 +124,9 @@ class SynthParams:
         if not 0 < self.sample_rate_hz <= 1000:
             raise ValueError("sample_rate_hz must be positive and at most 1000: "
                              "timestamps are whole milliseconds")
+        if self.minutes_per_activity * 60 * self.sample_rate_hz <= 0.5:  # rounds to 0
+            raise ValueError("minutes_per_activity * 60 * sample_rate_hz must round to "
+                             "at least 1 sample")
         if not 0 <= self.subject_variability < math.inf:
             raise ValueError("subject_variability must be non-negative and finite")
         if self.seed < 0:
@@ -242,9 +246,8 @@ def parse_recordings_csv(path: str | Path) -> list[Recording]:
     checks. Only a file the fast path rejects is parsed again row by row, so
     the whole parse fails on the first malformed row, naming its line.
     """
-    path = Path(path)
     try:
-        recordings = _parse_fast(path)
+        recordings = _parse_fast(Path(path))
     except Exception:  # whatever went wrong, a UnicodeDecodeError included, the row path names it
         recordings = None
     return _parse_rows(path) if recordings is None else recordings
@@ -316,20 +319,45 @@ def _parse_fast(path: Path) -> list[Recording] | None:
     ]
 
 
-def _parse_rows(path: Path) -> list[Recording]:
+def csv_records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Every record of a CSV file as (line, fields), header first, where `line` is the
+    physical line the record starts on (a quoted field may span lines). Each later
+    record must have the header's field count, and the file must be UTF-8 text: else
+    MalformedRow names the line."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        width = None
+        while True:
+            line = reader.line_num + 1
+            try:
+                fields = next(reader)
+            except StopIteration:
+                return
+            except UnicodeDecodeError:
+                data = Path(path).read_bytes()
+                try:
+                    data.decode("utf-8")  # the stream's error holds no offset in the file
+                except UnicodeDecodeError as e:
+                    raise MalformedRow(data.count(b"\n", 0, e.start) + 1,
+                                       f"{path} is not UTF-8 text") from None
+                raise
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise MalformedRow(line, f"expected {width} fields, got {len(fields)}")
+            yield line, fields
+
+
+def _parse_rows(path: str | Path) -> list[Recording]:
     """The row-by-row parse: fails on the first malformed row, naming its line."""
     groups: dict[tuple[str, str, Activity, SensorKind], list[tuple[int, float, float, float]]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+    with closing(csv_records(path)) as records:
+        _, header = next(records, (1, None))
+        if header is None:
             raise MalformedRow(1, "empty file, header row required")
         if header != RECORDINGS_HEADER:
             raise MalformedRow(1, f"bad header {header!r}, expected {RECORDINGS_HEADER!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 8:
-                raise MalformedRow(line_no, f"expected 8 fields, got {len(row)}")
+        for line_no, row in records:
             subject_id, session_id, act_name, sensor_name, ts, xs, ys, zs = row
             if act_name not in CSV_NAME_TO_ACTIVITY:
                 raise UnknownActivity(f"line {line_no}: unknown activity {act_name!r}")

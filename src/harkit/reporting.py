@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from . import __version__
 from .errors import MalformedRow, NonFiniteValue
 from .evaluation import EvalConfig, EvalReport
 from .features import Bank, BANK_WIDTH, FeatureVector
-from .ingest import ACTIVITY_CSV_NAMES, Activity, CSV_NAME_TO_ACTIVITY
+from .ingest import ACTIVITY_CSV_NAMES, Activity, CSV_NAME_TO_ACTIVITY, csv_records
 from .stats import paired_t_test
 
 RESULTS_HEADER = [
@@ -65,16 +66,13 @@ def write_features_csv(vectors: list[FeatureVector], path: str | Path) -> None:
 def read_features_csv(path: str | Path) -> list[FeatureVector]:
     vectors = []
     keys = len(FEATURES_KEY_COLUMNS)
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with closing(csv_records(path)) as records:
+        _, header = next(records, (1, None))
         if not header or header[:keys] != FEATURES_KEY_COLUMNS:
             raise MalformedRow(1, "bad feature CSV header: expected it to start with "
                                   + ",".join(FEATURES_KEY_COLUMNS))
         width = len(header) - keys
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != width + keys:
-                raise MalformedRow(line_no, f"expected {width + keys} fields, got {len(row)}")
+        for line_no, row in records:
             try:
                 bank = Bank(row[2])
                 activity = CSV_NAME_TO_ACTIVITY[row[1]]
@@ -96,9 +94,9 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
 
 
 def is_features_csv(path: str | Path) -> bool:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-    return first.startswith("subject_id,activity,bank")
+    prefix = ",".join(FEATURES_KEY_COLUMNS[:3]).encode()
+    with Path(path).open("rb") as fh:
+        return fh.read(len(prefix)) == prefix
 
 
 def report_rows(config: EvalConfig, report: EvalReport) -> list[list[str]]:
@@ -150,15 +148,11 @@ def read_results_csv(path: str | Path) -> list[dict[str, str]]:
     """The rows of a results CSV as {column: text}; every row has all the columns and
     a finite `value`."""
     rows = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with closing(csv_records(path)) as records:
+        _, header = next(records, (1, None))
         if header != RESULTS_HEADER:
             raise MalformedRow(1, f"bad results header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(RESULTS_HEADER):
-                raise MalformedRow(line_no, f"expected {len(RESULTS_HEADER)} fields, "
-                                            f"got {len(row)}")
+        for line_no, row in records:
             record = dict(zip(RESULTS_HEADER, row))
             try:
                 value = float(record["value"])

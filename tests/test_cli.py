@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import harkit.classifiers as classifiers
+import harkit.errors as errors
 import harkit.evaluation as ev
 from harkit.cli import (
     EXIT_IO,
@@ -20,7 +21,7 @@ from harkit.cli import (
     main,
 )
 from harkit.ingest import SensorKind, parse_recordings_csv
-from harkit.reporting import RESULTS_HEADER, read_results_csv
+from harkit.reporting import RESULTS_HEADER, read_results_csv, write_results_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -533,9 +534,14 @@ class TestExitCodes:
                      "--protocol", "impersonal", "-o", str(tmp_path / "res")]) == EXIT_PROTOCOL
 
     @pytest.mark.parametrize("command", ["extract", "grid"])
-    def test_negative_filter_order_is_usage_error(self, recordings_csv, tmp_path, command):
+    def test_negative_filter_order_is_usage_error(self, recordings_csv, tmp_path, capsys,
+                                                  command):
         out = "-o", str(tmp_path / "x")
-        assert main([command, str(recordings_csv), "--filter-order", "-1", *out]) == EXIT_USAGE
+        with pytest.raises(SystemExit) as ei:
+            main([command, str(recordings_csv), "--filter-order", "-1", *out])
+        assert ei.value.code == EXIT_USAGE
+        assert ("--filter-order: must be an integer >= 0 (0 turns the filter off), got -1"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["summary", "extract", "grid", "report",
                                          "grid-features-csv"])
@@ -573,6 +579,16 @@ class TestExitCodes:
         assert f"error ({error}): {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_results_error_names_the_physical_line(self, tmp_path, capsys):
+        """A unit id holding a newline makes its row span lines 2-3."""
+        results = tmp_path / "results.csv"
+        write_results_csv([["personal", "nb", "b", "NR_RP", "75", "overall", "accuracy:a\nb",
+                            "0.5", "", "2"],
+                           ["personal", "nb", "b", "NR_RP", "75", "overall", "accuracy:c",
+                            "abc", "", "2"]], results)
+        assert main(["report", str(results), "-o", str(tmp_path / "report.md")]) == EXIT_SCHEMA
+        assert "error (MalformedRow): line 4: unparseable value" in capsys.readouterr().err
+
     @pytest.mark.parametrize("protocol", ["personal", "impersonal"])
     def test_fewer_than_two_folds_is_usage_error(self, recordings_csv, tmp_path, capsys,
                                                  protocol):
@@ -596,6 +612,14 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_minutes_that_round_to_no_sample_are_usage_error(self, tmp_path, capsys):
+        """round(0.0001 * 60 * 20) = 0: the CSV could hold no sample of a recording."""
+        out = tmp_path / "x"
+        assert main(["synth", "--subjects", "1", "--minutes", "0.0001",
+                     "-o", str(out)]) == EXIT_USAGE
+        assert "must round to at least 1 sample" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_variability_is_allowed(self, tmp_path):
         out = tmp_path / "x"
         assert main(["synth", "--subjects", "1", "--minutes", "0.01", "--variability", "0",
@@ -607,6 +631,7 @@ class TestExitCodes:
         ["grid", "in.csv", "--svm-c", "x"], ["grid", "in.csv", "--svm-c", "nan"],
         ["grid", "in.csv", "--bag-learners", "x"], ["synth", "--rate", "x"],
         ["synth", "--subjects", "x"], ["extract", "in.csv", "--window", "x"],
+        ["grid", "in.csv", "--filter-order", "x"],
     ])
     def test_non_number_is_usage_error_naming_the_rule(self, tmp_path, capsys, argv):
         flag, value = argv[-2:]
@@ -623,6 +648,21 @@ class TestExitCodes:
             main([command, "--no-such-flag"])
         assert ei.value.code == EXIT_USAGE
 
+
+SCHEMA_ERRORS = {"SchemaError", "MalformedRow", "NonFiniteValue", "NonMonotonicTimestamps",
+                 "UnknownActivity", "UnknownSensor"}
+
+
+@pytest.mark.parametrize("error", [c for c in vars(errors).values()
+                                   if isinstance(c, type) and issubclass(c, errors.HarkitError)],
+                         ids=lambda c: c.__name__)
+def test_error_exit_code_is_the_documented_one(error):
+    documented = {kind: int(code) for code, kind
+                  in re.findall(r"(\d) (usage|schema|protocol)", README.read_text())}
+    assert documented == {"usage": 2, "schema": 4, "protocol": 5}
+    kind = ("usage" if error is errors.UsageError
+            else "schema" if error.__name__ in SCHEMA_ERRORS else "protocol")
+    assert error.exit_code == documented[kind]
 
 def readme_commands() -> list[str]:
     """Every `harkit ...` line of the README's sh blocks, continuations joined."""

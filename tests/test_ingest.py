@@ -1,6 +1,8 @@
 """CSV schema, synthetic generation, and summary behavior."""
 import csv
+import inspect
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from harkit.errors import (
     UnknownActivity,
     UnknownSensor,
 )
+from harkit import ingest
 from harkit.ingest import (
     ACTIVITY_CSV_NAMES,
     RECORDINGS_HEADER,
@@ -23,6 +26,7 @@ from harkit.ingest import (
     SubjectMeta,
     SynthParams,
     _parse_rows,
+    csv_records,
     dataset_summary,
     generate_synthetic,
     parse_recordings_csv,
@@ -55,6 +59,8 @@ class TestSynthParams:
             {"minutes_per_activity": float("inf")},
             {"subject_variability": float("nan")},
             {"subject_variability": float("inf")},
+            # round(0.0001 * 60 * 20) = 0: a recording without samples
+            {"minutes_per_activity": 0.0001},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
@@ -305,6 +311,52 @@ class TestRecordingsCsvEdges:
                            [HEADER, "s0,s0,walking,accel,0,1,2,3", "s0,s0,walking,accel,1_0,1_5,2,3"])
         (rec,) = parse_recordings_csv(path)
         assert rec.samples.tolist() == [(0, 1.0, 2.0, 3.0), (10, 15.0, 2.0, 3.0)]
+
+
+class TestCsvRecords:
+    """csv_records numbers records by the physical line they start on."""
+
+    def two_quoted_lines(self, tmp_path):
+        """A recordings CSV whose two records span lines 2-3 and 4-5."""
+        path = tmp_path / "q.csv"
+        write_recordings_csv([_rec("a\nb", t_ms=(0,)),
+                              _rec("c\nd", t_ms=(0,), activity=Activity.Running)], path)
+        return path
+
+    def test_yields_the_line_each_record_starts_on(self, tmp_path):
+        path = self.two_quoted_lines(tmp_path)
+        assert [(line, fields[0]) for line, fields in csv_records(path)] == [
+            (1, "subject_id"), (2, "a\nb"), (4, "c\nd")]
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("s0,s0,walking,accel,50,1.0,nan,3.0", NonFiniteValue,
+         "line 7: non-finite value in column 'y'"),
+        ("s0,s0,walking,accel", MalformedRow, "line 7: expected 8 fields, got 4"),
+        ("s0,s0,flying,accel,50,1.0,2.0,3.0", UnknownActivity,
+         "line 7: unknown activity 'flying'"),
+    ], ids=["non-finite", "field-count", "activity"])
+    def test_recordings_error_names_the_physical_line(self, tmp_path, row, error, message):
+        path = self.two_quoted_lines(tmp_path)
+        with path.open("a", newline="") as fh:
+            fh.write("s0,s0,walking,accel,0,1.0,2.0,3.0\r\n" + row + "\r\n")
+        with pytest.raises(error, match=f"^{message}$"):
+            parse_recordings_csv(path)
+
+    def test_non_utf8_recordings_are_malformed_at_the_byte_s_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(HEADER.encode() + b"\ns0,s0,walking,accel,0,1,2,3\ns0,\xe9\n")
+        with pytest.raises(MalformedRow) as ei:
+            parse_recordings_csv(path)
+        assert ei.value.line_no == 3
+        assert str(ei.value) == f"line 3: {path} is not UTF-8 text"
+
+
+def test_csv_reader_is_called_only_in_csv_records():
+    """One reader owns line numbers, field counts and UTF-8 errors for every CSV input."""
+    calls = {module.name: module.read_text().count("csv.reader(")
+             for module in Path(ingest.__file__).parent.glob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"ingest.py": 1}
+    assert "csv.reader(" in inspect.getsource(ingest.csv_records)
 
 
 def reference_write(recs, fh):

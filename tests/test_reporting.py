@@ -130,6 +130,17 @@ class TestFeaturesCsv:
         assert ei.value.line_no == 3
 
 
+    def test_error_names_the_physical_line_after_quoted_newlines(self, vectors, tmp_path):
+        """The first record spans lines 2-3, so the second starts on line 4."""
+        path = tmp_path / "q.csv"
+        write_features_csv([replace(vectors[0], subject_id="a\nb"), vectors[1]], path)
+        path.write_bytes(b",0,".join(path.read_bytes().rsplit(b",75,", 1)))
+        with pytest.raises(MalformedRow) as ei:
+            read_features_csv(path)
+        assert ei.value.line_no == 4
+        assert str(ei.value).startswith("line 4: window 0 is not positive")
+
+
 class TestResultsCsv:
     def test_row_shape_and_round_trip(self, config_and_report, tmp_path):
         config, report = config_and_report
@@ -162,6 +173,19 @@ class TestResultsCsv:
         with pytest.raises(MalformedRow):
             read_results_csv(path)
 
+
+
+@pytest.mark.parametrize("read, header", [
+    (read_features_csv, "subject_id,activity,bank,window,f0"),
+    (read_results_csv, ",".join(RESULTS_HEADER)),
+], ids=["features", "results"])
+def test_non_utf8_file_is_malformed_at_the_byte_s_line(tmp_path, read, header):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(header.encode() + b"\n\n\xe9\n")
+    with pytest.raises(MalformedRow) as ei:
+        read(path)
+    assert ei.value.line_no == 3
+    assert str(ei.value) == f"line 3: {path} is not UTF-8 text"
 
 def result_rows(treatment, activity, values):
     """Results-CSV rows of one impersonal nb cell: a summary row plus one row per unit."""
