@@ -433,10 +433,6 @@ class _SvmImpl:
                 sv = alphas > 0
                 self.machines.append((ca, cb, Xp[sv], alphas[sv] * yp[sv], b))
 
-    @property
-    def converged(self) -> bool:
-        return self.budget_hits == 0
-
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not self.machines:  # single-class training set
             return np.full(len(X), int(self.classes[0])), np.ones(len(X))
@@ -498,7 +494,7 @@ class TrainedModel:
 
     @property
     def converged(self) -> bool:
-        return getattr(self.impl, "converged", True)
+        return getattr(self.impl, "budget_hits", 0) == 0
 
 
 def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:

@@ -39,6 +39,7 @@ from .ingest import (
     write_manifest_csv,
     write_recordings_csv,
 )
+from .preprocess import MIN_WINDOW
 from .reporting import (
     RunManifest,
     atomic_write_text,
@@ -94,7 +95,7 @@ _seed = _number(int, "a non-negative integer", lambda n: n >= 0)
 _positive_int = _number(int, "a positive integer", lambda n: n >= 1)
 _fold_count = _number(int, "an integer >= 2", lambda n: n >= 2)
 _positive_float = _number(float, "a finite number > 0", lambda v: 0 < v < math.inf)
-_window_size = _number(int, "an integer >= 4", lambda n: n >= 4)
+_window_size = _number(int, f"an integer >= {MIN_WINDOW}", lambda n: n >= MIN_WINDOW)
 _nonnegative_float = _number(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
 _filter_order = _number(int, "an integer >= 0 (0 turns the filter off)", lambda n: n >= 0)
 
@@ -105,7 +106,7 @@ def _axis(values: list[str] | None, default) -> list[str]:
 
 
 def _window_axis(text: str) -> tuple[int, ...]:
-    """--window's sizes: lo:hi:step (hi included) or a comma list, each at least 4."""
+    """--window's sizes: lo:hi:step (hi included) or a comma list, each at least MIN_WINDOW."""
     try:
         if ":" in text:
             lo, hi, step = (int(p) for p in text.split(":"))
@@ -114,9 +115,9 @@ def _window_axis(text: str) -> tuple[int, ...]:
             sizes = [int(p) for p in text.split(",")]
     except ValueError:
         sizes = ()
-    if not sizes or min(sizes) < 4:
-        raise UsageError("--window must be lo:hi:step or a comma list of window sizes >= 4, "
-                         f"got {text!r}")
+    if not sizes or min(sizes) < MIN_WINDOW:
+        raise UsageError("--window must be lo:hi:step or a comma list of window sizes "
+                         f">= {MIN_WINDOW}, got {text!r}")
     return tuple(dict.fromkeys(sizes))
 
 
@@ -264,8 +265,6 @@ def cmd_extract(args) -> int:
     recordings = parse_recordings_csv(args.input)
     vectors = recordings_to_features(recordings, Bank(args.bank), args.window, order,
                                      SensorKind(sensor))
-    if not vectors:
-        raise TooFewInstances(f"no windows of {args.window} samples in the recordings")
     write_features_csv(vectors, args.output)
     print(f"wrote {len(vectors)} feature vectors to {args.output}")
     return EXIT_OK

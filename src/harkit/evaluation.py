@@ -1,7 +1,7 @@
 """Personal / impersonal evaluation protocols, treatments, and the feature matrices they run on."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -56,23 +56,51 @@ class EvalConfig:
     seed: int = 0
 
 
+def accuracy(confusion: np.ndarray) -> np.ndarray:
+    """Correct over tested rows of one confusion matrix, or of each in a stack."""
+    return np.trace(confusion, axis1=-2, axis2=-1) / confusion.sum(axis=(-2, -1))
+
+
+def recall(confusion: np.ndarray) -> np.ndarray:
+    """Per true class, correct over tested rows; 0 for a class with no test rows."""
+    rows = confusion.sum(axis=-1)
+    return np.divide(np.diagonal(confusion, axis1=-2, axis2=-1), rows,
+                     out=np.zeros(rows.shape), where=rows > 0)
+
+
 @dataclass(frozen=True)
 class EvalReport:
-    overall_accuracy: float
-    per_activity_recall: dict[Activity, float]
-    confusion: np.ndarray  # 5x5 counts, rows = true class
-    per_unit_accuracies: np.ndarray
-    ci_halfwidth: float
-    n_units: int
-    unit_ids: tuple[str, ...] = field(default=())
-    unit_confusions: np.ndarray | None = None  # (n_units, 5, 5), aligned to unit_ids
-    svm_pairs: int = 0        # one-vs-one SVM machines trained over all splits
-    svm_budget_hits: int = 0  # of those, machines that stopped at the SMO step budget
+    """A cell's per-unit confusion matrices; every figure is derived from them."""
+    unit_ids: tuple[str, ...]
+    unit_confusions: np.ndarray  # (n_units, 5, 5) counts, rows = true class
+    svm_pairs: int        # one-vs-one SVM machines trained over all splits
+    svm_budget_hits: int  # of those, machines that stopped at the SMO step budget
 
-    def unit_recall(self, unit_index: int, activity: Activity) -> float:
-        conf = self.unit_confusions[unit_index]
-        row = conf[activity.value].sum()
-        return float(conf[activity.value, activity.value] / row) if row else 0.0
+    @property
+    def confusion(self) -> np.ndarray:
+        return self.unit_confusions.sum(axis=0)
+
+    @property
+    def n_units(self) -> int:
+        return len(self.unit_ids)
+
+    @property
+    def overall_accuracy(self) -> float:
+        return float(accuracy(self.confusion))
+
+    @property
+    def per_activity_recall(self) -> dict[Activity, float]:
+        return {act: float(r) for act, r in zip(Activity, recall(self.confusion))}
+
+    @property
+    def per_unit_accuracies(self) -> np.ndarray:
+        # every row is tested once, so a unit's confusion sums to its row count
+        return accuracy(self.unit_confusions)
+
+    @property
+    def ci_halfwidth(self) -> float:
+        per_unit = self.per_unit_accuracies
+        return confidence_interval(per_unit)[1] if len(per_unit) >= 2 else 0.0
 
 
 def kfold_split(k: int, labels: np.ndarray) -> list[np.ndarray]:
@@ -167,28 +195,7 @@ def evaluate(
         svm_health += health
         np.add.at(unit_conf[ui], (y[test_idx], pred), 1)
 
-    confusion = unit_conf.sum(axis=0)
-    total = confusion.sum()
-    overall = float(np.trace(confusion)) / total
-    recall = {}
-    for act in Activity:
-        row = confusion[act.value].sum()
-        recall[act] = float(confusion[act.value, act.value]) / row if row else 0.0
-    # every row is tested once, so a unit's confusion sums to its row count
-    per_unit = np.trace(unit_conf, axis1=1, axis2=2) / unit_conf.sum(axis=(1, 2))
-    _, halfwidth = confidence_interval(per_unit) if len(per_unit) >= 2 else (0.0, 0.0)
-    return EvalReport(
-        overall_accuracy=overall,
-        per_activity_recall=recall,
-        confusion=confusion,
-        per_unit_accuracies=per_unit,
-        ci_halfwidth=halfwidth,
-        n_units=len(per_unit),
-        unit_ids=tuple(unit_ids),
-        unit_confusions=unit_conf,
-        svm_pairs=int(svm_health[0]),
-        svm_budget_hits=int(svm_health[1]),
-    )
+    return EvalReport(tuple(unit_ids), unit_conf, int(svm_health[0]), int(svm_health[1]))
 
 
 def recordings_to_features(
@@ -198,7 +205,8 @@ def recordings_to_features(
     filter_order: int = 3,
     sensor: SensorKind = SensorKind.Accelerometer,
 ):
-    """filter -> segment -> one bank call per recording of `sensor`; returns FeatureVectors."""
+    """filter -> segment -> one bank call per recording of `sensor`; returns FeatureVectors.
+    Raises TooFewInstances when no recording holds a whole window."""
     vectors = []
     for rec in recordings:
         if rec.sensor is not sensor:
@@ -207,6 +215,8 @@ def recordings_to_features(
         values = bank_matrix(bank, window_block(filtered, samples_per_window))
         vectors.extend(FeatureVector(bank, row, rec.activity, rec.subject_id, samples_per_window)
                        for row in values)
+    if not vectors:
+        raise TooFewInstances(f"no windows of {samples_per_window} samples in the recordings")
     return vectors
 
 
@@ -219,8 +229,6 @@ def feature_matrices(recordings: list[Recording], banks: list[Bank], windows: tu
     out = {}
     for bank in banks:
         for window in windows:
-            vectors = recordings_to_features(recordings, bank, window, 0, sensor)
-            if not vectors:
-                raise TooFewInstances(f"no windows of {window} samples in the recordings")
-            out[bank, window] = feature_matrix(vectors)
+            out[bank, window] = feature_matrix(
+                recordings_to_features(recordings, bank, window, 0, sensor))
     return out

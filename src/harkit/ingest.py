@@ -124,13 +124,19 @@ class SynthParams:
         if not 0 < self.sample_rate_hz <= 1000:
             raise ValueError("sample_rate_hz must be positive and at most 1000: "
                              "timestamps are whole milliseconds")
-        if self.minutes_per_activity * 60 * self.sample_rate_hz <= 0.5:  # rounds to 0
+        if not 1 <= self.n_samples < math.inf:
             raise ValueError("minutes_per_activity * 60 * sample_rate_hz must round to "
-                             "at least 1 sample")
+                             "at least 1 sample and be finite")
         if not 0 <= self.subject_variability < math.inf:
             raise ValueError("subject_variability must be non-negative and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+    @property
+    def n_samples(self) -> float:
+        """Samples per recording: minutes * 60 * rate, rounded (inf if that overflows)."""
+        n = self.minutes_per_activity * 60 * self.sample_rate_hz
+        return round(n) if math.isfinite(n) else n
 
 
 # Synthetic signal model, per activity:
@@ -172,7 +178,7 @@ def generate_synthetic(params: SynthParams) -> tuple[list[Recording], list[Subje
     ``subject_variability``, which makes impersonal evaluation strictly harder
     than personal evaluation.
     """
-    n_samples = int(round(params.minutes_per_activity * 60 * params.sample_rate_hz))
+    n_samples = params.n_samples
     root = np.random.SeedSequence(params.seed)
     subject_seqs = root.spawn(params.n_subjects)
 

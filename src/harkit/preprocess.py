@@ -8,6 +8,8 @@ import numpy as np
 from .errors import EmptySignal, EmptyTrainingSet, WidthMismatch
 from .ingest import Activity, Recording, SensorKind, samples_from_columns
 
+MIN_WINDOW = 4  # samples; the fewest a window may hold
+
 
 @dataclass(frozen=True)
 class Window:
@@ -21,8 +23,8 @@ class Window:
     def __post_init__(self):
         if not (len(self.x) == len(self.y) == len(self.z)):
             raise WidthMismatch("axis lengths differ")
-        if len(self.x) < 4:
-            raise ValueError("window must hold at least 4 samples")
+        if len(self.x) < MIN_WINDOW:
+            raise ValueError(f"window must hold at least {MIN_WINDOW} samples")
 
 
 def moving_average_filter(signal: np.ndarray, order: int = 3) -> np.ndarray:
@@ -47,8 +49,8 @@ def filter_recording(rec: Recording, order: int = 3) -> Recording:
 def window_block(rec: Recording, samples_per_window: int) -> np.ndarray:
     """The x, y and z axes cut into non-overlapping, in-order windows: one
     C-contiguous (3, n_windows, w) array; the trailing partial window is dropped."""
-    if samples_per_window < 4:
-        raise ValueError("samples_per_window must be >= 4")
+    if samples_per_window < MIN_WINDOW:
+        raise ValueError(f"samples_per_window must be >= {MIN_WINDOW}")
     n = len(rec.samples) // samples_per_window
     return np.stack([a[: n * samples_per_window] for a in rec.axes()]).reshape(
         3, n, samples_per_window)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedRow, NonFiniteValue
-from .evaluation import EvalConfig, EvalReport
+from .evaluation import EvalConfig, EvalReport, accuracy, recall
 from .features import Bank, BANK_WIDTH, FeatureVector
 from .ingest import ACTIVITY_CSV_NAMES, Activity, CSV_NAME_TO_ACTIVITY, csv_records
 from .stats import paired_t_test
@@ -100,7 +100,8 @@ def is_features_csv(path: str | Path) -> bool:
 
 
 def report_rows(config: EvalConfig, report: EvalReport) -> list[list[str]]:
-    """One row per (activity, recall) plus the overall-accuracy row."""
+    """Per activity a recall row, then an overall-accuracy row: first for the pooled
+    confusion (with the CI), then for each unit's (`recall:<unit>`, `accuracy:<unit>`)."""
     base = [
         config.protocol.value,
         config.model_spec.kind.value,
@@ -108,31 +109,18 @@ def report_rows(config: EvalConfig, report: EvalReport) -> list[list[str]]:
         config.treatment.name,
         str(config.samples_per_window),
     ]
-    rows = []
-    for act in Activity:
-        rows.append(
-            base
-            + [ACTIVITY_CSV_NAMES[act], "recall",
-               repr(float(report.per_activity_recall[act])), "", str(report.n_units)]
-        )
-    rows.append(
-        base
-        + ["overall", "accuracy", repr(float(report.overall_accuracy)),
-           repr(float(report.ci_halfwidth)), str(report.n_units)]
-    )
+    n_units = str(report.n_units)
+    blocks = [("", report.confusion, repr(report.ci_halfwidth))]
     # per-unit rows enable paired t-tests across treatments downstream
-    for ui, unit in enumerate(report.unit_ids):
-        for act in Activity:
-            rows.append(
-                base
-                + [ACTIVITY_CSV_NAMES[act], f"recall:{unit}",
-                   repr(float(report.unit_recall(ui, act))), "", str(report.n_units)]
-            )
-        rows.append(
-            base
-            + ["overall", f"accuracy:{unit}",
-               repr(float(report.per_unit_accuracies[ui])), "", str(report.n_units)]
-        )
+    blocks += [(f":{unit}", conf, "")
+               for unit, conf in zip(report.unit_ids, report.unit_confusions)]
+    rows = []
+    for suffix, conf, ci in blocks:
+        for act, value in zip(Activity, recall(conf)):
+            rows.append(base + [ACTIVITY_CSV_NAMES[act], f"recall{suffix}",
+                                repr(float(value)), "", n_units])
+        rows.append(base + ["overall", f"accuracy{suffix}", repr(float(accuracy(conf))),
+                            ci, n_units])
     return rows
 
 

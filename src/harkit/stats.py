@@ -121,15 +121,11 @@ def confidence_interval(
 class TTestResult:
     t_stat: float
     p_two_sided: float
-    degenerate: bool = False  # constant nonzero differences (zero variance)
-
-    def __iter__(self):
-        return iter((self.t_stat, self.p_two_sided))
 
 
 def paired_t_test(a: np.ndarray, b: np.ndarray) -> TTestResult:
-    """Classic paired t on a - b; all-zero diffs give (0, 1), constant nonzero
-    diffs are flagged degenerate and reported as p = 0."""
+    """Classic paired t on a - b; all-zero diffs give t = 0, p = 1, and constant
+    nonzero diffs (zero variance) give t = ±inf, p = 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -143,7 +139,7 @@ def paired_t_test(a: np.ndarray, b: np.ndarray) -> TTestResult:
     if s == 0.0:
         if mean == 0.0:
             return TTestResult(0.0, 1.0)
-        return TTestResult(math.inf if mean > 0 else -math.inf, 0.0, degenerate=True)
+        return TTestResult(math.inf if mean > 0 else -math.inf, 0.0)
     t = mean / (s / math.sqrt(n))
     p = 2.0 * (1.0 - t_cdf(abs(t), n - 1))
     return TTestResult(t, min(max(p, 0.0), 1.0))

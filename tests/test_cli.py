@@ -407,6 +407,18 @@ class TestGrid:
                  == ("bag", "unr-rp", "personal")]
         assert block == read_results_csv(out / "grid_results.csv")
 
+    def test_results_csv_is_unchanged(self, tmp_path):
+        # sha256 of the rows a small grid writes on a three-subject dataset: both
+        # protocols, so pooled and per-unit recall, accuracy and the CI stay byte for byte
+        data, out = tmp_path / "data", tmp_path / "grid"
+        assert main(["--seed", "4", "synth", "--subjects", "3", "--minutes", "0.5",
+                     "-o", str(data)]) == EXIT_OK
+        assert main(["--seed", "4", "grid", str(data / "recordings.csv"), "--model", "nb",
+                     "dtree", "--bank", "b", "--treatment", "nr-rp", "unr-rp",
+                     "-o", str(out)]) == EXIT_OK
+        assert hashlib.sha256((out / "grid_results.csv").read_bytes()).hexdigest() == (
+            "7c44cebc5b8680b4d1611b877de9ef5cacfaf7fe0702cc56ee82ea3a4a212d36")
+
     def test_features_csv_supplies_its_window(self, recordings_csv, tmp_path):
         features = tmp_path / "features.csv"
         assert main(["extract", str(recordings_csv), "--bank", "b",
@@ -618,6 +630,14 @@ class TestExitCodes:
         assert main(["synth", "--subjects", "1", "--minutes", "0.0001",
                      "-o", str(out)]) == EXIT_USAGE
         assert "must round to at least 1 sample" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_minutes_whose_sample_count_overflows_are_usage_error(self, tmp_path, capsys):
+        """1e308 * 60 * 20 is inf: no recording could hold that many samples."""
+        out = tmp_path / "x"
+        assert main(["synth", "--subjects", "1", "--minutes", "1e308",
+                     "-o", str(out)]) == EXIT_USAGE
+        assert "and be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_variability_is_allowed(self, tmp_path):

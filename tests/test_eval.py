@@ -12,14 +12,16 @@ from harkit.evaluation import (
     EvalConfig,
     Protocol,
     Treatment,
+    accuracy,
     evaluate,
     feature_matrices,
     kfold_split,
     loso_split,
+    recall,
     recordings_to_features,
 )
 from harkit.features import Bank, feature_matrix
-from harkit.ingest import Activity, SensorKind
+from harkit.ingest import SensorKind
 
 
 def toy_problem(rng, n_subjects=3, per_subject_class=20, d=6, sep=5.0):
@@ -101,6 +103,25 @@ class TestLosoSplit:
             loso_split(["only"] * 5)
 
 
+class TestConfusionFigures:
+    # true class 2 has no test rows; class 4 has rows but none predicted right
+    CONF = np.array([[3, 1, 0, 0, 0],
+                     [0, 2, 0, 0, 0],
+                     [0, 0, 0, 0, 0],
+                     [1, 0, 0, 1, 0],
+                     [0, 0, 0, 2, 0]])
+
+    def test_recall_of_an_untested_class_is_zero(self):
+        np.testing.assert_array_equal(recall(self.CONF), [3 / 4, 1.0, 0.0, 1 / 2, 0.0])
+
+    def test_recall_and_accuracy_work_on_one_matrix_and_a_stack(self):
+        stack = np.stack([self.CONF, np.eye(5, dtype=int), 2 * self.CONF])
+        assert accuracy(self.CONF) == 6 / 10
+        np.testing.assert_array_equal(accuracy(stack), [6 / 10, 1.0, 12 / 20])
+        np.testing.assert_array_equal(recall(stack),
+                                      [recall(conf) for conf in stack])
+
+
 class TestEvaluateAccounting:
     @pytest.mark.parametrize("protocol", [Protocol.Personal, Protocol.Impersonal])
     @pytest.mark.parametrize("treatment", [NR_RP, NR_NRP, UNR_RP])
@@ -130,9 +151,8 @@ class TestEvaluateAccounting:
         config = EvalConfig(ModelSpec(ModelKind.Knn, k=3), Bank.B70, 75,
                             NR_RP, Protocol.Impersonal, seed=5)
         report = evaluate(config, X, y, subjects)
-        for ui in range(report.n_units):
-            for act in Activity:
-                r = report.unit_recall(ui, act)
+        for conf in report.unit_confusions:
+            for r in recall(conf):
                 assert 0.0 <= r <= 1.0
         assert len(report.per_unit_accuracies) == report.n_units
         assert report.ci_halfwidth >= 0.0

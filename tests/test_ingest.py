@@ -61,6 +61,8 @@ class TestSynthParams:
             {"subject_variability": float("inf")},
             # round(0.0001 * 60 * 20) = 0: a recording without samples
             {"minutes_per_activity": 0.0001},
+            # finite, but minutes * 60 * rate overflows to inf
+            {"minutes_per_activity": 1e308},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
