@@ -7,8 +7,11 @@ bagging bootstraps, flows from spec.seed. Labels are integer class codes
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,25 +59,6 @@ class _TreeNode:
     right: "_TreeNode | None" = None
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
-
-
-def _majority(counts: np.ndarray) -> int:
-    # ties break toward the smallest class code
-    return int(np.argmax(counts))
-
-
-# Elements of one (words, features, rows) temporary in the split search. A small
-# node searches all of its features in one block; a large node takes fewer features
-# per block, which keeps each block cache-sized.
-_SPLIT_BLOCK_ELEMENTS = 32_768
-
-
 def _sum_classes(q: np.ndarray) -> np.ndarray:
     """`q` summed over its leading class axis, in the order `np.sum` adds a contiguous
     class axis: one term after another below 8 terms, pairwise from 8 on. Below 8
@@ -87,99 +71,383 @@ def _sum_classes(q: np.ndarray) -> np.ndarray:
     return total
 
 
-def _best_split(XT: np.ndarray, y: np.ndarray, w: np.ndarray, rows: np.ndarray,
-                counts: np.ndarray):
-    """Exhaustive scan over midpoints of a node's sorted unique values, a block of
-    features at once.
+# Elements of one (words, features, columns) temporary of the split search, and of one
+# block of the partition into children; as int64, 128 KiB. A block takes as many
+# nodes, side by side, and as many features as fit; a node larger than that takes a
+# block of its own, one feature wide.
+_SPLIT_BLOCK_ELEMENTS = 16_384
 
-    `rows` (features, rows) lists the node's rows in ascending order of each feature
-    of `XT` (features, all rows); row i counts `w[i]` times, and `counts` holds the
-    node's class counts so weighted. Returns (gain, feature, threshold) or None if no
-    split improves impurity. Ties keep the first (lowest feature index, lowest
-    threshold) candidate.
+# (features, rows) elements of the presorted matrix per group of bagged trees grown
+# together. A group's trees share every search and split call; its roots hold about
+# 0.63 of that many int32 row ids (the distinct rows of their bootstraps), 1.3 MB, and
+# the frontier only shrinks from there.
+_GROUP_ELEMENTS = 1 << 19
 
-    With k of the node's m rows on the left, the weighted Gini is 1 - S/m, where
-    S = sum_c left_c^2 / k + sum_c right_c^2 / (m - k); so S ranks positions as the
-    gain does. S comes from exact integers: the class counts are packed `bits` apiece
-    into int64 words, so one cumsum counts every class, and sum_c left_c^2 and
-    sum_c counts_c * left_c are cumsums of integer terms. The gain formula then runs
-    only where S is within 1e-12 * m of a feature's best S. Why that is enough, with
-    u = 2^-53 and C classes:
-    - the gain formula is off by at most (C + 7)u: C squares of quotients and their
-      sum (C + 2)u, then 1 - sum, the products with k and m - k, their sum, /m and
-      parent - weighted, u each;
-    - S is off by at most 2mu: two quotients of exact integers below 2^53 and their
-      sum, each at most m;
-    - so a position of largest computed gain has an S within 2m(C + 7)u + 2 * 2mu =
-      2m(C + 9)u of the largest computed S: 3.1e-15 m for C = 5. 1e-12 m is over 100
-      times that up to C = 36, and still covers it up to C = 4,494.
+
+class _Frontier(NamedTuple):
+    """Open nodes, of one tree or of several, with their rows side by side."""
+    ids: np.ndarray     # (features, columns) int32: node after node, each node's rows
+                        # in ascending order of each feature, row r of tree t as t * n + r
+    sizes: np.ndarray   # (nodes,) columns of each node
+    trees: np.ndarray   # (nodes,) the tree of each node
+    counts: np.ndarray  # (nodes, classes) int64 weighted class counts
+    nodes: list         # the _TreeNode of each node
+
+    def select(self, i: int) -> "_Frontier":
+        start = int(self.sizes[:i].sum())
+        return _Frontier(self.ids[:, start:start + self.sizes[i]], self.sizes[i:i + 1],
+                         self.trees[i:i + 1], self.counts[i:i + 1], [self.nodes[i]])
+
+
+def _layout(widths: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(word, shift) of each field of the given bit widths, packed in order into int64
+    words: a field goes into a word while it fits in the word's low 63 bits."""
+    word, shift, at = [], [], 0
+    for width in widths:
+        if at % 63 + width > 63:
+            at += 63 - at % 63
+        word.append(at // 63)
+        shift.append(at % 63)
+        at += width
+    return np.array(word), np.array(shift)
+
+
+def _runs(sizes: np.ndarray, limit: int):
+    """(first, end) ranges of consecutive nodes whose sizes sum to at most `limit`, a
+    larger node alone."""
+    first, total = 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        if total and total + size > limit:
+            yield first, i
+            first, total = i, 0
+        total += size
+    yield first, len(sizes)
+
+
+class _Scratch:
+    """Named buffers that the blocks of one search reuse: each block's temporaries
+    take memory already handed out instead of fresh pages."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple, dtype=np.int64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+class _Forest:
+    """CART trees grown on one matrix `XT` (features, rows), whose `order` is
+    `argsort(XT, axis=1)`, tree t counting row i `W[t, i]` times (rows with W = 0 are
+    left out) over `n_classes[t]` classes: a bagging ensemble's bootstraps, or one tree
+    with every count 1.
+
+    Growth runs on frontiers of open nodes from any of the trees (`_Frontier`): one
+    `best_splits` call searches all of them, one `split` call partitions them. Row r of
+    tree t looks up its per-row terms at t * n + r.
+
+    A node's count never exceeds its tree's total, which takes `bits` bits. The search
+    runs two cumulative sums of packed int64 words (`_layout`). One holds each class's
+    count, `bits` apiece. The other holds sum_c left_c^2, k and the sum over the rows
+    of the row's count times its class's count in the node: 2 * bits, bits and 2 * bits,
+    as the squares and products of counts are at most m^2.
     """
-    n_features, r = rows.shape
-    if r < 2:  # one distinct row: no value to split between
-        return None
-    n = XT.shape[1]
-    n_classes = len(counts)
-    m = int(counts.sum())
-    parent_gini = _gini(counts)
-    tol = 1e-12 * m
-    bits = m.bit_length()
-    per_word = 63 // bits
-    cls = np.arange(n_classes)
-    word, shift = cls // per_word, bits * (cls % per_word)
-    unit = np.zeros((word[-1] + 1, n_classes), dtype=np.int64)
-    unit[word, cls] = np.left_shift(1, shift)
-    mask = (1 << bits) - 1
-    sq_total = int(np.dot(counts, counts))
-    # each row's terms of the cumulative sums, looked up by row in every block: its
-    # count in its class's slot; per word, the shift to that slot, or 63 (a shift to
-    # 0) in the other words; and its count times its class's count
-    packed = w * unit[:, y]
-    own_shift = np.where(word[y] == np.arange(len(unit))[:, None], shift[y], 63)
-    w_counts = counts[y] * w
-    width = max(1, _SPLIT_BLOCK_ELEMENTS // (r * len(unit)))
-    best = None
-    for start in range(0, n_features, width):
-        R = rows[start:start + width]
-        v = np.take(XT, R + n * np.arange(start, start + len(R))[:, None])  # sorted values
-        wR = np.take(w, R)
-        P = np.cumsum(np.take(packed, R, axis=1), axis=2)  # every class's left count, packed
-        k = np.cumsum(wR, axis=1)
-        # the left count of the row's own class, the row included
-        own = sum((Pj >> np.take(sj, R)) & mask for Pj, sj in zip(P, own_shift))
-        left_sq = np.cumsum((2 * own - wR) * wR, axis=1)
-        right_sq = sq_total - 2 * np.cumsum(np.take(w_counts, R), axis=1) + left_sq
-        k, left_sq, right_sq = k[:, :-1], left_sq[:, :-1], right_sq[:, :-1]
-        S = left_sq / k + right_sq / (m - k)
-        # only positions where the sorted value changes can split
-        valid = v[:, :-1] < v[:, 1:]
-        S[~valid] = -np.inf
-        near = np.flatnonzero(valid & (S >= S.max(axis=1, keepdims=True) - tol))
-        if near.size == 0:
-            continue
-        fi, pi = np.divmod(near, r - 1)
-        # the gain at those positions from the unpacked counts, in the formula's order
-        kk = k[fi, pi].astype(float)
-        left = ((P[:, fi, pi][word] >> shift[:, None]) & mask).astype(float)
-        right = counts[:, None] - left
-        gl = 1.0 - _sum_classes((left / kk) ** 2)
-        gr = 1.0 - _sum_classes((right / (m - kk)) ** 2)
-        weighted = (kk * gl + (m - kk) * gr) / m
-        gains = np.full(S.shape, -np.inf)
-        gains.flat[near] = parent_gini - weighted
-        pos = np.argmax(gains, axis=1)
-        top = gains[np.arange(len(pos)), pos]
-        for j in np.flatnonzero(top > 1e-15):
-            gain = float(top[j])
-            if best is None or gain > best[0] + 1e-15:
-                p = pos[j]
-                best = (gain, start + int(j), float(0.5 * (v[j, p] + v[j, p + 1])))
-    return best
 
+    def __init__(self, XT: np.ndarray, order: np.ndarray, y: np.ndarray, W: np.ndarray,
+                 n_classes: np.ndarray):
+        self.XT, self.order, self.n_classes = XT, order, n_classes
+        n_cls = int(n_classes.max())
+        bits = int(W.sum(axis=1).max()).bit_length()
+        self.mask, self.sq_mask = (1 << bits) - 1, (1 << 2 * bits) - 1
+        self.word, self.shift = _layout([bits] * n_cls)
+        # (words, classes): each class's unit in the packed class counts
+        self.unit = np.zeros((self.word[-1] + 1, n_cls), dtype=np.int64)
+        self.unit[self.word, np.arange(n_cls)] = np.left_shift(1, self.shift)
+        # the words and shifts of sum_c left_c^2, k and sum_c counts_c left_c
+        self.sums = _layout([2 * bits, bits, 2 * bits])
+        # class 0 for the rows a tree leaves out keeps y within its counts
+        self.y = np.where(W > 0, y, 0).ravel()
+        self.w = W.ravel()
+        # each row's packed terms; per word, the shift to the row's class's slot, or 63
+        # (a shift to 0) in the other words
+        self.packed = self.w * self.unit[:, self.y]
+        self.own_shift = np.where(self.word[self.y] == np.arange(len(self.unit))[:, None],
+                                  self.shift[self.y], 63)
+        # features without two equal values: every position between two rows of a node
+        # can split there
+        sorted_values = np.take(XT, order + XT.shape[1] * np.arange(len(XT))[:, None])
+        tied = (sorted_values[:, 1:] == sorted_values[:, :-1]).any(axis=1)
+        # the search visits features without ties first, so each block's features with
+        # ties are its last rows
+        self.features = np.concatenate([np.flatnonzero(~tied), np.flatnonzero(tied)])
+        self.n_untied = int(np.count_nonzero(~tied))
 
-def _kept(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The rows of `rows` (features, rows) where the per-row mask `keep` holds, each
-    feature's order kept: a node's children are a stable partition, with no sort."""
-    return np.compress(np.take(keep, rows).ravel(), rows).reshape(len(rows), -1)
+    def roots(self) -> tuple[list[_TreeNode], _Frontier]:
+        """Every tree's root, and the frontier of the roots that hold two classes or
+        more."""
+        n_trees, n_cls = len(self.n_classes), int(self.n_classes.max())
+        n_features, n = self.XT.shape
+        counts = np.bincount(np.repeat(np.arange(n_trees), n) * n_cls + self.y,
+                             weights=self.w, minlength=n_trees * n_cls)
+        counts = counts.reshape(n_trees, n_cls).astype(np.int64)
+        roots = [_TreeNode(label=label) for label in counts.argmax(axis=1).tolist()]
+        grow = np.flatnonzero(np.count_nonzero(counts, axis=1) >= 2)
+        drawn = self.w.reshape(n_trees, n)[grow] > 0
+        sizes = np.count_nonzero(drawn, axis=1)
+        ids = np.empty((n_features, int(sizes.sum())), dtype=np.int32)
+        at = 0
+        for t, keep, size in zip(grow.tolist(), drawn, sizes.tolist()):
+            kept = np.compress(np.take(keep, self.order).ravel(), self.order)
+            ids[:, at:at + size] = (kept + t * n).reshape(n_features, size)
+            at += size
+        return roots, _Frontier(ids, sizes, grow, counts[grow], [roots[t] for t in grow])
+
+    def grow(self) -> list[_TreeNode]:
+        """Every tree's root, each tree grown with no split budget, a level of every
+        tree per round: each round searches and splits all open nodes at once. An
+        unbounded tree splits every node that can split, so the order of splits cannot
+        change it."""
+        roots, frontier = self.roots()
+        while frontier.nodes:
+            _, feature, threshold = self.best_splits(frontier)
+            frontier = self.split(frontier, feature, threshold)
+        return roots
+
+    def best_splits(self, fr: _Frontier) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The best split of every node of `fr` by an exhaustive scan over midpoints of
+        its sorted distinct values: (gain, feature, threshold) arrays, feature -1 where
+        no split improves impurity. Ties keep the first (lowest feature index, lowest
+        threshold) candidate; a later feature wins only by more than 1e-15.
+
+        A node's columns form a segment, and a block covers a run of segments and some
+        features. With k of a node's m rows on the left, the weighted Gini is 1 - S/m,
+        where S = sum_c left_c^2 / k + sum_c right_c^2 / (m - k); so S ranks positions
+        as the gain does. S comes from exact integers: the class counts, and
+        sum_c left_c^2, k and sum_c counts_c left_c, are cumulative sums of integer
+        terms, and sum_c right_c^2 = sum_c counts_c^2 - 2 sum_c counts_c left_c +
+        sum_c left_c^2. Each cumulative sum runs over the whole block, but the term in a
+        node's first column has the previous node's total subtracted, which its class
+        counts give (its packed class counts; sum_c counts_c^2, m and sum_c counts_c^2,
+        packed): so the sum restarts at every node, and every partial sum is the node's
+        own, which fits its fields. A sum that ran on across nodes instead would carry
+        one class's count into the next field, and over enough nodes past 2^63. A
+        node's last column, and positions whose sorted value does not change, cannot
+        split, so no position spans two nodes.
+
+        The gain formula then runs only where S is within 1e-12 * m of the best S of
+        the node's feature. Why that is enough, with u = 2^-53 and C classes:
+        - the gain formula is off by at most (C + 7)u: C squares of quotients and their
+          sum (C + 2)u, then 1 - sum, the products with k and m - k, their sum, /m and
+          parent - weighted, u each;
+        - S is off by at most 2mu: two quotients of exact integers below 2^53 and their
+          sum, each at most m;
+        - so a position of largest computed gain has an S within 2m(C + 7)u + 2 * 2mu =
+          2m(C + 9)u of the largest computed S: 3.1e-15 m for C = 5. 1e-12 m is over 100
+          times that up to C = 36, and still covers it up to C = 4,494.
+        Each node sums its classes over its own tree's class count, so the additions
+        run in the order a search of that node alone takes. The nodes of one tree hold
+        disjoint rows, as a tree's open nodes do.
+        """
+        n_features, n = self.XT.shape
+        n_nodes = len(fr.sizes)
+        ends = np.cumsum(fr.sizes)
+        starts = ends - fr.sizes
+        col_node = np.repeat(np.arange(n_nodes), fr.sizes)
+        col_base = np.repeat(fr.trees * n, fr.sizes)  # where each column's tree starts
+        m = fr.counts.sum(axis=1)
+        tol = 1e-12 * m
+        sq_total = np.einsum("ij,ij->i", fr.counts, fr.counts)
+        n_cls = self.n_classes[fr.trees]
+        classes = sorted(set(n_cls.tolist()))
+        parent_gini = np.empty(n_nodes)
+        for C in classes:
+            at = slice(None) if len(classes) == 1 else n_cls == C
+            p = fr.counts[at, :C] / m[at, None]
+            parent_gini[at] = 1.0 - (p * p).sum(axis=1)
+        # the second sum's terms but sum_c left_c^2's, which come from the first sum:
+        # per (tree, row), the row's count, and its count times its class's count in
+        # its node
+        (sq_word, k_word, cw_word), (sq_shift, k_shift, cw_shift) = self.sums
+        ids = fr.ids[0]
+        kcw = np.zeros((cw_word + 1, len(self.w)), dtype=np.int64)
+        kcw[k_word, ids] = self.w[ids] << k_shift
+        kcw[cw_word, ids] += (fr.counts[col_node, self.y[ids]] * self.w[ids]) << cw_shift
+        # each node's totals of the terms, to restart the sums at the next node
+        packed_total = self.unit @ fr.counts.T
+        sums_total = np.zeros((len(kcw), n_nodes), dtype=np.int64)
+        for word, shift, total in zip(*self.sums, (sq_total, m, sq_total)):
+            sums_total[word] += total << shift
+        # each feature's best gain and its threshold, per node
+        tops = np.full((n_nodes, n_features), -np.inf)
+        thresholds = np.zeros((n_nodes, n_features))
+        limit = max(1, _SPLIT_BLOCK_ELEMENTS // max(len(self.unit), len(kcw)))
+        scratch = _Scratch()
+        for a, b in _runs(fr.sizes, limit):
+            c0, c1 = starts[a], ends[b - 1]
+            first, restart = starts[a:b] - c0, starts[a + 1:b] - c0
+            packed_prev = packed_total[:, None, a:b - 1]
+            sums_prev = sums_total[:, None, a:b - 1]
+            base = col_base[c0:c1]
+            node = col_node[c0:c1]  # position p splits between columns p and p + 1
+            local = node - a
+            m_at, sq_at = m[node].astype(float), sq_total[node].astype(float)
+            last = ends[a:b] - c0 - 1  # no split after a node's last column
+            width = max(1, limit // (c1 - c0))
+            for f0 in range(0, n_features, width):
+                feats = self.features[f0:f0 + width]
+                tied = max(0, self.n_untied - f0)  # the first row of a feature with ties
+                shape = (len(feats), c1 - c0)
+                G = scratch("G", shape)
+                G[...] = fr.ids[feats, c0:c1]
+                P = scratch("P", (len(self.unit),) + shape)
+                np.take(self.packed, G, axis=1, out=P, mode="clip")
+                P[:, :, restart] -= packed_prev
+                np.cumsum(P, axis=2, out=P)
+                # the left count of the row's own class, the row included
+                t = scratch("t", shape)
+                own = scratch("own", shape)
+                np.take(self.own_shift[0], G, out=t, mode="clip")
+                np.right_shift(P[0], t, out=own)
+                for j in range(1, len(P)):
+                    np.take(self.own_shift[j], G, out=t, mode="clip")
+                    own += np.right_shift(P[j], t, out=t)
+                own &= self.mask
+                wR = np.take(self.w, G, out=scratch("wR", shape), mode="clip")
+                own <<= 1
+                own -= wR
+                own *= wR
+                L = np.take(kcw, G, axis=1, out=scratch("L", (len(kcw),) + shape), mode="clip")
+                L[sq_word] += own  # sum_c left_c^2 takes the low bits of the first word
+                L[:, :, restart] -= sums_prev
+                np.cumsum(L, axis=2, out=L)
+                # S at every position, from the exact integers; the sum of counts
+                # times left counts is the top field of its word
+                S = scratch("S", shape, np.float64)
+                S[...] = np.bitwise_and(L[sq_word], self.sq_mask, out=t)
+                k = scratch("k", shape, np.float64)
+                np.right_shift(L[k_word], k_shift, out=t)
+                k[...] = np.bitwise_and(t, self.mask, out=t)
+                right_sq = scratch("right_sq", shape, np.float64)
+                right_sq[...] = np.right_shift(L[cw_word], cw_shift, out=t)
+                right_sq *= -2
+                right_sq += S
+                right_sq += sq_at
+                S /= k
+                np.subtract(m_at, k, out=k)  # now m - k
+                with np.errstate(divide="ignore", invalid="ignore"):  # at a node's end
+                    right_sq /= k
+                S += right_sq
+                # only positions where the sorted value changes, within a node, split
+                S[:, last] = -np.inf
+                if tied < len(feats):
+                    v = np.subtract(G[tied:], base, out=t[tied:])
+                    v += n * feats[tied:, None]
+                    v = np.take(self.XT, v, out=right_sq[tied:], mode="clip")
+                    np.copyto(S[tied:, :-1], -np.inf, where=v[:, :-1] >= v[:, 1:])
+                cut = np.maximum.reduceat(S, first, axis=1)
+                cut[cut == -np.inf] = np.inf  # no position of that feature can split
+                cut -= tol[a:b]
+                cut = np.take(cut, local, axis=1, out=right_sq, mode="clip")
+                near = scratch("near", shape, bool)
+                near = np.flatnonzero(np.greater_equal(S, cut, out=near))
+                if near.size == 0:
+                    continue
+                fi, pi = np.divmod(near, c1 - c0)
+                ni = node[pi]
+                # the gain at those positions from the unpacked counts, in the
+                # formula's order, over each node's own class count
+                mm = m[ni]
+                kk = mm - k[fi, pi]
+                left = (P[:, fi, pi][self.word] >> self.shift[:, None]) & self.mask
+                left = left.astype(float)
+                right = fr.counts[ni].T - left
+                gains = np.empty(len(near))
+                for C in classes:
+                    at = slice(None) if len(classes) == 1 else n_cls[ni] == C
+                    ka, ma = kk[at], mm[at]
+                    gl = 1.0 - _sum_classes((left[:C, at] / ka) ** 2)
+                    gr = 1.0 - _sum_classes((right[:C, at] / (ma - ka)) ** 2)
+                    gains[at] = parent_gini[ni[at]] - (ka * gl + (ma - ka) * gr) / ma
+                # per (feature, node): the first position of highest gain, by a stable
+                # sort of `near`, which is in (feature, node, position) order
+                ranked = np.lexsort((-gains, fi * n_nodes + ni))
+                key = (fi * n_nodes + ni)[ranked]
+                win = ranked[np.concatenate([[True], key[1:] != key[:-1]])]
+                win = win[gains[win] > 1e-15]
+                f, p, ni = fi[win], pi[win], ni[win]
+                rows = G[f, p] - base[p] + n * feats[f]
+                tops[ni, feats[f]] = gains[win]
+                thresholds[ni, feats[f]] = 0.5 * (
+                    np.take(self.XT, rows) + np.take(self.XT, rows + (G[f, p + 1] - G[f, p])))
+        # across features in ascending order, a feature wins only by beating the best so
+        # far by more than 1e-15. The best so far never falls, and it would take every
+        # earlier feature's gain within 1e-15, so only a feature whose gain exceeds every
+        # earlier one's can win: the scan visits just those.
+        earlier = np.full_like(tops, -np.inf)
+        np.maximum.accumulate(tops[:, :-1], axis=1, out=earlier[:, 1:])
+        rises = np.flatnonzero(tops > earlier)
+        best: dict[int, tuple[float, int]] = {}
+        for i, gain in zip(rises.tolist(), tops.ravel()[rises].tolist()):
+            node = i // n_features
+            if node not in best or gain > best[node][0] + 1e-15:
+                best[node] = (gain, i)
+        gain = np.zeros(n_nodes)
+        feature = np.full(n_nodes, -1)
+        threshold = np.zeros(n_nodes)
+        if best:
+            nodes = np.fromiter(best, dtype=np.int64)
+            won = np.array([i for _, i in best.values()])
+            gain[nodes] = tops.ravel()[won]
+            feature[nodes] = won % n_features
+            threshold[nodes] = thresholds.ravel()[won]
+        return gain, feature, threshold
+
+    def split(self, fr: _Frontier, feature: np.ndarray, threshold: np.ndarray) -> _Frontier:
+        """Split every node i of `fr` with feature[i] >= 0 at XT[feature[i]] <=
+        threshold[i] into two leaves, and return the frontier of the new leaves that
+        hold two classes or more, every left child before every right one. A child's
+        rows keep each feature's order: a stable partition, with no sort."""
+        n_features, n = self.XT.shape
+        n_nodes, n_cls = fr.counts.shape
+        col_node = np.repeat(np.arange(n_nodes), fr.sizes)
+        ids = fr.ids[0]
+        rows = ids - np.repeat(fr.trees * n, fr.sizes)
+        goes_left = (np.take(self.XT, np.maximum(feature, 0)[col_node] * n + rows)
+                     <= threshold[col_node])
+        left = np.bincount(col_node * n_cls + self.y[ids], weights=self.w[ids] * goes_left,
+                           minlength=n_nodes * n_cls).reshape(n_nodes, n_cls).astype(np.int64)
+        right = fr.counts - left
+        grows = feature >= 0
+        split = np.flatnonzero(grows)
+        for i, f, t, l, r in zip(split.tolist(), feature[split].tolist(),
+                                 threshold[split].tolist(),
+                                 left[split].argmax(axis=1).tolist(),  # ties: smallest class
+                                 right[split].argmax(axis=1).tolist()):
+            node = fr.nodes[i]
+            node.feature, node.threshold = f, t
+            node.left, node.right = _TreeNode(label=l), _TreeNode(label=r)
+        keep_left = grows & (np.count_nonzero(left, axis=1) >= 2)
+        keep_right = grows & (np.count_nonzero(right, axis=1) >= 2)
+        # per (tree, row): 1 to a left child kept, 2 to a right child kept, else 0
+        side = np.zeros(len(self.w), dtype=np.int8)
+        side[ids] = np.where(goes_left, keep_left[col_node], 2 * keep_right[col_node])
+        n_left = np.bincount(col_node, weights=goes_left, minlength=n_nodes).astype(np.int64)
+        lefts, rights = np.flatnonzero(keep_left), np.flatnonzero(keep_right)
+        sizes = np.concatenate([n_left[lefts], (fr.sizes - n_left)[rights]])
+        at = int(sizes[:len(lefts)].sum())
+        children = np.empty((n_features, int(sizes.sum())), dtype=np.int32)
+        step = max(1, _SPLIT_BLOCK_ELEMENTS // len(ids))
+        for f0 in range(0, n_features, step):
+            G = fr.ids[f0:f0 + step]
+            code = np.take(side, G).ravel()
+            children[f0:f0 + step, :at] = np.compress(code == 1, G).reshape(len(G), -1)
+            children[f0:f0 + step, at:] = np.compress(code == 2, G).reshape(len(G), -1)
+        nodes = [fr.nodes[i].left for i in lefts] + [fr.nodes[i].right for i in rights]
+        return _Frontier(children, sizes, fr.trees[np.concatenate([lefts, rights])],
+                         np.concatenate([left[lefts], right[rights]]), nodes)
 
 
 class _TreeImpl:
@@ -190,49 +458,43 @@ class _TreeImpl:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         XT = np.ascontiguousarray(X.T)
-        self.grow(XT, np.argsort(XT, axis=1), y, np.ones(len(y), dtype=np.int64))
+        self.n_classes = int(y.max()) + 1
+        forest = _Forest(XT, np.argsort(XT, axis=1), y,
+                         np.ones((1, len(y)), dtype=np.int64), np.array([self.n_classes]))
+        # A tree of n rows makes at most n - 1 splits. A budget of that many cannot
+        # stop growth, so the order of splits cannot change the tree: grow a level per
+        # round, in fewer calls than best first.
+        if self.max_splits is None or self.max_splits >= len(y) - 1:
+            (self.root,) = forest.grow()
+        else:
+            self.root = self.grow_best_first(forest)
 
-    def grow(self, XT: np.ndarray, order: np.ndarray, y: np.ndarray, w: np.ndarray) -> None:
-        """Grow on the rows of `XT` (features, rows), row i counted `w[i]` times (rows
-        with w = 0 are left out); `order` is `argsort(XT, axis=1)`."""
-        y = np.where(w > 0, y, 0)  # class 0 for rows left out keeps y within the counts
-        counts = np.bincount(y, weights=w).astype(np.int64)
-        self.n_classes = len(counts)
-        self.root = _TreeNode(label=_majority(counts))
-        # best-first growth: expand the pending split with the largest
-        # impurity decrease until the split budget runs out; each node's
-        # rows, in every feature's order, and class counts travel with it
-        heap: list[tuple[float, int, _TreeNode, np.ndarray, np.ndarray, tuple]] = []
-        tiebreak = 0
+    def grow_best_first(self, forest: "_Forest") -> _TreeNode:
+        """The tree of `forest`'s one tree, grown best first: expand the pending split
+        with the largest impurity decrease until the split budget runs out. A split's
+        children are searched in one call, and each pending node carries its rows and
+        class counts."""
+        (root,), frontier = forest.roots()
+        heap: list[tuple[float, int, _Frontier, int, float]] = []
+        tiebreak = itertools.count()
 
-        def push(node: _TreeNode, rows: np.ndarray, counts: np.ndarray):
-            nonlocal tiebreak
-            if np.count_nonzero(counts) < 2:
-                return
-            cand = _best_split(XT, y, w, rows, counts)
-            if cand is None:
-                return
-            gain, feat, thr = cand
-            heapq.heappush(heap, (-gain * int(counts.sum()), tiebreak, node, rows, counts,
-                                  (feat, thr)))
-            tiebreak += 1
+        def push(fr: _Frontier):
+            gain, feature, threshold = forest.best_splits(fr)
+            for i in np.flatnonzero(feature >= 0).tolist():
+                priority = -float(gain[i]) * int(fr.counts[i].sum())
+                heapq.heappush(heap, (priority, next(tiebreak), fr.select(i), feature[i],
+                                      threshold[i]))
 
-        push(self.root, _kept(order, w > 0), counts)
+        if frontier.nodes:
+            push(frontier)
         splits = 0
         while heap and (self.max_splits is None or splits < self.max_splits):
-            _, _, node, rows, counts, (feat, thr) = heapq.heappop(heap)
-            goes_left = XT[feat] <= thr
-            li, ri = _kept(rows, goes_left), _kept(rows, ~goes_left)
-            left = np.bincount(y[li[0]], weights=w[li[0]],
-                               minlength=self.n_classes).astype(np.int64)
-            right = counts - left
-            node.feature = feat
-            node.threshold = thr
-            node.left = _TreeNode(label=_majority(left))
-            node.right = _TreeNode(label=_majority(right))
+            _, _, node, feat, thr = heapq.heappop(heap)
+            children = forest.split(node, np.array([feat]), np.array([thr]))
             splits += 1
-            push(node.left, li, left)
-            push(node.right, ri, right)
+            if children.nodes:
+                push(children)
+        return root
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         labels = np.empty(len(X), dtype=int)
@@ -457,15 +719,22 @@ class _BaggingImpl:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self.n_classes = int(y.max()) + 1
-        # one presort serves every tree; a tree sees its bootstrap as row counts
+        # one presort serves every tree; a tree sees its bootstrap as row counts and
+        # sums its classes over the classes its bootstrap drew
         XT = np.ascontiguousarray(X.T)
         order = np.argsort(XT, axis=1)
+        W = np.stack([np.bincount(bootstrap_indices(self.seed, i, len(y)), minlength=len(y))
+                      for i in range(self.n_learners)])
+        n_classes = np.where(W > 0, y, 0).max(axis=1) + 1
+        # the trees of a group grow together, a level of every tree per round
+        n_groups = -(-self.n_learners // max(1, _GROUP_ELEMENTS // XT.size))
         self.trees = []
-        for i in range(self.n_learners):
-            w = np.bincount(bootstrap_indices(self.seed, i, len(y)), minlength=len(y))
-            tree = _TreeImpl(max_splits=None)
-            tree.grow(XT, order, y, w)
-            self.trees.append(tree)
+        for group in np.array_split(np.arange(self.n_learners), n_groups):
+            roots = _Forest(XT, order, y, W[group], n_classes[group]).grow()
+            for root, c in zip(roots, n_classes[group].tolist()):
+                tree = _TreeImpl(max_splits=None)
+                tree.root, tree.n_classes = root, c
+                self.trees.append(tree)
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         votes = np.zeros((len(X), self.n_classes), dtype=int)
@@ -493,8 +762,18 @@ class TrainedModel:
     n_features: int
 
     @property
+    def svm_pairs(self) -> int:
+        """One-vs-one SVM machines trained; 0 for the other models."""
+        return len(self.impl.steps) if isinstance(self.impl, _SvmImpl) else 0
+
+    @property
+    def svm_budget_hits(self) -> int:
+        """SVM machines that stopped at the SMO step budget; 0 for the other models."""
+        return self.impl.budget_hits if isinstance(self.impl, _SvmImpl) else 0
+
+    @property
     def converged(self) -> bool:
-        return getattr(self.impl, "budget_hits", 0) == 0
+        return self.svm_budget_hits == 0
 
 
 def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:

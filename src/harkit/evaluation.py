@@ -160,8 +160,7 @@ def _run_split(
     spec = replace(config.model_spec, seed=config.model_spec.seed ^ split_index)
     model = train(spec, Xtr, y[train_idx])
     labels, _ = predict_batch(model, Xte)
-    steps = getattr(model.impl, "steps", ())
-    return labels, len(steps), getattr(model.impl, "budget_hits", 0)
+    return labels, model.svm_pairs, model.svm_budget_hits
 
 
 def evaluate(

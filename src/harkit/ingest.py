@@ -108,6 +108,11 @@ class SubjectMeta:
     handedness: str  # "Left" or "Right"
 
 
+# Samples per synthetic recording, at most: 139 hours per activity at 20 Hz. A
+# recording takes 32 bytes a sample, and a subject 15 recordings.
+MAX_SAMPLES = 10_000_000
+
+
 @dataclass(frozen=True)
 class SynthParams:
     n_subjects: int = 6
@@ -124,9 +129,10 @@ class SynthParams:
         if not 0 < self.sample_rate_hz <= 1000:
             raise ValueError("sample_rate_hz must be positive and at most 1000: "
                              "timestamps are whole milliseconds")
-        if not 1 <= self.n_samples < math.inf:
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
             raise ValueError("minutes_per_activity * 60 * sample_rate_hz must round to "
-                             "at least 1 sample and be finite")
+                             "at least 1 sample and be finite, and to at most "
+                             f"{MAX_SAMPLES:,} samples per recording")
         if not 0 <= self.subject_variability < math.inf:
             raise ValueError("subject_variability must be non-negative and finite")
         if self.seed < 0:

@@ -11,7 +11,6 @@ from harkit import classifiers
 from harkit.classifiers import (
     ModelKind,
     ModelSpec,
-    _best_split,
     _smo_binary,
     bootstrap_indices,
     predict_batch,
@@ -292,6 +291,16 @@ class TestDecisionTree:
         labels, _ = predict_batch(stump, X)
         assert len(np.unique(labels)) <= 2
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_budget_that_cannot_bind_grows_the_best_first_tree(self, seed):
+        """A tree of n rows makes at most n - 1 splits. From that budget up the tree
+        grows a level per round, below it best first; either way it is the tree best-first
+        growth makes under the budget."""
+        X, y = node_matrix(np.random.default_rng(seed), "normal", 40, 6, 4)
+        for budget in (None, len(y) + 5, len(y) - 1, len(y) - 2, 3):
+            tree = train(ModelSpec(ModelKind.DecisionTree, max_splits=budget), X, y).impl
+            assert tree_nodes(tree) == tree_nodes(best_first_tree(X, y, budget))
+
     def test_single_class_training(self):
         model = train(ModelSpec(ModelKind.DecisionTree), np.zeros((5, 2)), np.full(5, 3))
         labels, _ = predict_batch(model, np.ones((4, 2)))
@@ -299,13 +308,18 @@ class TestDecisionTree:
 
 
 def presorted_split(X, y, n_classes, w=None):
-    """`_best_split` on the node of rows X, row i counted w[i] times (default once), with
-    each feature's rows in ascending order, as a fit presorts them."""
+    """The split search on the one node of rows X, row i counted w[i] times (default
+    once), with each feature's rows in ascending order, as a fit presorts them:
+    (gain, feature, threshold), or None."""
     w = np.ones(len(y), dtype=np.int64) if w is None else w
     XT = np.ascontiguousarray(X.T)
-    rows = classifiers._kept(np.argsort(XT, axis=1), w > 0)
-    counts = np.bincount(y, weights=w, minlength=n_classes).astype(np.int64)
-    return _best_split(XT, y, w, rows, counts)
+    forest = classifiers._Forest(XT, np.argsort(XT, axis=1), y, w[None],
+                                 np.array([n_classes]))
+    _, frontier = forest.roots()
+    if not frontier.nodes:  # one class: no split improves impurity
+        return None
+    (gain,), (feature,), (threshold,) = forest.best_splits(frontier)
+    return None if feature < 0 else (float(gain), int(feature), float(threshold))
 
 
 class TestBestSplit:
@@ -397,6 +411,115 @@ class TestBestSplit:
             tree_digest(train(ModelSpec(ModelKind.Bagging, seed=1, n_learners=10), Xt, yt), Xt),
         ]
         assert digests == PINNED_TREE_DIGESTS
+
+
+def frontier_of(XT, W, nodes, counts):
+    """The frontier of `nodes`, (tree, rows) pairs, each node's rows in ascending order
+    of each feature as growth keeps them."""
+    order = np.argsort(XT, axis=1)
+    n = XT.shape[1]
+    ids = np.hstack([
+        np.stack([o[np.isin(o, rows)] for o in order]) + t * n for t, rows in nodes
+    ]).astype(np.int32)
+    return classifiers._Frontier(ids, np.array([len(rows) for _, rows in nodes]),
+                                 np.array([t for t, _ in nodes]), counts, [None] * len(nodes))
+
+
+def search_nodes(X, y, W, nodes):
+    """(gain, feature, threshold) or None of every node, from one multi-node search, and
+    from `reference_best_split` on each node's rows repeated by their counts."""
+    n_classes = np.where(W > 0, y, 0).max(axis=1) + 1
+    XT = np.ascontiguousarray(X.T)
+    forest = classifiers._Forest(XT, np.argsort(XT, axis=1), y, W, n_classes)
+    counts = np.stack([np.bincount(y[rows], weights=W[t, rows], minlength=n_classes.max())
+                       for t, rows in nodes]).astype(np.int64)
+    gain, feature, threshold = forest.best_splits(frontier_of(XT, W, nodes, counts))
+    got = [None if f < 0 else (g, f, thr)
+           for g, f, thr in zip(gain.tolist(), feature.tolist(), threshold.tolist())]
+    expected = [reference_best_split(np.repeat(X[rows], W[t, rows], axis=0),
+                                     np.repeat(y[rows], W[t, rows]), n_classes[t])
+                for t, rows in nodes]
+    return forest, got, expected
+
+
+def disjoint_nodes(rng, W, per_tree):
+    """Up to `per_tree` nodes of each tree: disjoint sets of the rows it counts, as the
+    open nodes of one tree are."""
+    nodes = []
+    for t, w in enumerate(W):
+        drawn = rng.permutation(np.flatnonzero(w > 0))
+        cuts = np.sort(rng.choice(np.arange(1, len(drawn)), size=min(per_tree, len(drawn)) - 1,
+                                  replace=False)) if len(drawn) > 1 else []
+        nodes += [(t, np.sort(rows)) for rows in np.split(drawn, cuts) if len(rows)]
+    return nodes
+
+
+def best_first_tree(X, y, max_splits=None):
+    """The decision tree of rows X grown best first under `max_splits`, whatever it is."""
+    XT = np.ascontiguousarray(X.T)
+    tree = classifiers._TreeImpl(max_splits)
+    tree.n_classes = int(y.max()) + 1
+    tree.root = tree.grow_best_first(classifiers._Forest(
+        XT, np.argsort(XT, axis=1), y, np.ones((1, len(y)), dtype=np.int64),
+        np.array([tree.n_classes])))
+    return tree
+
+
+class TestBestSplits:
+    """One search over nodes of several trees, of different sizes and row counts, gives
+    each node the split the per-feature search gives that node's repeated rows."""
+
+    @given(
+        m=st.integers(2, 120),
+        n_features=st.integers(1, 30),
+        n_classes=st.integers(2, 12),
+        n_trees=st.integers(1, 4),
+        per_tree=st.integers(1, 4),
+        kind=st.sampled_from(NODE_KINDS),
+        block_elements=st.sampled_from([classifiers._SPLIT_BLOCK_ELEMENTS, 1, 97, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_node_equals_per_feature_search(self, m, n_features, n_classes, n_trees,
+                                                 per_tree, kind, block_elements, seed):
+        rng = np.random.default_rng(seed)
+        X, y = node_matrix(rng, kind, m, n_features, n_classes)
+        W = np.stack([np.bincount(rng.integers(0, m, m), minlength=m) for _ in range(n_trees)])
+        nodes = disjoint_nodes(rng, W, per_tree)
+        with mock.patch.object(classifiers, "_SPLIT_BLOCK_ELEMENTS", block_elements):
+            _, got, expected = search_nodes(X, y, W, nodes)
+        assert got == expected
+
+    @pytest.mark.parametrize("block_elements", [classifiers._SPLIT_BLOCK_ELEMENTS, 1, 97, 4096])
+    def test_node_below_the_next_node_in_every_feature(self, block_elements):
+        """Every feature's last value in the first node is below its first value in the
+        second, so a position between the two nodes would look like a split."""
+        rng = np.random.default_rng(11)
+        X, y = node_matrix(rng, "integer_ties", 60, 8, 3)
+        X[30:] += 10.0
+        W = np.bincount(rng.integers(0, 60, 60), minlength=60)[None]
+        low, high = np.arange(30), np.arange(30, 60)
+        nodes = [(0, low[W[0, low] > 0]), (0, high[W[0, high] > 0])]
+        assert np.all(X[nodes[0][1]].max(axis=0) < X[nodes[1][1]].min(axis=0))
+        with mock.patch.object(classifiers, "_SPLIT_BLOCK_ELEMENTS", block_elements):
+            _, got, expected = search_nodes(X, y, W, nodes)
+        assert got == expected and None not in got
+
+    @pytest.mark.parametrize("block_elements", [classifiers._SPLIT_BLOCK_ELEMENTS, 1, 97, 4096])
+    def test_packed_counts_summed_over_nodes_would_wrap(self, block_elements):
+        """Nine classes of 7 bits fill a word's low 63 bits; over these nodes the top
+        class's counts sum past 2^63 in that word, and each node's own sums stay exact."""
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(96, 5))
+        y = np.repeat(np.arange(9), [6, 6, 6, 6, 6, 6, 6, 6, 48])
+        W = np.ones((4, 96), dtype=np.int64)  # 96 rows: counts take 7 bits
+        nodes = [(t, np.sort(rng.permutation(96)[:80])) for t in range(4)]
+        with mock.patch.object(classifiers, "_SPLIT_BLOCK_ELEMENTS", block_elements):
+            forest, got, expected = search_nodes(X, y, W, nodes)
+        assert forest.word[8] == 0 and forest.shift[8] + forest.mask.bit_length() == 63
+        top = sum(int(np.count_nonzero(y[rows] == 8)) for _, rows in nodes)
+        assert top << int(forest.shift[8]) >= 2**63
+        assert got == expected
 
 
 PINNED_TREE_DIGESTS = [
@@ -588,6 +711,22 @@ class TestSvm:
         assert model.impl.budget_hits == 6 and not model.converged
 
 
+class TestHealthCounters:
+    def test_svm_pairs_and_budget_hits(self, rng, monkeypatch):
+        X, y = blobs(rng, n_per_class=10, n_classes=4, d=4)
+        model = train(ModelSpec(ModelKind.Svm), X, y)
+        assert (model.svm_pairs, model.svm_budget_hits, model.converged) == (6, 0, True)
+        monkeypatch.setattr(classifiers, "_SMO_STEPS_PER_ROW", 0)
+        model = train(ModelSpec(ModelKind.Svm), X, y)
+        assert (model.svm_pairs, model.svm_budget_hits, model.converged) == (6, 6, False)
+
+    @pytest.mark.parametrize("kind", [k for k in ModelKind if k is not ModelKind.Svm])
+    def test_other_models_train_no_svm_pair(self, kind, rng):
+        X, y = blobs(rng, n_per_class=10)
+        model = train(ModelSpec(kind, n_learners=3), X, y)
+        assert (model.svm_pairs, model.svm_budget_hits, model.converged) == (0, 0, True)
+
+
 class TestBagging:
     def test_single_learner_equals_bootstrap_tree_oracle(self, rng):
         X, y = blobs(rng, n_per_class=25, sep=2.0)
@@ -613,6 +752,26 @@ class TestBagging:
             alone = train(ModelSpec(ModelKind.DecisionTree, max_splits=None), X[idx], y[idx])
             assert tree.n_classes == alone.impl.n_classes
             assert tree_nodes(tree) == tree_nodes(alone.impl)
+        assert missed > 0
+
+    @pytest.mark.parametrize("n_classes", [2, 5, 8, 9, 12])
+    @pytest.mark.parametrize("group_elements", [classifiers._GROUP_ELEMENTS, 1, 2_000])
+    def test_trees_grown_in_rounds_equal_trees_grown_alone(self, n_classes, group_elements):
+        """Trees grown a level per round, in groups of any size, equal each tree grown
+        alone, best first, with no split budget; some bootstraps miss the highest class,
+        which has one row."""
+        rng = np.random.default_rng(n_classes)
+        X, y = blobs(rng, n_per_class=6, n_classes=n_classes, d=4, sep=1.5)
+        X, y = X[:-5], y[:-5]
+        with mock.patch.object(classifiers, "_GROUP_ELEMENTS", group_elements):
+            bag = train(ModelSpec(ModelKind.Bagging, seed=4, n_learners=15), X, y)
+        missed = 0
+        for i, tree in enumerate(bag.impl.trees):
+            idx = bootstrap_indices(4, i, len(y))
+            missed += y[idx].max() < n_classes - 1
+            alone = best_first_tree(X[idx], y[idx])
+            assert tree.n_classes == alone.n_classes
+            assert tree_nodes(tree) == tree_nodes(alone)
         assert missed > 0
 
     def test_bootstrap_indices_are_seeded(self):

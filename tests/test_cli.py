@@ -640,6 +640,16 @@ class TestExitCodes:
         assert "and be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--minutes", "1e10"],
+                                       ["--minutes", "200", "--rate", "1000"]])
+    def test_sample_count_above_cap_is_usage_error(self, tmp_path, capsys, flags):
+        """1.2e13 and 1.2e7 samples per recording: above the 10,000,000 a recording may
+        hold, refused before any sample is made."""
+        out = tmp_path / "x"
+        assert main(["synth", "--subjects", "1", *flags, "-o", str(out)]) == EXIT_USAGE
+        assert "at most 10,000,000 samples per recording" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_variability_is_allowed(self, tmp_path):
         out = tmp_path / "x"
         assert main(["synth", "--subjects", "1", "--minutes", "0.01", "--variability", "0",

@@ -1,7 +1,10 @@
 """Protocols, treatments, split accounting, and the feature matrices they run on."""
+import inspect
+
 import numpy as np
 import pytest
 
+import harkit.classifiers as classifiers
 import harkit.evaluation as ev
 from harkit.classifiers import ModelKind, ModelSpec
 from harkit.errors import SingleSubject, TooFewInstances
@@ -156,6 +159,21 @@ class TestEvaluateAccounting:
                 assert 0.0 <= r <= 1.0
         assert len(report.per_unit_accuracies) == report.n_units
         assert report.ci_halfwidth >= 0.0
+
+    @pytest.mark.parametrize("steps_per_row, hits", [(1000, 0), (0, 30)])
+    def test_svm_health_counts_every_pair(self, rng, monkeypatch, steps_per_row, hits):
+        """Leave-one-subject-out over 3 subjects of 5 classes trains 3 x 10 machines;
+        with no step budget every one of them hits it."""
+        monkeypatch.setattr(classifiers, "_SMO_STEPS_PER_ROW", steps_per_row)
+        X, y, subjects = toy_problem(rng)
+        config = EvalConfig(ModelSpec(ModelKind.Svm), Bank.B70, 75, NR_RP,
+                            Protocol.Impersonal, seed=5)
+        report = evaluate(config, X, y, subjects)
+        assert (report.svm_pairs, report.svm_budget_hits) == (30, hits)
+
+    def test_evaluation_reads_no_model_internals(self):
+        """Health counters come from `TrainedModel` properties, not the model's impl."""
+        assert ".impl" not in inspect.getsource(ev)
 
     def test_personal_perfect_on_separable_data(self, rng):
         X, y, subjects = toy_problem(rng, sep=10.0)

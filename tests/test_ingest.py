@@ -63,11 +63,23 @@ class TestSynthParams:
             {"minutes_per_activity": 0.0001},
             # finite, but minutes * 60 * rate overflows to inf
             {"minutes_per_activity": 1e308},
+            # finite, but 1.2e13 samples per recording
+            {"minutes_per_activity": 1e10},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
             SynthParams(**kwargs)
+
+    @pytest.mark.parametrize("rate", [20.0, 1000.0])
+    def test_sample_count_cap(self, rate):
+        """A recording may take MAX_SAMPLES samples and no more; the check runs before
+        any sample is made."""
+        at_cap = ingest.MAX_SAMPLES / (60 * rate)
+        assert SynthParams(minutes_per_activity=at_cap, sample_rate_hz=rate).n_samples == \
+            ingest.MAX_SAMPLES
+        with pytest.raises(ValueError, match="at most 10,000,000 samples per recording"):
+            SynthParams(minutes_per_activity=at_cap + 1 / (60 * rate), sample_rate_hz=rate)
 
 
 class TestGenerateSynthetic:
