@@ -38,7 +38,8 @@ def blobs(rng, n_per_class=30, n_classes=3, d=5, sep=6.0):
 
 def reference_best_split(X, y, n_classes):
     """The per-feature CART split search harkit ran before the batched one, kept as
-    the oracle of `_best_split`: one stable sort and one cumulative count per feature."""
+    the oracle of `_Forest.best_splits` (through `presorted_split` and `search_nodes`):
+    one stable sort and one cumulative count per feature."""
     m = len(y)
     parent_counts = np.bincount(y, minlength=n_classes)
     p = parent_counts / m
@@ -293,13 +294,16 @@ class TestDecisionTree:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_budget_that_cannot_bind_grows_the_best_first_tree(self, seed):
-        """A tree of n rows makes at most n - 1 splits. From that budget up the tree
-        grows a level per round, below it best first; either way it is the tree best-first
-        growth makes under the budget."""
+        """A tree of n rows makes at most n - 1 splits, so from that budget up it is the
+        unbounded tree; a budget below the unbounded tree's splits stops growth."""
         X, y = node_matrix(np.random.default_rng(seed), "normal", 40, 6, 4)
-        for budget in (None, len(y) + 5, len(y) - 1, len(y) - 2, 3):
+        unbounded = tree_nodes(train(ModelSpec(ModelKind.DecisionTree, max_splits=None),
+                                     X, y).impl)
+        for budget in (len(y) + 5, len(y) - 1):
             tree = train(ModelSpec(ModelKind.DecisionTree, max_splits=budget), X, y).impl
-            assert tree_nodes(tree) == tree_nodes(best_first_tree(X, y, budget))
+            assert tree_nodes(tree) == unbounded
+        stump = train(ModelSpec(ModelKind.DecisionTree, max_splits=3), X, y).impl
+        assert sum(feature >= 0 for _, feature, _ in tree_nodes(stump)) == 3
 
     def test_single_class_training(self):
         model = train(ModelSpec(ModelKind.DecisionTree), np.zeros((5, 2)), np.full(5, 3))
@@ -452,17 +456,6 @@ def disjoint_nodes(rng, W, per_tree):
                                   replace=False)) if len(drawn) > 1 else []
         nodes += [(t, np.sort(rows)) for rows in np.split(drawn, cuts) if len(rows)]
     return nodes
-
-
-def best_first_tree(X, y, max_splits=None):
-    """The decision tree of rows X grown best first under `max_splits`, whatever it is."""
-    XT = np.ascontiguousarray(X.T)
-    tree = classifiers._TreeImpl(max_splits)
-    tree.n_classes = int(y.max()) + 1
-    tree.root = tree.grow_best_first(classifiers._Forest(
-        XT, np.argsort(XT, axis=1), y, np.ones((1, len(y)), dtype=np.int64),
-        np.array([tree.n_classes])))
-    return tree
 
 
 class TestBestSplits:
@@ -769,9 +762,9 @@ class TestBagging:
         for i, tree in enumerate(bag.impl.trees):
             idx = bootstrap_indices(4, i, len(y))
             missed += y[idx].max() < n_classes - 1
-            alone = best_first_tree(X[idx], y[idx])
-            assert tree.n_classes == alone.n_classes
-            assert tree_nodes(tree) == tree_nodes(alone)
+            alone = train(ModelSpec(ModelKind.DecisionTree, max_splits=None), X[idx], y[idx])
+            assert tree.n_classes == alone.impl.n_classes
+            assert tree_nodes(tree) == tree_nodes(alone.impl)
         assert missed > 0
 
     def test_bootstrap_indices_are_seeded(self):
