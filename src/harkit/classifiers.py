@@ -54,6 +54,7 @@ class _TreeNode:
     label: int                       # majority label (used when leaf)
     feature: int = -1                # split feature (-1 = leaf)
     threshold: float = 0.0
+    priority: float = 0.0            # -gain x rows of the split: best-first growth's key
     left: "_TreeNode | None" = None
     right: "_TreeNode | None" = None
 
@@ -93,11 +94,6 @@ class _Frontier(NamedTuple):
     trees: np.ndarray   # (nodes,) the tree of each node
     counts: np.ndarray  # (nodes, classes) int64 weighted class counts
     nodes: list         # the _TreeNode of each node
-
-    def select(self, i: int) -> "_Frontier":
-        start = int(self.sizes[:i].sum())
-        return _Frontier(self.ids[:, start:start + self.sizes[i]], self.sizes[i:i + 1],
-                         self.trees[i:i + 1], self.counts[i:i + 1], [self.nodes[i]])
 
 
 def _layout(widths: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -183,15 +179,16 @@ class _Forest:
             at += size
         return roots, _Frontier(ids, sizes, grow, counts[grow], [roots[t] for t in grow])
 
-    def grow(self) -> list[_TreeNode]:
-        """Every tree's root, each tree grown with no split budget, a level of every
-        tree per round: each round searches and splits all open nodes at once. An
-        unbounded tree splits every node that can split, so the order of splits cannot
-        change it."""
+    def grow(self, levels: int | None = None) -> list[_TreeNode]:
+        """Every tree's root, each tree grown a level of every tree per round, for at
+        most `levels` rounds (default: until no node can split): each round searches
+        and splits all open nodes at once. A tree splits every node that can split
+        within those levels, so the order of splits cannot change it."""
         roots, frontier = self.roots()
-        while frontier.nodes:
-            _, feature, threshold = self.best_splits(frontier)
-            frontier = self.split(frontier, feature, threshold)
+        level = 0
+        while frontier.nodes and (levels is None or level < levels):
+            frontier = self.split(frontier, *self.best_splits(frontier))
+            level += 1
         return roots
 
     def best_splits(self, fr: _Frontier) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -362,11 +359,13 @@ class _Forest:
             threshold[nodes] = thresholds.ravel()[won]
         return gain, feature, threshold
 
-    def split(self, fr: _Frontier, feature: np.ndarray, threshold: np.ndarray) -> _Frontier:
+    def split(self, fr: _Frontier, gain: np.ndarray, feature: np.ndarray,
+              threshold: np.ndarray) -> _Frontier:
         """Split every node i of `fr` with feature[i] >= 0 at XT[feature[i]] <=
-        threshold[i] into two leaves, and return the frontier of the new leaves that
-        hold two classes or more, every left child before every right one. A child's
-        rows keep each feature's order: a stable partition, with no sort."""
+        threshold[i] into two leaves, its priority -gain[i] times its count, and return
+        the frontier of the new leaves that hold two classes or more, every left child
+        before every right one. A child's rows keep each feature's order: a stable
+        partition, with no sort."""
         n_features, n = self.XT.shape
         n_nodes, n_cls = fr.counts.shape
         col_node = np.repeat(np.arange(n_nodes), fr.sizes)
@@ -379,12 +378,14 @@ class _Forest:
         right = fr.counts - left
         grows = feature >= 0
         split = np.flatnonzero(grows)
-        for i, f, t, l, r in zip(split.tolist(), feature[split].tolist(),
-                                 threshold[split].tolist(),
-                                 left[split].argmax(axis=1).tolist(),  # ties: smallest class
-                                 right[split].argmax(axis=1).tolist()):
+        priority = -gain[split] * fr.counts[split].sum(axis=1)
+        for i, f, t, p, l, r in zip(split.tolist(), feature[split].tolist(),
+                                    threshold[split].tolist(), priority.tolist(),
+                                    # majority labels, ties to the smallest class
+                                    left[split].argmax(axis=1).tolist(),
+                                    right[split].argmax(axis=1).tolist()):
             node = fr.nodes[i]
-            node.feature, node.threshold = f, t
+            node.feature, node.threshold, node.priority = f, t, p
             node.left, node.right = _TreeNode(label=l), _TreeNode(label=r)
         keep_left = grows & (np.count_nonzero(left, axis=1) >= 2)
         keep_right = grows & (np.count_nonzero(right, axis=1) >= 2)
@@ -416,49 +417,45 @@ class _TreeImpl:
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         XT = np.ascontiguousarray(X.T)
         self.n_classes = int(y.max()) + 1
-        self.root = self.grow_best_first(_Forest(
-            XT, np.argsort(XT, axis=1), y, np.ones((1, len(y)), dtype=np.int64),
-            np.array([self.n_classes])))
+        forest = _Forest(XT, np.argsort(XT, axis=1), y, np.ones((1, len(y)), dtype=np.int64),
+                         np.array([self.n_classes]))
+        if self.max_splits is None:
+            (self.root,) = forest.grow()
+        else:
+            # best-first growth under budget B splits nodes at depth <= B - 1, whose
+            # children, at depth <= B, the first B + 1 levels search
+            (self.root,) = forest.grow(self.max_splits + 1)
+            self.keep_best_first(self.max_splits)
 
-    def grow_best_first(self, forest: "_Forest") -> _TreeNode:
-        """The tree of `forest`'s one tree, grown best first: expand the pending split
-        with the largest impurity decrease until the split budget runs out. A split's
-        children are searched in one call, and each pending node carries its rows and
-        class counts."""
-        (root,), frontier = forest.roots()
-        heap: list[tuple[float, int, _Frontier, int, float]] = []
-        tiebreak = itertools.count()
-
-        def push(fr: _Frontier):
-            gain, feature, threshold = forest.best_splits(fr)
-            for i in np.flatnonzero(feature >= 0).tolist():
-                priority = -float(gain[i]) * int(fr.counts[i].sum())
-                heapq.heappush(heap, (priority, next(tiebreak), fr.select(i), feature[i],
-                                      threshold[i]))
-
-        if frontier.nodes:
-            push(frontier)
-        splits = 0
-        while heap and (self.max_splits is None or splits < self.max_splits):
-            _, _, node, feat, thr = heapq.heappop(heap)
-            children = forest.split(node, np.array([feat]), np.array([thr]))
-            splits += 1
-            if children.nodes:
-                push(children)
-        return root
+    def keep_best_first(self, max_splits: int) -> None:
+        """Cut the grown tree to the tree grown best first under the split budget:
+        replay the expansion of the pending split with the largest impurity decrease
+        (the first pushed among equals, a left child before its right) until the budget
+        runs out, and make every split still pending a leaf. A node's split is the same
+        whichever other nodes are searched with it, so the replay keeps the splits
+        best-first growth makes."""
+        heap = [(self.root.priority, 0, self.root)] if self.root.feature >= 0 else []
+        pushes = itertools.count(1)
+        for _ in range(max_splits):
+            if not heap:
+                break
+            _, _, node = heapq.heappop(heap)
+            for child in (node.left, node.right):
+                if child.feature >= 0:
+                    heapq.heappush(heap, (child.priority, next(pushes), child))
+        for _, _, node in heap:
+            node.feature, node.threshold, node.left, node.right = -1, 0.0, None, None
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         labels = np.empty(len(X), dtype=int)
-
-        def walk(node: _TreeNode, idx: np.ndarray):
+        stack = [(self.root, np.arange(len(X)))]
+        while stack:  # a stack, not recursion: a tree may be deeper than the call stack
+            node, idx = stack.pop()
             if node.feature < 0 or idx.size == 0:
                 labels[idx] = node.label
-                return
+                continue
             mask = X[idx, node.feature] <= node.threshold
-            walk(node.left, idx[mask])
-            walk(node.right, idx[~mask])
-
-        walk(self.root, np.arange(len(X)))
+            stack += [(node.right, idx[~mask]), (node.left, idx[mask])]
         return labels, np.ones(len(X))
 
 
@@ -758,4 +755,6 @@ def predict_batch(model: TrainedModel, X: np.ndarray) -> tuple[np.ndarray, np.nd
         raise DimensionMismatch(
             f"expected width {model.n_features}, got {X.shape[1] if X.ndim == 2 else '?'}"
         )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("prediction matrix contains non-finite values")
     return model.impl.predict_batch(X)

@@ -106,18 +106,18 @@ def _axis(values: list[str] | None, default) -> list[str]:
 
 
 def _window_axis(text: str) -> tuple[int, ...]:
-    """--window's sizes: lo:hi:step (hi included) or a comma list, each at least MIN_WINDOW."""
+    """--window's sizes: lo:hi:step (hi included, step >= 1) or a comma list, each >= MIN_WINDOW."""
     try:
         if ":" in text:
             lo, hi, step = (int(p) for p in text.split(":"))
-            sizes = range(lo, hi + 1, step)
+            sizes = range(lo, hi + 1, step) if step >= 1 else ()
         else:
             sizes = [int(p) for p in text.split(",")]
     except ValueError:
         sizes = ()
     if not sizes or min(sizes) < MIN_WINDOW:
-        raise UsageError("--window must be lo:hi:step or a comma list of window sizes "
-                         f">= {MIN_WINDOW}, got {text!r}")
+        raise UsageError("--window must be lo:hi:step with step >= 1 or a comma list of "
+                         f"window sizes >= {MIN_WINDOW}, got {text!r}")
     return tuple(dict.fromkeys(sizes))
 
 

@@ -1,5 +1,8 @@
 """Classifier contracts: correctness oracles and determinism."""
 import hashlib
+import heapq
+import itertools
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -214,6 +217,32 @@ def tree_nodes(tree) -> list[tuple]:
     return nodes
 
 
+def best_first_tree(X, y, max_splits):
+    """The tree grown best first under `max_splits`, one node at a time: expand the
+    pending split of largest gain x rows (the first pushed among equals, a left child
+    before its right), each node's split from `reference_best_split` on its own rows."""
+    n_classes = int(y.max()) + 1
+    heap, pushes = [], itertools.count()
+
+    def leaf(rows):
+        node = SimpleNamespace(label=int(np.bincount(y[rows], minlength=n_classes).argmax()),
+                               feature=-1, threshold=0.0, left=None, right=None)
+        split = reference_best_split(X[rows], y[rows], n_classes)
+        if split is not None:
+            heapq.heappush(heap, (-split[0] * len(rows), next(pushes), node, rows, split))
+        return node
+
+    root = leaf(np.arange(len(y)))
+    for _ in range(max_splits):
+        if not heap:
+            break
+        _, _, node, rows, (_, feature, threshold) = heapq.heappop(heap)
+        goes_left = X[rows, feature] <= threshold
+        node.feature, node.threshold = feature, threshold
+        node.left, node.right = leaf(rows[goes_left]), leaf(rows[~goes_left])
+    return SimpleNamespace(root=root)
+
+
 def tree_digest(model, X) -> str:
     """sha256 over every tree's nodes (label, feature, threshold; preorder) and the
     labels and scores the model predicts for X."""
@@ -250,6 +279,17 @@ class TestTrainContract:
         X = np.array([[1.0, np.nan]])
         with pytest.raises(ValueError):
             train(ModelSpec(ModelKind.NaiveBayes), X, np.array([0]))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_predict_rejects_non_finite_rows(self, kind, rng):
+        """An all-nan row and a row holding inf raise what a non-finite training row
+        raises, rather than labels no class was trained as."""
+        X, y = blobs(rng, n_per_class=15)
+        model = train(ModelSpec(kind, n_learners=5), X, y + 1)
+        rows = np.zeros((2, X.shape[1]))
+        rows[0], rows[1, 2] = np.nan, np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_batch(model, rows)
 
     def test_predict_width_checked(self, rng):
         X, y = blobs(rng)
@@ -304,6 +344,40 @@ class TestDecisionTree:
             assert tree_nodes(tree) == unbounded
         stump = train(ModelSpec(ModelKind.DecisionTree, max_splits=3), X, y).impl
         assert sum(feature >= 0 for _, feature, _ in tree_nodes(stump)) == 3
+
+    @pytest.mark.parametrize("kind", ["normal", "integer_ties"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_binding_budget_equals_best_first_oracle(self, kind, seed):
+        """Under every budget below the unbounded tree's splits, the tree equals the one
+        grown best first a node at a time, each split from the per-feature search."""
+        X, y = node_matrix(np.random.default_rng(seed), kind, 60, 5, 3)
+        unbounded = train(ModelSpec(ModelKind.DecisionTree, max_splits=None), X, y).impl
+        assert sum(feature >= 0 for _, feature, _ in tree_nodes(unbounded)) > 12
+        for budget in range(1, 13):
+            tree = train(ModelSpec(ModelKind.DecisionTree, max_splits=budget), X, y).impl
+            assert tree_nodes(tree) == tree_nodes(best_first_tree(X, y, budget))
+
+    def test_equal_priorities_expand_in_push_order(self):
+        """The root splits the rows into two copies of one node, the classes of the right
+        one renamed: its children's splits tie, and under a budget of 2 the left child,
+        pushed first, splits."""
+        X0, y0 = node_matrix(np.random.default_rng(0), "normal", 30, 4, 3)
+        X = np.vstack([np.hstack([X0, np.zeros((30, 1))]), np.hstack([X0, np.ones((30, 1))])])
+        y = np.concatenate([y0, y0 + 3])
+        assert reference_best_split(X[:30], y[:30], 6) == reference_best_split(X[30:], y[30:], 6)
+        for budget in range(1, 13):
+            tree = train(ModelSpec(ModelKind.DecisionTree, max_splits=budget), X, y).impl
+            assert tree_nodes(tree) == tree_nodes(best_first_tree(X, y, budget))
+        root = train(ModelSpec(ModelKind.DecisionTree, max_splits=2), X, y).impl.root
+        assert root.feature == 4 and root.left.feature >= 0 and root.right.feature < 0
+
+    def test_tree_deeper_than_recursion_limit_predicts(self):
+        """A chain of 1,500 levels, deeper than Python's recursion limit, predicts its
+        training labels."""
+        X, y = np.arange(1500.0)[:, None], np.arange(1500) % 2
+        model = train(ModelSpec(ModelKind.DecisionTree, max_splits=None), X, y)
+        labels, _ = predict_batch(model, X)
+        assert np.array_equal(labels, y)
 
     def test_single_class_training(self):
         model = train(ModelSpec(ModelKind.DecisionTree), np.zeros((5, 2)), np.full(5, 3))

@@ -289,7 +289,8 @@ class TestGridWindows:
         manifest = json.loads((out / "grid_manifest.json").read_text())
         assert manifest["config"]["window"] == [100, 200, 300]
 
-    @pytest.mark.parametrize("window", ["2", "a:b", "100:300", "100:300:0", "300:100:100", ""])
+    @pytest.mark.parametrize("window", ["2", "a:b", "100:300", "100:300:0", "300:100:100", "",
+                                        "100:25:-25"])
     def test_malformed_or_small_window_is_usage_error(self, recordings_csv, tmp_path, window):
         assert main(["grid", str(recordings_csv), "--window", window,
                      "-o", str(tmp_path / "x")]) == EXIT_USAGE
