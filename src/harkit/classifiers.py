@@ -726,13 +726,16 @@ class TrainedModel:
 
 def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyTrainingSet("training matrix must be non-empty and 2-D")
     if len(y) != len(X):
         raise DimensionMismatch("X and y lengths differ")
     if not np.all(np.isfinite(X)):
         raise ValueError("training matrix contains non-finite values")
+    if y.dtype.kind not in "biuf" or not np.all(np.isfinite(y) & (y >= 0) & (np.trunc(y) == y)):
+        raise ValueError("labels must be non-negative integer class codes")
+    y = y.astype(int, copy=False)
     if spec.kind is ModelKind.DecisionTree:
         impl = _TreeImpl(spec.max_splits)
     elif spec.kind is ModelKind.NaiveBayes:

@@ -174,9 +174,13 @@ def evaluate(
     assignment; normalization statistics come from the training side only.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
     if len(X) == 0:
         raise TooFewInstances("empty feature matrix")
+    bad = y[~np.isin(y, np.arange(N_CLASSES))]
+    if bad.size:
+        raise ValueError(f"labels must be class codes 0 to {N_CLASSES - 1}, got {bad[0].item()!r}")
+    y = y.astype(int, copy=False)
     subjects = list(subjects)
 
     if config.treatment.permuted:

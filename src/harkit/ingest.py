@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from contextlib import closing
+import os
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -259,20 +260,21 @@ def parse_recordings_csv(path: str | Path) -> list[Recording]:
     the whole parse fails on the first malformed row, naming its line.
     """
     try:
-        recordings = _parse_fast(Path(path))
+        rows = _parse_fast(Path(path))
     except Exception:  # whatever went wrong, a UnicodeDecodeError included, the row path names it
-        recordings = None
-    return _parse_rows(path) if recordings is None else recordings
+        rows = None
+    return _parse_rows(path) if rows is None else _recordings(*rows)
 
 
 _HEADER_LINE = ",".join(RECORDINGS_HEADER) + "\n"
 _LINES_PER_READ = 1 << 16  # characters of whole lines taken per read of the key pass
 # np.loadtxt skips these as blanks around a number, where int() and float() refuse them
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_Key = tuple[str, str, Activity, SensorKind]  # (subject_id, session_id, activity, sensor)
 
 
-def _parse_fast(path: Path) -> list[Recording] | None:
-    """The recordings of a well-formed file, or None when the row path must judge it.
+def _parse_fast(path: Path) -> tuple[list[_Key], np.ndarray, np.ndarray] | None:
+    """A well-formed file's rows for ``_recordings``, or None when the row path must judge it.
 
     It accepts only what ``_parse_rows`` accepts, with the same values: no field
     is quoted, and the numbers are ASCII, which np.loadtxt reads as int() and
@@ -299,7 +301,7 @@ def _parse_fast(path: Path) -> list[Recording] | None:
                     run_starts.append(n_rows)
                 n_rows += 1
         if not n_rows:
-            return []
+            return [], np.zeros(0, np.intp), np.zeros(0, SAMPLE_DTYPE)
         keys = [key.split(",") for key in groups]
         # a quote needs csv's reading; csv before Python 3.11 refuses a NUL
         if any(len(k) != 4 or '"' in key or "\0" in key
@@ -314,19 +316,31 @@ def _parse_fast(path: Path) -> list[Recording] | None:
         return None
     if not all(np.isfinite(data[axis]).all() for axis in "xyz"):
         return None
-    group = np.repeat(run_groups, np.diff(run_starts + [n_rows]))
-    order = np.lexsort((data["t_ms"], group))
-    data, group = data[order], group[order]
+    keys = [(s, sess, CSV_NAME_TO_ACTIVITY[act], CSV_NAME_TO_SENSOR[sensor])
+            for s, sess, act, sensor in keys]
+    return keys, np.repeat(run_groups, np.diff(run_starts + [n_rows])), data
+
+
+def _recordings(keys: list[_Key], group: np.ndarray, samples: np.ndarray) -> list[Recording]:
+    """One Recording per key, in order, from parsed rows (`samples`) and each row's index
+    into `keys`: read-only slices of the rows sorted stably by (group, timestamp). A
+    repeated or backward timestamp raises NonMonotonicTimestamps for the first key with one."""
+    order = np.lexsort((samples["t_ms"], group))
+    samples, group = samples[order], group[order]
     same = group[1:] == group[:-1]
-    if np.any(same & (data["t_ms"][1:] <= data["t_ms"][:-1])):
-        return None
-    data.flags.writeable = False
+    # compared pairwise, not by np.diff, which wraps around near the int64 limits
+    repeats = np.flatnonzero(same & (samples["t_ms"][1:] <= samples["t_ms"][:-1]))
+    if repeats.size:
+        subject_id, session_id, activity, sensor = keys[group[repeats[0]]]
+        raise NonMonotonicTimestamps(
+            f"duplicate/backward timestamp {samples['t_ms'][repeats[0] + 1]} for "
+            f"({subject_id}, {session_id}, {activity.name}, {sensor.name})")
+    samples.flags.writeable = False
     bounds = np.flatnonzero(np.r_[True, ~same, True])
     return [
-        Recording(subject_id=subject_id, activity=CSV_NAME_TO_ACTIVITY[act_name],
-                  sensor=CSV_NAME_TO_SENSOR[sensor_name],
-                  samples=data[lo:hi].view(np.recarray), session_id=session_id)
-        for (subject_id, session_id, act_name, sensor_name), lo, hi
+        Recording(subject_id=subject_id, activity=activity, sensor=sensor,
+                  samples=samples[lo:hi].view(np.recarray), session_id=session_id)
+        for (subject_id, session_id, activity, sensor), lo, hi
         in zip(keys, bounds[:-1], bounds[1:])
     ]
 
@@ -362,7 +376,8 @@ def csv_records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
 
 def _parse_rows(path: str | Path) -> list[Recording]:
     """The row-by-row parse: fails on the first malformed row, naming its line."""
-    groups: dict[tuple[str, str, Activity, SensorKind], list[tuple[int, float, float, float]]] = {}
+    groups: dict[_Key, int] = {}
+    group, rows = [], []  # per row: its index into groups, and its (t_ms, x, y, z)
     with closing(csv_records(path)) as records:
         _, header = next(records, (1, None))
         if header is None:
@@ -391,34 +406,31 @@ def _parse_rows(path: str | Path) -> list[Recording]:
                     raise NonFiniteValue(line_no, fname)
                 vals.append(v)
             key = (subject_id, session_id, CSV_NAME_TO_ACTIVITY[act_name], CSV_NAME_TO_SENSOR[sensor_name])
-            groups.setdefault(key, []).append((t_ms, *vals))
+            group.append(groups.setdefault(key, len(groups)))
+            rows.append((t_ms, *vals))
+    return _recordings(list(groups), np.array(group, dtype=np.intp),
+                       np.array(rows, dtype=SAMPLE_DTYPE))
 
-    recordings = []
-    for (subject_id, session_id, activity, sensor), rows in groups.items():
-        t_ms, x, y, z = (np.array(col) for col in zip(*rows))
-        order = np.argsort(t_ms, kind="stable")
-        samples = samples_from_columns(t_ms[order], x[order], y[order], z[order])
-        # compared pairwise, not by np.diff, which wraps around near the int64 limits
-        repeats = np.flatnonzero(samples.t_ms[1:] <= samples.t_ms[:-1])
-        if repeats.size:
-            raise NonMonotonicTimestamps(
-                f"duplicate/backward timestamp {samples.t_ms[repeats[0] + 1]} for "
-                f"({subject_id}, {session_id}, {activity.name}, {sensor.name})"
-            )
-        recordings.append(
-            Recording(
-                subject_id=subject_id,
-                activity=activity,
-                sensor=sensor,
-                samples=samples,
-                session_id=session_id,
-            )
-        )
-    return recordings
+
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """A new UTF-8 text file (newline="") beside `path` that replaces it whole when the
+    block ends and is deleted if the block raises, so `path` holds the old file or the
+    new one, never part of one. The file gets the mode open(path, "w") would give."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = tmp.open("x", newline="", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_recordings_csv(recordings: Iterable[Recording], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         csv.writer(fh).writerow(RECORDINGS_HEADER)
         for rec in recordings:
             # the key once, quoted as csv quotes it; then each sample as csv writes
@@ -432,7 +444,7 @@ def write_recordings_csv(recordings: Iterable[Recording], path: str | Path) -> N
 
 
 def write_manifest_csv(metas: Iterable[SubjectMeta], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for m in metas:

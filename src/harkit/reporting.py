@@ -3,11 +3,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
-import os
-import tempfile
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +15,7 @@ from . import __version__
 from .errors import MalformedRow, NonFiniteValue
 from .evaluation import EvalConfig, EvalReport, accuracy, recall
 from .features import Bank, BANK_WIDTH, FeatureVector
-from .ingest import ACTIVITY_CSV_NAMES, Activity, CSV_NAME_TO_ACTIVITY, csv_records
+from .ingest import ACTIVITY_CSV_NAMES, Activity, CSV_NAME_TO_ACTIVITY, atomic_open, csv_records
 from .stats import paired_t_test
 
 RESULTS_HEADER = [
@@ -28,16 +25,8 @@ RESULTS_HEADER = [
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 FEATURES_KEY_COLUMNS = ["subject_id", "activity", "bank", "window"]
@@ -48,19 +37,18 @@ def write_features_csv(vectors: list[FeatureVector], path: str | Path) -> None:
         raise ValueError("no feature vectors to write")
     bank, window = vectors[0].bank, vectors[0].window
     width = BANK_WIDTH[bank]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(FEATURES_KEY_COLUMNS + [f"f{i}" for i in range(width)])
-    for fv in vectors:
-        if fv.bank is not bank:
-            raise ValueError("mixed banks in one feature file")
-        if fv.window != window:
-            raise ValueError("mixed windows in one feature file")
-        writer.writerow(
-            [fv.subject_id, ACTIVITY_CSV_NAMES[fv.activity], bank.value, str(window)]
-            + [repr(float(v)) for v in fv.values]
-        )
-    atomic_write_text(path, buf.getvalue())
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(FEATURES_KEY_COLUMNS + [f"f{i}" for i in range(width)])
+        for fv in vectors:
+            if fv.bank is not bank:
+                raise ValueError("mixed banks in one feature file")
+            if fv.window != window:
+                raise ValueError("mixed windows in one feature file")
+            writer.writerow(
+                [fv.subject_id, ACTIVITY_CSV_NAMES[fv.activity], bank.value, str(window)]
+                + [repr(float(v)) for v in fv.values]
+            )
 
 
 def read_features_csv(path: str | Path) -> list[FeatureVector]:
@@ -125,11 +113,10 @@ def report_rows(config: EvalConfig, report: EvalReport) -> list[list[str]]:
 
 
 def write_results_csv(rows: list[list[str]], path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(RESULTS_HEADER)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULTS_HEADER)
+        writer.writerows(rows)
 
 
 def read_results_csv(path: str | Path) -> list[dict[str, str]]:

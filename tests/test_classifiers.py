@@ -291,6 +291,24 @@ class TestTrainContract:
         with pytest.raises(ValueError, match="non-finite"):
             predict_batch(model, rows)
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("label", [-1, 1.5])
+    def test_labels_must_be_class_codes(self, kind, label, rng, monkeypatch):
+        """A negative or fractional label raises before any fit, rather than training a
+        class no model can predict or truncating it to another class."""
+        X, y = blobs(rng, n_per_class=20)
+        y = np.where(y == 0, label, y)
+        for impl in ("_TreeImpl", "_NaiveBayesImpl", "_KnnImpl", "_SvmImpl", "_BaggingImpl"):
+            monkeypatch.setattr(classifiers, impl, None)  # the check comes before any model
+        with pytest.raises(ValueError, match="labels must be non-negative integer class codes"):
+            train(ModelSpec(kind, n_learners=5), X, y)
+
+    def test_integral_float_labels_are_class_codes(self, rng):
+        X, y = blobs(rng)
+        model = train(ModelSpec(ModelKind.DecisionTree), X, y + 1.0)
+        labels, _ = predict_batch(model, X)
+        assert labels.dtype.kind == "i" and np.array_equal(labels, y + 1)
+
     def test_predict_width_checked(self, rng):
         X, y = blobs(rng)
         model = train(ModelSpec(ModelKind.Knn), X, y)
@@ -825,8 +843,8 @@ class TestBagging:
     @pytest.mark.parametrize("group_elements", [classifiers._GROUP_ELEMENTS, 1, 2_000])
     def test_trees_grown_in_rounds_equal_trees_grown_alone(self, n_classes, group_elements):
         """Trees grown a level per round, in groups of any size, equal each tree grown
-        alone, best first, with no split budget; some bootstraps miss the highest class,
-        which has one row."""
+        alone as a decision tree with no split budget, which grows level by level too;
+        some bootstraps miss the highest class, which has one row."""
         rng = np.random.default_rng(n_classes)
         X, y = blobs(rng, n_per_class=6, n_classes=n_classes, d=4, sep=1.5)
         X, y = X[:-5], y[:-5]

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 import hashlib
 import json
+import os
 import re
 import shlex
 import xml.etree.ElementTree as ET
@@ -495,6 +496,31 @@ class TestReport:
         out = tmp_path / "report.md"
         assert main(["report", str(d / "grid_results.csv"), "-o", str(out)]) == EXIT_OK
         assert "t-test column omitted" in out.read_text()
+
+
+class TestOutputModes:
+    @pytest.fixture
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    def test_outputs_get_the_mode_plain_open_gives(self, recordings_csv, tmp_path, umask_022):
+        """Every file synth and grid write has the mode open(path, "w") gives in the same
+        directory, whether or not it is staged under a temporary name first."""
+        data, grid = tmp_path / "data", tmp_path / "grid"
+        assert main(["synth", "--subjects", "1", "--minutes", "0.1", "-o", str(data)]) == EXIT_OK
+        assert main(["grid", str(recordings_csv), "--model", "nb", "--treatment", "nr-rp",
+                     "--protocol", "personal", "--bank", "b", "--window", "40,75",
+                     "-o", str(grid)]) == EXIT_OK
+        written = {data: {"recordings.csv", "manifest.csv", "synth_manifest.json"},
+                   grid: {"grid_results.csv", "summary.md", "sweep.svg", "grid_manifest.json"}}
+        for out, names in written.items():
+            with (out / "plain").open("w"):
+                pass
+            mode = (out / "plain").stat().st_mode
+            assert {p.name: p.stat().st_mode for p in out.iterdir()} == {
+                name: mode for name in names | {"plain"}}
 
 
 class TestExitCodes:

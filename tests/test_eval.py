@@ -201,6 +201,16 @@ class TestEvaluateAccounting:
         b = evaluate(replace(base, seed=99), X, y, subjects)
         assert not np.array_equal(a.confusion, b.confusion)
 
+    @pytest.mark.parametrize("label", [5, -1, 1.5])
+    def test_label_that_is_no_class_code_is_named(self, label, rng, monkeypatch):
+        """A label outside the activity codes raises before the first split, naming it."""
+        X, y, subjects = toy_problem(rng)
+        y = np.where(np.arange(len(y)) == 7, label, y)
+        monkeypatch.setattr(ev, "_run_split", None)
+        config = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75)
+        with pytest.raises(ValueError, match=f"labels must be class codes 0 to 4, got {label}$"):
+            evaluate(config, X, y, subjects)
+
     def test_empty_matrix_raises(self):
         config = EvalConfig(ModelSpec(ModelKind.Knn), Bank.B70, 75)
         with pytest.raises(TooFewInstances):

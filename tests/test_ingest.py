@@ -2,6 +2,7 @@
 import csv
 import inspect
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +479,23 @@ class TestRecordingsCsvFastPath:
             reference_write(recs, fh)
         assert (tmp / "fast.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
+    def test_repeated_timestamp_raises_without_the_row_path(self, tmp_path, monkeypatch):
+        """A file the fast path reads, holding one repeated timestamp, raises the row path's
+        error at once: the recording that holds the repeat, and the timestamp."""
+        path = write_lines(tmp_path / "r.csv", [
+            HEADER, "s0,s0,walking,accel,50,1,2,3", "s0,s0,running,accel,100,1,2,3",
+            "s0,s0,walking,accel,0,1,2,3", "s0,s0,running,accel,0,1,2,3",
+            "s0,s0,running,accel,100,4,5,6"])
+        message = "duplicate/backward timestamp 100 for (s0, s0, Running, Accelerometer)"
+        assert parse_outcome(_parse_rows, path) == (NonMonotonicTimestamps, message, None)
+        assert ingest._parse_fast(path) is not None
+
+        def row_path(path):
+            raise AssertionError("the row path parsed a file the fast path read")
+        monkeypatch.setattr(ingest, "_parse_rows", row_path)
+        with pytest.raises(NonMonotonicTimestamps, match=rf"^{re.escape(message)}$"):
+            parse_recordings_csv(path)
+
     def test_parsed_samples_are_read_only(self, tmp_path):
         path = tmp_path / "r.csv"
         write_recordings_csv([_rec(t_ms=(50, 0, 100))], path)
@@ -485,6 +503,24 @@ class TestRecordingsCsvFastPath:
         assert rec.samples.t_ms.tolist() == [0, 50, 100]
         with pytest.raises(ValueError):
             rec.samples.x[0] = 1.0
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, error):
+        """A write whose recordings raise part way leaves the file it would replace as it
+        was, and no temporary file beside it."""
+        path = tmp_path / "recordings.csv"
+        write_recordings_csv([_rec()], path)
+        before = path.read_bytes()
+
+        def recordings():
+            yield _rec("s1", t_ms=(0, 50, 100))
+            raise error
+        with pytest.raises(error):
+            write_recordings_csv(recordings(), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestManifestCsv:
