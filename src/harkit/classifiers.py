@@ -46,17 +46,35 @@ class ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# CART decision tree
+# CART trees: the decision tree, and bagging's bootstrap trees
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _TreeNode:
-    label: int                       # majority label (used when leaf)
-    feature: int = -1                # split feature (-1 = leaf)
-    threshold: float = 0.0
-    priority: float = 0.0            # -gain x rows of the split: best-first growth's key
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
+class _Nodes(NamedTuple):
+    """The nodes of `n_trees` CART trees, tree t's root at node t. A split node sends a
+    row with x[feature] <= threshold to node child and any other row to node child + 1;
+    a leaf (feature -1) predicts its label."""
+    label: np.ndarray      # (nodes,) majority label
+    feature: np.ndarray    # (nodes,) split feature, -1 at a leaf
+    threshold: np.ndarray  # (nodes,)
+    priority: np.ndarray   # (nodes,) -gain x rows of the split: best-first growth's key
+    child: np.ndarray      # (nodes,) a split's left child; its right child is the next node
+    n_trees: int
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """The (rows, trees) labels of the finite rows X: every row walks every tree at
+        once, a level per round. A loop over levels, not recursion: a tree may be deeper
+        than the call stack."""
+        n, d = X.shape
+        node = np.tile(np.arange(self.n_trees), n)  # per (row, tree)
+        at = np.repeat(np.arange(n) * d, self.n_trees)  # the row's start in X, flat
+        x = X.ravel()
+        walk = np.flatnonzero(self.feature[node] >= 0)
+        while walk.size:
+            i = node[walk]
+            i = self.child[i] + (x[at[walk] + self.feature[i]] > self.threshold[i])
+            node[walk] = i
+            walk = walk[self.feature[i] >= 0]
+        return self.label[node].reshape(n, self.n_trees)
 
 
 def _sum_classes(q: np.ndarray) -> np.ndarray:
@@ -86,6 +104,10 @@ _SPLIT_BLOCK_ELEMENTS = 16_384
 _GROUP_ELEMENTS = 1 << 19
 
 
+# label, feature, threshold, priority and child of a new leaf
+_LEAF = (0, -1, 0.0, 0.0, 0)
+
+
 class _Frontier(NamedTuple):
     """Open nodes, of one tree or of several, with their rows side by side."""
     ids: np.ndarray     # (features, columns) int32: node after node, each node's rows
@@ -93,7 +115,7 @@ class _Frontier(NamedTuple):
     sizes: np.ndarray   # (nodes,) columns of each node
     trees: np.ndarray   # (nodes,) the tree of each node
     counts: np.ndarray  # (nodes, classes) int64 weighted class counts
-    nodes: list         # the _TreeNode of each node
+    nodes: np.ndarray   # (nodes,) each node's index in the forest's `_Nodes`
 
 
 def _layout(widths: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -110,15 +132,14 @@ def _layout(widths: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _runs(sizes: np.ndarray, limit: int):
-    """(first, end) ranges of consecutive nodes whose sizes sum to at most `limit`, a
-    larger node alone."""
-    first, total = 0, 0
-    for i, size in enumerate(sizes.tolist()):
-        if total and total + size > limit:
-            yield first, i
-            first, total = i, 0
-        total += size
-    yield first, len(sizes)
+    """(first, end) ranges of consecutive nodes, each as many as fit in sizes summing
+    to at most `limit`, a larger node alone."""
+    ends, first = np.cumsum(sizes), 0
+    while first < len(sizes):
+        end = max(first + 1, int(np.searchsorted(ends, ends[first] - sizes[first] + limit,
+                                                 "right")))
+        yield first, end
+        first = end
 
 
 class _Forest:
@@ -128,8 +149,9 @@ class _Forest:
     with every count 1.
 
     Growth runs on frontiers of open nodes from any of the trees (`_Frontier`): one
-    `best_splits` call searches all of them, one `split` call partitions them. Row r of
-    tree t looks up its per-row terms at t * n + r.
+    `best_splits` call searches all of them, one `split` call partitions them and
+    writes the splits into `nodes`. Row r of tree t looks up its per-row terms at
+    t * n + r.
 
     A node's count never exceeds its tree's total, which takes `bits` bits. The search
     runs two cumulative sums of packed int64 words (`_layout`). One holds each class's
@@ -159,15 +181,16 @@ class _Forest:
         self.own_shift = np.where(self.word[self.y] == np.arange(len(self.unit))[:, None],
                                   self.shift[self.y], 63)
 
-    def roots(self) -> tuple[list[_TreeNode], _Frontier]:
-        """Every tree's root, and the frontier of the roots that hold two classes or
-        more."""
+    def roots(self) -> _Frontier:
+        """The frontier of the roots that hold two classes or more; `nodes` becomes the
+        trees' roots."""
         n_trees, n_cls = len(self.n_classes), int(self.n_classes.max())
         n_features, n = self.XT.shape
         counts = np.bincount(np.repeat(np.arange(n_trees), n) * n_cls + self.y,
                              weights=self.w, minlength=n_trees * n_cls)
         counts = counts.reshape(n_trees, n_cls).astype(np.int64)
-        roots = [_TreeNode(label=label) for label in counts.argmax(axis=1).tolist()]
+        self.nodes = _Nodes(counts.argmax(axis=1),
+                            *(np.full(n_trees, fill) for fill in _LEAF[1:]), n_trees)
         grow = np.flatnonzero(np.count_nonzero(counts, axis=1) >= 2)
         drawn = self.w.reshape(n_trees, n)[grow] > 0
         sizes = np.count_nonzero(drawn, axis=1)
@@ -177,19 +200,19 @@ class _Forest:
             kept = np.compress(np.take(keep, self.order).ravel(), self.order)
             ids[:, at:at + size] = (kept + t * n).reshape(n_features, size)
             at += size
-        return roots, _Frontier(ids, sizes, grow, counts[grow], [roots[t] for t in grow])
+        return _Frontier(ids, sizes, grow, counts[grow], grow)
 
-    def grow(self, levels: int | None = None) -> list[_TreeNode]:
-        """Every tree's root, each tree grown a level of every tree per round, for at
-        most `levels` rounds (default: until no node can split): each round searches
-        and splits all open nodes at once. A tree splits every node that can split
-        within those levels, so the order of splits cannot change it."""
-        roots, frontier = self.roots()
+    def grow(self, levels: int | None = None) -> _Nodes:
+        """The trees, grown a level of every tree per round, for at most `levels`
+        rounds (default: until no node can split): each round searches and splits all
+        open nodes at once. A tree splits every node that can split within those
+        levels, so the order of splits cannot change it."""
+        frontier = self.roots()
         level = 0
-        while frontier.nodes and (levels is None or level < levels):
+        while frontier.nodes.size and (levels is None or level < levels):
             frontier = self.split(frontier, *self.best_splits(frontier))
             level += 1
-        return roots
+        return self.nodes
 
     def best_splits(self, fr: _Frontier) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The best split of every node of `fr` by an exhaustive scan over midpoints of
@@ -362,9 +385,9 @@ class _Forest:
     def split(self, fr: _Frontier, gain: np.ndarray, feature: np.ndarray,
               threshold: np.ndarray) -> _Frontier:
         """Split every node i of `fr` with feature[i] >= 0 at XT[feature[i]] <=
-        threshold[i] into two leaves, its priority -gain[i] times its count, and return
-        the frontier of the new leaves that hold two classes or more, every left child
-        before every right one. A child's rows keep each feature's order: a stable
+        threshold[i] into two new leaves, its priority -gain[i] times its count, and
+        return the frontier of the new leaves that hold two classes or more, every left
+        child before every right one. A child's rows keep each feature's order: a stable
         partition, with no sort."""
         n_features, n = self.XT.shape
         n_nodes, n_cls = fr.counts.shape
@@ -378,15 +401,18 @@ class _Forest:
         right = fr.counts - left
         grows = feature >= 0
         split = np.flatnonzero(grows)
-        priority = -gain[split] * fr.counts[split].sum(axis=1)
-        for i, f, t, p, l, r in zip(split.tolist(), feature[split].tolist(),
-                                    threshold[split].tolist(), priority.tolist(),
-                                    # majority labels, ties to the smallest class
-                                    left[split].argmax(axis=1).tolist(),
-                                    right[split].argmax(axis=1).tolist()):
-            node = fr.nodes[i]
-            node.feature, node.threshold, node.priority = f, t, p
-            node.left, node.right = _TreeNode(label=l), _TreeNode(label=r)
+        # split j's children are leaves 2j and 2j + 1 after the nodes so far
+        child = len(self.nodes.label) + 2 * np.arange(len(split))
+        nodes = self.nodes = _Nodes(*(np.concatenate([a, np.full(2 * len(split), fill)])
+                                      for a, fill in zip(self.nodes, _LEAF)), self.nodes.n_trees)
+        parents = fr.nodes[split]
+        nodes.feature[parents] = feature[split]
+        nodes.threshold[parents] = threshold[split]
+        nodes.priority[parents] = -gain[split] * fr.counts[split].sum(axis=1)
+        nodes.child[parents] = child
+        # majority labels, ties to the smallest class
+        nodes.label[child] = left[split].argmax(axis=1)
+        nodes.label[child + 1] = right[split].argmax(axis=1)
         keep_left = grows & (np.count_nonzero(left, axis=1) >= 2)
         keep_right = grows & (np.count_nonzero(right, axis=1) >= 2)
         # per (tree, row): 1 to a left child kept, 2 to a right child kept, else 0
@@ -403,60 +429,83 @@ class _Forest:
             code = np.take(side, G).ravel()
             children[f0:f0 + step, :at] = np.compress(code == 1, G).reshape(len(G), -1)
             children[f0:f0 + step, at:] = np.compress(code == 2, G).reshape(len(G), -1)
-        nodes = [fr.nodes[i].left for i in lefts] + [fr.nodes[i].right for i in rights]
         return _Frontier(children, sizes, fr.trees[np.concatenate([lefts, rights])],
-                         np.concatenate([left[lefts], right[rights]]), nodes)
+                         np.concatenate([left[lefts], right[rights]]),
+                         np.concatenate([nodes.child[fr.nodes[lefts]],
+                                         nodes.child[fr.nodes[rights]] + 1]))
 
 
-class _TreeImpl:
-    def __init__(self, max_splits: int | None):
-        self.max_splits = max_splits
-        self.root: _TreeNode | None = None
-        self.n_classes = 0
+def _join(parts: list[_Nodes]) -> _Nodes:
+    """The trees of `parts`, in order, as one `_Nodes`: every root, then each part's
+    other nodes."""
+    n_trees = sum(p.n_trees for p in parts)
+    starts = n_trees + np.cumsum([0] + [len(p.label) - p.n_trees for p in parts[:-1]])
+    parts = [p._replace(child=np.where(p.feature >= 0, p.child - p.n_trees + start, 0))
+             for p, start in zip(parts, starts)]
+    return _Nodes(*(np.concatenate([p[i][:p.n_trees] for p in parts]
+                                   + [p[i][p.n_trees:] for p in parts]) for i in range(5)),
+                  n_trees)
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        XT = np.ascontiguousarray(X.T)
-        self.n_classes = int(y.max()) + 1
-        forest = _Forest(XT, np.argsort(XT, axis=1), y, np.ones((1, len(y)), dtype=np.int64),
-                         np.array([self.n_classes]))
-        if self.max_splits is None:
-            (self.root,) = forest.grow()
-        else:
-            # best-first growth under budget B splits nodes at depth <= B - 1, whose
-            # children, at depth <= B, the first B + 1 levels search
-            (self.root,) = forest.grow(self.max_splits + 1)
-            self.keep_best_first(self.max_splits)
 
-    def keep_best_first(self, max_splits: int) -> None:
-        """Cut the grown tree to the tree grown best first under the split budget:
-        replay the expansion of the pending split with the largest impurity decrease
-        (the first pushed among equals, a left child before its right) until the budget
-        runs out, and make every split still pending a leaf. A node's split is the same
-        whichever other nodes are searched with it, so the replay keeps the splits
-        best-first growth makes."""
-        heap = [(self.root.priority, 0, self.root)] if self.root.feature >= 0 else []
+def _keep_best_first(nodes: _Nodes, max_splits: int) -> None:
+    """Cut each tree of `nodes` to the tree grown best first under the split budget:
+    replay the expansion of the pending split of largest impurity decrease (the first
+    pushed among equals, a left child before its right) until the budget runs out, and
+    make every split still pending a leaf. A node's split is the same whichever other
+    nodes are searched with it, so the replay keeps the splits best-first growth makes."""
+    feature, priority, child = (a.tolist() for a in (nodes.feature, nodes.priority, nodes.child))
+    for root in range(nodes.n_trees):
+        heap = [(priority[root], 0, root)] if feature[root] >= 0 else []
         pushes = itertools.count(1)
         for _ in range(max_splits):
             if not heap:
                 break
             _, _, node = heapq.heappop(heap)
-            for child in (node.left, node.right):
-                if child.feature >= 0:
-                    heapq.heappush(heap, (child.priority, next(pushes), child))
-        for _, _, node in heap:
-            node.feature, node.threshold, node.left, node.right = -1, 0.0, None, None
+            for kid in (child[node], child[node] + 1):
+                if feature[kid] >= 0:
+                    heapq.heappush(heap, (priority[kid], next(pushes), kid))
+        pending = [node for _, _, node in heap]
+        nodes.feature[pending], nodes.threshold[pending] = -1, 0.0
+
+
+class _TreesImpl:
+    """CART trees grown on one presort, tree t counting row i W[t, i] times: with no
+    seed one tree counting every row once (the decision tree), else `n_learners` trees
+    on the seed's bootstraps (bagging). Predicts the majority vote of its trees."""
+
+    def __init__(self, n_learners: int, seed: int | None, max_splits: int | None):
+        self.n_learners, self.seed, self.max_splits = n_learners, seed, max_splits
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        self.n_classes = int(y.max()) + 1
+        XT = np.ascontiguousarray(X.T)
+        order = np.argsort(XT, axis=1)
+        W = (np.ones((self.n_learners, len(y)), dtype=np.int64) if self.seed is None else
+             np.stack([np.bincount(bootstrap_indices(self.seed, i, len(y)), minlength=len(y))
+                       for i in range(self.n_learners)]))
+        # a tree sums its classes over the classes its rows hold
+        n_classes = np.where(W > 0, y, 0).max(axis=1) + 1
+        # best-first growth under budget B splits nodes at depth <= B - 1, whose
+        # children, at depth <= B, the first B + 1 levels search
+        levels = None if self.max_splits is None else self.max_splits + 1
+        # the trees of a group grow together, a level of every tree per round
+        n_groups = -(-self.n_learners // max(1, _GROUP_ELEMENTS // XT.size))
+        self.nodes = _join([_Forest(XT, order, y, W[group], n_classes[group]).grow(levels)
+                            for group in np.array_split(np.arange(self.n_learners), n_groups)])
+        if self.max_splits is not None:
+            _keep_best_first(self.nodes, self.max_splits)
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        labels = np.empty(len(X), dtype=int)
-        stack = [(self.root, np.arange(len(X)))]
-        while stack:  # a stack, not recursion: a tree may be deeper than the call stack
-            node, idx = stack.pop()
-            if node.feature < 0 or idx.size == 0:
-                labels[idx] = node.label
-                continue
-            mask = X[idx, node.feature] <= node.threshold
-            stack += [(node.right, idx[~mask]), (node.left, idx[mask])]
-        return labels, np.ones(len(X))
+        n, C = len(X), self.n_classes
+        votes = np.bincount((self.nodes.predict(X) + np.arange(n)[:, None] * C).ravel(),
+                            minlength=n * C).reshape(n, C)
+        labels = np.argmax(votes, axis=1)  # ties -> smallest class code
+        return labels, votes[np.arange(n), labels] / self.nodes.n_trees
+
+
+def bootstrap_indices(seed: int, learner_index: int, n: int) -> np.ndarray:
+    """Bootstrap sample indices for one bagging learner."""
+    return np.random.default_rng(seed + learner_index).integers(0, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -657,49 +706,6 @@ class _SvmImpl:
 
 
 # ---------------------------------------------------------------------------
-# Bagging of unbounded CART trees
-# ---------------------------------------------------------------------------
-
-class _BaggingImpl:
-    def __init__(self, n_learners: int, seed: int):
-        self.n_learners = n_learners
-        self.seed = seed
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        self.n_classes = int(y.max()) + 1
-        # one presort serves every tree; a tree sees its bootstrap as row counts and
-        # sums its classes over the classes its bootstrap drew
-        XT = np.ascontiguousarray(X.T)
-        order = np.argsort(XT, axis=1)
-        W = np.stack([np.bincount(bootstrap_indices(self.seed, i, len(y)), minlength=len(y))
-                      for i in range(self.n_learners)])
-        n_classes = np.where(W > 0, y, 0).max(axis=1) + 1
-        # the trees of a group grow together, a level of every tree per round
-        n_groups = -(-self.n_learners // max(1, _GROUP_ELEMENTS // XT.size))
-        self.trees = []
-        for group in np.array_split(np.arange(self.n_learners), n_groups):
-            roots = _Forest(XT, order, y, W[group], n_classes[group]).grow()
-            for root, c in zip(roots, n_classes[group].tolist()):
-                tree = _TreeImpl(max_splits=None)
-                tree.root, tree.n_classes = root, c
-                self.trees.append(tree)
-
-    def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        votes = np.zeros((len(X), self.n_classes), dtype=int)
-        for tree in self.trees:
-            labels, _ = tree.predict_batch(X)
-            votes[np.arange(len(X)), labels] += 1
-        labels = np.argmax(votes, axis=1)  # ties -> smallest class code
-        scores = votes[np.arange(len(X)), labels] / self.n_learners
-        return labels, scores
-
-
-def bootstrap_indices(seed: int, learner_index: int, n: int) -> np.ndarray:
-    """Bootstrap sample indices for one bagging learner."""
-    return np.random.default_rng(seed + learner_index).integers(0, n, n)
-
-
-# ---------------------------------------------------------------------------
 # Uniform contract
 # ---------------------------------------------------------------------------
 
@@ -736,18 +742,11 @@ def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     if y.dtype.kind not in "biuf" or not np.all(np.isfinite(y) & (y >= 0) & (np.trunc(y) == y)):
         raise ValueError("labels must be non-negative integer class codes")
     y = y.astype(int, copy=False)
-    if spec.kind is ModelKind.DecisionTree:
-        impl = _TreeImpl(spec.max_splits)
-    elif spec.kind is ModelKind.NaiveBayes:
-        impl = _NaiveBayesImpl()
-    elif spec.kind is ModelKind.Knn:
-        impl = _KnnImpl(spec.k)
-    elif spec.kind is ModelKind.Svm:
-        impl = _SvmImpl(spec.C)
-    elif spec.kind is ModelKind.Bagging:
-        impl = _BaggingImpl(spec.n_learners, spec.seed)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown model kind {spec.kind}")
+    impl = {ModelKind.DecisionTree: lambda: _TreesImpl(1, None, spec.max_splits),
+            ModelKind.NaiveBayes: _NaiveBayesImpl,
+            ModelKind.Knn: lambda: _KnnImpl(spec.k),
+            ModelKind.Svm: lambda: _SvmImpl(spec.C),
+            ModelKind.Bagging: lambda: _TreesImpl(spec.n_learners, spec.seed, None)}[spec.kind]()
     impl.fit(X, y)
     return TrainedModel(spec=spec, impl=impl, n_features=X.shape[1])
 

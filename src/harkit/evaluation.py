@@ -7,9 +7,9 @@ from enum import Enum
 import numpy as np
 
 from .classifiers import ModelSpec, predict_batch, train
-from .errors import SingleSubject, TooFewInstances
+from .errors import DimensionMismatch, SchemaError, SingleSubject, TooFewInstances
 from .features import Bank, FeatureVector, bank_matrix, feature_matrix
-from .ingest import Activity, Recording, SensorKind
+from .ingest import ACTIVITY_CSV_NAMES, Activity, Recording, SensorKind
 from .preprocess import apply_normalizer, filter_recording, fit_normalizer, window_block
 from .stats import confidence_interval
 
@@ -175,13 +175,16 @@ def evaluate(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
+    subjects = list(subjects)
+    if not len(X) == len(y) == len(subjects):
+        raise DimensionMismatch(f"{len(X)} feature rows, {len(y)} labels and "
+                                f"{len(subjects)} subject ids")
     if len(X) == 0:
         raise TooFewInstances("empty feature matrix")
     bad = y[~np.isin(y, np.arange(N_CLASSES))]
     if bad.size:
         raise ValueError(f"labels must be class codes 0 to {N_CLASSES - 1}, got {bad[0].item()!r}")
     y = y.astype(int, copy=False)
-    subjects = list(subjects)
 
     if config.treatment.permuted:
         rng = np.random.default_rng(config.seed)
@@ -209,13 +212,20 @@ def recordings_to_features(
     sensor: SensorKind = SensorKind.Accelerometer,
 ):
     """filter -> segment -> one bank call per recording of `sensor`; returns FeatureVectors.
-    Raises TooFewInstances when no recording holds a whole window."""
+    Raises TooFewInstances when no recording holds a whole window, and SchemaError when
+    a recording's features are not finite: finite samples large enough overflow."""
     vectors = []
     for rec in recordings:
         if rec.sensor is not sensor:
             continue
-        filtered = filter_recording(rec, filter_order) if filter_order else rec
-        values = bank_matrix(bank, window_block(filtered, samples_per_window))
+        with np.errstate(all="ignore"):  # an overflow shows in the features, checked below
+            filtered = filter_recording(rec, filter_order) if filter_order else rec
+            values = bank_matrix(bank, window_block(filtered, samples_per_window))
+        if not np.isfinite(values).all():
+            raise SchemaError(
+                f"the features of subject {rec.subject_id}, activity "
+                f"{ACTIVITY_CSV_NAMES[rec.activity]}, sensor {rec.sensor.value} are not "
+                "finite: the recording's samples are too large")
         vectors.extend(FeatureVector(bank, row, rec.activity, rec.subject_id, samples_per_window)
                        for row in values)
     if not vectors:
@@ -227,8 +237,9 @@ def feature_matrices(recordings: list[Recording], banks: list[Bank], windows: tu
                      filter_order: int, sensor: SensorKind) -> dict:
     """{(bank, window): (X, y, subjects)}, bank-major: each recording of `sensor` is
     filtered once, then cut and extracted once per (bank, window)."""
-    recordings = [filter_recording(rec, filter_order) if filter_order else rec
-                  for rec in recordings if rec.sensor is sensor]
+    with np.errstate(all="ignore"):  # recordings_to_features rejects what overflows
+        recordings = [filter_recording(rec, filter_order) if filter_order else rec
+                      for rec in recordings if rec.sensor is sensor]
     out = {}
     for bank in banks:
         for window in windows:

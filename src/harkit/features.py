@@ -16,7 +16,9 @@ Bank B (width 70) = 23 per-axis slots x 3 axes + average resultant:
     excess kurtosis, median.
 
 Every slot has a 0 sentinel for degenerate inputs (constant signal, window
-too short for a model fit), so extracted vectors are always finite.
+too short for a model fit). Finite windows give finite vectors unless a sum or
+square overflows: samples large enough (1e200, say) give inf or nan, which
+`evaluation.recordings_to_features` rejects.
 """
 from __future__ import annotations
 

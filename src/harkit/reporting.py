@@ -120,8 +120,8 @@ def write_results_csv(rows: list[list[str]], path: str | Path) -> None:
 
 
 def read_results_csv(path: str | Path) -> list[dict[str, str]]:
-    """The rows of a results CSV as {column: text}; every row has all the columns and
-    a finite `value`."""
+    """The rows of a results CSV as {column: text}; every row has all the columns, a
+    finite `value` and a positive integer `window`."""
     rows = []
     with closing(csv_records(path)) as records:
         _, header = next(records, (1, None))
@@ -135,6 +135,9 @@ def read_results_csv(path: str | Path) -> list[dict[str, str]]:
                 raise MalformedRow(line_no, "unparseable value") from None
             if not math.isfinite(value):
                 raise NonFiniteValue(line_no, "value")
+            if not record["window"].isdecimal() or int(record["window"]) < 1:
+                raise MalformedRow(line_no, f"window {record['window']!r} is not a positive "
+                                            "integer")
             rows.append(record)
     return rows
 
@@ -154,6 +157,8 @@ def treatment_report(rows: list[dict[str, str]]) -> str:
         key = (r["protocol"], r["classifier"], r["bank"], r["window"], r["activity"])
         cells.setdefault(key, {}).setdefault(r["treatment"], {})[unit] = float(r["value"])
 
+    # windows in numeric order
+    keys = sorted(cells, key=lambda key: (*key[:3], int(key[3]), key[4]))
     lines = ["# Treatment comparison report", ""]
     have_pairs = any("nr-rp" in t and "unr-rp" in t for t in cells.values())
     if not have_pairs:
@@ -161,7 +166,7 @@ def treatment_report(rows: list[dict[str, str]]) -> str:
         lines.append("")
         lines.append("| protocol | classifier | bank | window | activity | treatment | mean |")
         lines.append("|---|---|---|---|---|---|---|")
-        for key in sorted(cells):
+        for key in keys:
             for tname, units in sorted(cells[key].items()):
                 mean = sum(units.values()) / len(units)
                 lines.append("| " + " | ".join(key) + f" | {tname} | {mean:.4f} |")
@@ -171,7 +176,7 @@ def treatment_report(rows: list[dict[str, str]]) -> str:
         lines.append("")
         lines.append("| protocol | classifier | bank | window | activity | NR-RP | UNR-RP | t | p |")
         lines.append("|---|---|---|---|---|---|---|---|---|")
-        for key in sorted(cells):
+        for key in keys:
             treatments = cells[key]
             if "nr-rp" not in treatments or "unr-rp" not in treatments:
                 continue

@@ -206,14 +206,26 @@ NODE_KINDS = ["normal", "integer_ties", "signed_zeros", "bootstrap", "constant_c
               "class_indicators", "no_gain"]
 
 
-def tree_nodes(tree) -> list[tuple]:
-    """(label, feature, threshold) of every node of a tree, in preorder."""
-    nodes, stack = [], [tree.root]
+def tree_nodes(tree, t=0) -> list[tuple]:
+    """(label, feature, threshold) of every node of tree t of a trained tree model, or of
+    a `best_first_tree`, in preorder."""
+    if hasattr(tree, "root"):  # node objects
+        nodes, stack = [], [tree.root]
+        while stack:
+            node = stack.pop()
+            nodes.append((node.label, node.feature, node.threshold))
+            if node.feature >= 0:
+                stack += [node.right, node.left]
+        return nodes
+    label, feature, threshold, child = (
+        a.tolist() for a in (tree.nodes.label, tree.nodes.feature, tree.nodes.threshold,
+                             tree.nodes.child))
+    nodes, stack = [], [t]
     while stack:
-        node = stack.pop()
-        nodes.append((node.label, node.feature, node.threshold))
-        if node.feature >= 0:
-            stack += [node.right, node.left]
+        i = stack.pop()
+        nodes.append((label[i], feature[i], threshold[i]))
+        if feature[i] >= 0:
+            stack += [child[i] + 1, child[i]]
     return nodes
 
 
@@ -247,9 +259,8 @@ def tree_digest(model, X) -> str:
     """sha256 over every tree's nodes (label, feature, threshold; preorder) and the
     labels and scores the model predicts for X."""
     h = hashlib.sha256()
-    trees = model.impl.trees if model.spec.kind is ModelKind.Bagging else [model.impl]
-    for tree in trees:
-        for label, feature, threshold in tree_nodes(tree):
+    for t in range(model.impl.nodes.n_trees):
+        for label, feature, threshold in tree_nodes(model.impl, t):
             h.update(f"{label},{feature},{threshold!r};".encode())
     labels, scores = predict_batch(model, X)
     h.update(labels.astype(np.int64).tobytes())
@@ -298,7 +309,7 @@ class TestTrainContract:
         class no model can predict or truncating it to another class."""
         X, y = blobs(rng, n_per_class=20)
         y = np.where(y == 0, label, y)
-        for impl in ("_TreeImpl", "_NaiveBayesImpl", "_KnnImpl", "_SvmImpl", "_BaggingImpl"):
+        for impl in ("_TreesImpl", "_NaiveBayesImpl", "_KnnImpl", "_SvmImpl"):
             monkeypatch.setattr(classifiers, impl, None)  # the check comes before any model
         with pytest.raises(ValueError, match="labels must be non-negative integer class codes"):
             train(ModelSpec(kind, n_learners=5), X, y)
@@ -386,8 +397,9 @@ class TestDecisionTree:
         for budget in range(1, 13):
             tree = train(ModelSpec(ModelKind.DecisionTree, max_splits=budget), X, y).impl
             assert tree_nodes(tree) == tree_nodes(best_first_tree(X, y, budget))
-        root = train(ModelSpec(ModelKind.DecisionTree, max_splits=2), X, y).impl.root
-        assert root.feature == 4 and root.left.feature >= 0 and root.right.feature < 0
+        nodes = train(ModelSpec(ModelKind.DecisionTree, max_splits=2), X, y).impl.nodes
+        left = nodes.child[0]
+        assert nodes.feature[0] == 4 and nodes.feature[left] >= 0 and nodes.feature[left + 1] < 0
 
     def test_tree_deeper_than_recursion_limit_predicts(self):
         """A chain of 1,500 levels, deeper than Python's recursion limit, predicts its
@@ -403,6 +415,44 @@ class TestDecisionTree:
         assert np.all(labels == 3)
 
 
+def scalar_walk(nodes, t, x) -> list[int]:
+    """The nodes row x visits in tree t of `nodes`, one at a time: a row at a split's
+    threshold goes left. The oracle of `_Nodes.predict`."""
+    path = [t]
+    while nodes.feature[path[-1]] >= 0:
+        i = path[-1]
+        left = x[nodes.feature[i]] <= nodes.threshold[i]
+        path.append(nodes.child[i] if left else nodes.child[i] + 1)
+    return path
+
+
+class TestTreeWalk:
+    @pytest.mark.parametrize("spec", [ModelSpec(ModelKind.DecisionTree, max_splits=None),
+                                      ModelSpec(ModelKind.DecisionTree, max_splits=5),
+                                      ModelSpec(ModelKind.Bagging, seed=2, n_learners=7)],
+                             ids=["dtree", "dtree-5", "bag"])
+    @pytest.mark.parametrize("kind", ["normal", "integer_ties"])
+    def test_equals_scalar_walk_with_rows_at_thresholds(self, spec, kind):
+        """Every row walks every tree to the leaf of the scalar walk: training rows moved
+        onto the threshold of each split on their path, random rows and training rows."""
+        rng = np.random.default_rng(17)
+        X, y = node_matrix(rng, kind, 80, 4, 3)
+        nodes = train(spec, X, y).impl.nodes
+        at = []
+        for t in range(nodes.n_trees):
+            for x in X:
+                for i in scalar_walk(nodes, t, x)[:-1]:
+                    at.append(x.copy())
+                    at[-1][nodes.feature[i]] = nodes.threshold[i]
+        rows = np.vstack([*at, rng.normal(size=(40, 4)) * 2, X])
+        paths = [[scalar_walk(nodes, t, x) for t in range(nodes.n_trees)] for x in rows]
+        expected = nodes.label[[[path[-1] for path in row] for row in paths]]
+        assert np.array_equal(nodes.predict(rows), expected)
+        ties = sum(x[nodes.feature[i]] == nodes.threshold[i]
+                   for x, row in zip(rows, paths) for path in row for i in path[:-1])
+        assert ties > 100  # visits of a split by a row at its threshold
+
+
 def presorted_split(X, y, n_classes, w=None):
     """The split search on the one node of rows X, row i counted w[i] times (default
     once), with each feature's rows in ascending order, as a fit presorts them:
@@ -411,8 +461,8 @@ def presorted_split(X, y, n_classes, w=None):
     XT = np.ascontiguousarray(X.T)
     forest = classifiers._Forest(XT, np.argsort(XT, axis=1), y, w[None],
                                  np.array([n_classes]))
-    _, frontier = forest.roots()
-    if not frontier.nodes:  # one class: no split improves impurity
+    frontier = forest.roots()
+    if not frontier.nodes.size:  # one class: no split improves impurity
         return None
     (gain,), (feature,), (threshold,) = forest.best_splits(frontier)
     return None if feature < 0 else (float(gain), int(feature), float(threshold))
@@ -518,7 +568,8 @@ def frontier_of(XT, W, nodes, counts):
         np.stack([o[np.isin(o, rows)] for o in order]) + t * n for t, rows in nodes
     ]).astype(np.int32)
     return classifiers._Frontier(ids, np.array([len(rows) for _, rows in nodes]),
-                                 np.array([t for t, _ in nodes]), counts, [None] * len(nodes))
+                                 np.array([t for t, _ in nodes]), counts,
+                                 np.arange(len(nodes)))
 
 
 def search_nodes(X, y, W, nodes):
@@ -831,12 +882,11 @@ class TestBagging:
         X, y = X[:17], y[:17]  # class 2 keeps one row, which some bootstraps miss
         bag = train(ModelSpec(ModelKind.Bagging, seed=3, n_learners=12), X, y)
         missed = 0
-        for i, tree in enumerate(bag.impl.trees):
+        for i in range(bag.impl.nodes.n_trees):
             idx = bootstrap_indices(3, i, len(y))
             missed += y[idx].max() < 2
             alone = train(ModelSpec(ModelKind.DecisionTree, max_splits=None), X[idx], y[idx])
-            assert tree.n_classes == alone.impl.n_classes
-            assert tree_nodes(tree) == tree_nodes(alone.impl)
+            assert tree_nodes(bag.impl, i) == tree_nodes(alone.impl)
         assert missed > 0
 
     @pytest.mark.parametrize("n_classes", [2, 5, 8, 9, 12])
@@ -851,12 +901,11 @@ class TestBagging:
         with mock.patch.object(classifiers, "_GROUP_ELEMENTS", group_elements):
             bag = train(ModelSpec(ModelKind.Bagging, seed=4, n_learners=15), X, y)
         missed = 0
-        for i, tree in enumerate(bag.impl.trees):
+        for i in range(bag.impl.nodes.n_trees):
             idx = bootstrap_indices(4, i, len(y))
             missed += y[idx].max() < n_classes - 1
             alone = train(ModelSpec(ModelKind.DecisionTree, max_splits=None), X[idx], y[idx])
-            assert tree.n_classes == alone.impl.n_classes
-            assert tree_nodes(tree) == tree_nodes(alone.impl)
+            assert tree_nodes(bag.impl, i) == tree_nodes(alone.impl)
         assert missed > 0
 
     def test_bootstrap_indices_are_seeded(self):

@@ -558,6 +558,28 @@ class TestExitCodes:
                      "-o", str(tmp_path / "res")]) == EXIT_SCHEMA
         assert "line 6: non-finite value in column 'f7'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["grid", "extract"])
+    @pytest.mark.parametrize("bank", ["a", "b"])
+    def test_samples_that_overflow_features_are_schema_error(self, recordings_csv, tmp_path,
+                                                            capsys, command, bank):
+        """Finite samples of 1e308 overflow the filter's and the banks' sums: the
+        recording is named, and no output is written."""
+        lines = recordings_csv.read_text().splitlines()
+        for i, line in enumerate(lines):
+            fields = line.split(",")
+            if fields[0] == "subj01" and fields[2:4] == ["jogging", "accel"]:
+                fields[5] = "1e308"
+                lines[i] = ",".join(fields)
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = ["grid", str(big), "--model", "nb", "-o", str(out)] if command == "grid" \
+            else ["extract", str(big), "-o", str(out)]
+        assert main([*argv, "--bank", bank]) == EXIT_SCHEMA
+        assert ("error (SchemaError): the features of subject subj01, activity jogging, "
+                "sensor accel are not finite" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bank_tag_of_other_width_is_schema_error(self, bank_b_csv, tmp_path, capsys):
         bad = tmp_path / "relabelled.csv"
         bad.write_text(bank_b_csv.read_text().replace(",b,", ",a,"))

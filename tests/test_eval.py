@@ -7,7 +7,7 @@ import pytest
 import harkit.classifiers as classifiers
 import harkit.evaluation as ev
 from harkit.classifiers import ModelKind, ModelSpec
-from harkit.errors import SingleSubject, TooFewInstances
+from harkit.errors import DimensionMismatch, SingleSubject, TooFewInstances
 from harkit.evaluation import (
     NR_NRP,
     NR_RP,
@@ -210,6 +210,21 @@ class TestEvaluateAccounting:
         config = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75)
         with pytest.raises(ValueError, match=f"labels must be class codes 0 to 4, got {label}$"):
             evaluate(config, X, y, subjects)
+
+    @pytest.mark.parametrize("treatment", [NR_RP, NR_NRP])
+    @pytest.mark.parametrize("longer", ["y", "subjects"])
+    def test_inputs_of_other_lengths_raise(self, treatment, longer, rng, monkeypatch):
+        """A label or subject id more or fewer than the feature rows raises before the
+        permutation, rather than being dropped or indexed past the end."""
+        X, y, subjects = toy_problem(rng)
+        inputs = {"y": y, "subjects": subjects}
+        monkeypatch.setattr(ev, "_run_split", None)
+        for extra in (5, -5):
+            given = dict(inputs)
+            given[longer] = np.resize(given[longer], len(X) + extra)
+            config = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75, treatment)
+            with pytest.raises(DimensionMismatch):
+                evaluate(config, X, given["y"], list(given["subjects"]))
 
     def test_empty_matrix_raises(self):
         config = EvalConfig(ModelSpec(ModelKind.Knn), Bank.B70, 75)

@@ -173,6 +173,16 @@ class TestResultsCsv:
         with pytest.raises(MalformedRow):
             read_results_csv(path)
 
+    @pytest.mark.parametrize("window", ["0", "-75", "7.5", "abc", ""])
+    def test_window_that_is_no_positive_integer_reports_line(self, tmp_path, window):
+        path = tmp_path / "r.csv"
+        row = ["personal", "nb", "b", "nr-rp", "75", "overall", "accuracy", "0.5", "", "2"]
+        write_results_csv([row, row[:4] + [window] + row[5:]], path)
+        with pytest.raises(MalformedRow) as ei:
+            read_results_csv(path)
+        assert ei.value.line_no == 3
+        assert str(ei.value) == f"line 3: window {window!r} is not a positive integer"
+
 
 
 @pytest.mark.parametrize("read, header", [
@@ -187,10 +197,11 @@ def test_non_utf8_file_is_malformed_at_the_byte_s_line(tmp_path, read, header):
     assert ei.value.line_no == 3
     assert str(ei.value) == f"line 3: {path} is not UTF-8 text"
 
-def result_rows(treatment, activity, values):
+def result_rows(treatment, activity, values, window="75"):
     """Results-CSV rows of one impersonal nb cell: a summary row plus one row per unit."""
     base = {"protocol": "impersonal", "classifier": "nb", "bank": "b", "treatment": treatment,
-            "window": "75", "activity": activity, "ci_halfwidth": "", "n_units": str(len(values))}
+            "window": window, "activity": activity, "ci_halfwidth": "",
+            "n_units": str(len(values))}
     rows = [{**base, "metric": "accuracy", "value": "0.5"}]
     rows += [{**base, "metric": f"accuracy:s{i}", "value": repr(v)} for i, v in enumerate(values)]
     return rows
@@ -222,6 +233,17 @@ class TestTreatmentReport:
             "| impersonal | nb | b | 75 | overall | nr-nrp | 0.6500 |",
             "| impersonal | nb | b | 75 | overall | nr-rp | 0.8500 |",
         ]) + "\n"
+
+
+    @pytest.mark.parametrize("treatments", [("nr-rp", "unr-rp"), ("nr-rp", "nr-nrp")])
+    def test_windows_in_numeric_order(self, treatments):
+        """Windows 150, 25 and 75 are listed 25, 75, 150, not in their text order."""
+        rows = [row for window in ("150", "25", "75") for treatment in treatments
+                for row in result_rows(treatment, "overall", [0.9, 0.8, 0.85], window)]
+        lines = treatment_report(rows).splitlines()
+        windows = [line.split(" | ")[3] for line in lines if line.startswith("| impersonal")]
+        per_window = 1 if "unr-rp" in treatments else 2  # a t-test row, or a mean each
+        assert windows == [w for w in ("25", "75", "150") for _ in range(per_window)]
 
 
 class TestSweepSvg:
