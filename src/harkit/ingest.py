@@ -417,13 +417,19 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
     """A new UTF-8 text file (newline="") beside `path` that replaces it whole when the
     block ends and is deleted if the block raises, so `path` holds the old file or the
     new one, never part of one. The file gets the mode open(path, "w") would give."""
-    path = Path(path)
+    name, path = os.fspath(path), Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = tmp.open("x", newline="", encoding="utf-8")
+    try:
+        fh = tmp.open("x", newline="", encoding="utf-8")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, name) from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as e:
+            raise OSError(e.errno, e.strerror, name) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

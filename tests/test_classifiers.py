@@ -433,8 +433,9 @@ class TestTreeWalk:
                              ids=["dtree", "dtree-5", "bag"])
     @pytest.mark.parametrize("kind", ["normal", "integer_ties"])
     def test_equals_scalar_walk_with_rows_at_thresholds(self, spec, kind):
-        """Every row walks every tree to the leaf of the scalar walk: training rows moved
-        onto the threshold of each split on their path, random rows and training rows."""
+        """Every row walks every tree to the leaf of the scalar walk, in blocks of any
+        size: training rows moved onto the threshold of each split on their path, random
+        rows and training rows."""
         rng = np.random.default_rng(17)
         X, y = node_matrix(rng, kind, 80, 4, 3)
         nodes = train(spec, X, y).impl.nodes
@@ -447,7 +448,9 @@ class TestTreeWalk:
         rows = np.vstack([*at, rng.normal(size=(40, 4)) * 2, X])
         paths = [[scalar_walk(nodes, t, x) for t in range(nodes.n_trees)] for x in rows]
         expected = nodes.label[[[path[-1] for path in row] for row in paths]]
-        assert np.array_equal(nodes.predict(rows), expected)
+        for block_elements in (classifiers._SPLIT_BLOCK_ELEMENTS, 1, 97):
+            with mock.patch.object(classifiers, "_SPLIT_BLOCK_ELEMENTS", block_elements):
+                assert np.array_equal(nodes.predict(rows), expected)
         ties = sum(x[nodes.feature[i]] == nodes.threshold[i]
                    for x, row in zip(rows, paths) for path in row for i in path[:-1])
         assert ties > 100  # visits of a split by a row at its threshold
@@ -459,8 +462,9 @@ def presorted_split(X, y, n_classes, w=None):
     (gain, feature, threshold), or None."""
     w = np.ones(len(y), dtype=np.int64) if w is None else w
     XT = np.ascontiguousarray(X.T)
+    nodes = classifiers._Nodes(*(np.full(1, fill) for fill in classifiers._LEAF), 1)
     forest = classifiers._Forest(XT, np.argsort(XT, axis=1), y, w[None],
-                                 np.array([n_classes]))
+                                 np.array([n_classes]), nodes, np.array([0]))
     frontier = forest.roots()
     if not frontier.nodes.size:  # one class: no split improves impurity
         return None
@@ -567,8 +571,7 @@ def frontier_of(XT, W, nodes, counts):
     ids = np.hstack([
         np.stack([o[np.isin(o, rows)] for o in order]) + t * n for t, rows in nodes
     ]).astype(np.int32)
-    return classifiers._Frontier(ids, np.array([len(rows) for _, rows in nodes]),
-                                 np.array([t for t, _ in nodes]), counts,
+    return classifiers._Frontier(ids, np.array([len(rows) for _, rows in nodes]), counts,
                                  np.arange(len(nodes)))
 
 
@@ -577,7 +580,8 @@ def search_nodes(X, y, W, nodes):
     from `reference_best_split` on each node's rows repeated by their counts."""
     n_classes = np.where(W > 0, y, 0).max(axis=1) + 1
     XT = np.ascontiguousarray(X.T)
-    forest = classifiers._Forest(XT, np.argsort(XT, axis=1), y, W, n_classes)
+    forest = classifiers._Forest(XT, np.argsort(XT, axis=1), y, W, n_classes, None,
+                                 np.arange(len(W)))
     counts = np.stack([np.bincount(y[rows], weights=W[t, rows], minlength=n_classes.max())
                        for t, rows in nodes]).astype(np.int64)
     gain, feature, threshold = forest.best_splits(frontier_of(XT, W, nodes, counts))
@@ -894,12 +898,17 @@ class TestBagging:
     def test_trees_grown_in_rounds_equal_trees_grown_alone(self, n_classes, group_elements):
         """Trees grown a level per round, in groups of any size, equal each tree grown
         alone as a decision tree with no split budget, which grows level by level too;
-        some bootstraps miss the highest class, which has one row."""
+        some bootstraps miss the highest class, which has one row. Every node after the
+        roots is the child of exactly one split, and no root is a child."""
         rng = np.random.default_rng(n_classes)
         X, y = blobs(rng, n_per_class=6, n_classes=n_classes, d=4, sep=1.5)
         X, y = X[:-5], y[:-5]
         with mock.patch.object(classifiers, "_GROUP_ELEMENTS", group_elements):
             bag = train(ModelSpec(ModelKind.Bagging, seed=4, n_learners=15), X, y)
+        nodes = bag.impl.nodes
+        split = np.flatnonzero(nodes.feature >= 0)
+        children = np.concatenate([nodes.child[split], nodes.child[split] + 1])
+        assert np.array_equal(np.sort(children), np.arange(nodes.n_trees, len(nodes.label)))
         missed = 0
         for i in range(bag.impl.nodes.n_trees):
             idx = bootstrap_indices(4, i, len(y))

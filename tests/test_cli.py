@@ -1,4 +1,5 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
+import errno
 import hashlib
 import json
 import os
@@ -533,6 +534,20 @@ class TestExitCodes:
         assert main(["synth", "--subjects", "1", "--minutes", "0.1",
                      "-o", str(blocker / "out")]) == EXIT_IO
         assert str(blocker / "out") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["extract", "report"])
+    @pytest.mark.parametrize("target, code", [("missing/out", errno.ENOENT), ("", errno.EISDIR)],
+                             ids=["missing-dir", "is-dir"])
+    def test_unwritable_output_is_named_as_given(self, recordings_csv, tmp_path, capsys,
+                                                 command, target, code):
+        """The error names the output path as given, not the temporary file a write
+        stages first beside it."""
+        results = tmp_path / "results.csv"
+        write_results_csv([], results)
+        out = tmp_path / target
+        inputs = {"extract": recordings_csv, "report": results}
+        assert main([command, str(inputs[command]), "-o", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
 
     def test_malformed_csv_is_schema_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
