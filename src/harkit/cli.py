@@ -105,20 +105,21 @@ def _axis(values: list[str] | None, default) -> list[str]:
     return list(dict.fromkeys(values or default))
 
 
-def _window_axis(text: str) -> tuple[int, ...]:
-    """--window's sizes: lo:hi:step (hi included, step >= 1) or a comma list, each >= MIN_WINDOW."""
+def _window_axis(text: str) -> tuple[int, ...] | range:
+    """--window's sizes, each >= MIN_WINDOW: lo:hi:step (hi included, step >= 1) as a range,
+    never listed (it ascends: its first size is its least), or a comma list without repeats."""
     try:
         if ":" in text:
             lo, hi, step = (int(p) for p in text.split(":"))
             sizes = range(lo, hi + 1, step) if step >= 1 else ()
         else:
-            sizes = [int(p) for p in text.split(",")]
+            sizes = tuple(dict.fromkeys(int(p) for p in text.split(",")))
     except ValueError:
         sizes = ()
-    if not sizes or min(sizes) < MIN_WINDOW:
+    if not sizes or (sizes[0] if isinstance(sizes, range) else min(sizes)) < MIN_WINDOW:
         raise UsageError("--window must be lo:hi:step with step >= 1 or a comma list of "
                          f"window sizes >= {MIN_WINDOW}, got {text!r}")
-    return tuple(dict.fromkeys(sizes))
+    return sizes
 
 
 def _recording_settings(args) -> tuple[str, int]:
@@ -285,7 +286,7 @@ def _load_matrices(args):
         if banks not in ([], [bank.value]):
             raise UsageError(f"--bank {' '.join(banks)} disagrees with {args.input}, "
                              f"whose features are bank {bank.value}")
-        if windows not in ((), (window,)):
+        if windows and tuple(windows[:2]) != (window,):
             raise UsageError(f"--window {args.window} disagrees with {args.input}, "
                              f"whose features were extracted at window {window}")
         if args.sensor is not None or args.filter_order is not None:

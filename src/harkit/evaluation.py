@@ -8,9 +8,9 @@ import numpy as np
 
 from .classifiers import ModelSpec, predict_batch, train
 from .errors import DimensionMismatch, SchemaError, SingleSubject, TooFewInstances
-from .features import Bank, FeatureVector, bank_matrix, feature_matrix
+from .features import BANK_WIDTH, Bank, FeatureVector, bank_matrix
 from .ingest import ACTIVITY_CSV_NAMES, Activity, Recording, SensorKind
-from .preprocess import apply_normalizer, filter_recording, fit_normalizer, window_block
+from .preprocess import MIN_WINDOW, apply_normalizer, filter_recording, fit_normalizer, window_block
 from .stats import confidence_interval
 
 N_CLASSES = len(Activity)
@@ -119,48 +119,24 @@ def kfold_split(k: int, labels: np.ndarray) -> list[np.ndarray]:
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
-def loso_split(subject_ids: list[str]) -> list[tuple[np.ndarray, np.ndarray, str]]:
-    """One (train, test) pair per distinct subject; test = that subject."""
-    subjects = sorted(set(subject_ids))
-    if len(subjects) < 2:
-        raise SingleSubject("leave-one-subject-out needs at least 2 subjects")
-    ids = np.asarray(subject_ids)
-    return [(np.flatnonzero(ids != s), np.flatnonzero(ids == s), s) for s in subjects]
-
-
 def _splits(config: EvalConfig, y: np.ndarray, subjects: list[str], unit_ids: list[str]):
     """(unit index, train rows, test rows) of each split of the protocol, in order."""
-    if config.protocol is Protocol.Personal:
-        ids = np.asarray(subjects)
-        for ui, s in enumerate(unit_ids):
-            sub_idx = np.flatnonzero(ids == s)
-            for fold in kfold_split(config.folds, y[sub_idx]):
-                yield ui, np.delete(sub_idx, fold), sub_idx[fold]
-    else:
+    ids = np.asarray(subjects)
+    if config.protocol is Protocol.Impersonal:
         if len(np.unique(y)) < 2:
             raise TooFewInstances("impersonal evaluation needs at least 2 classes")
-        for ui, (train_idx, test_idx, _s) in enumerate(loso_split(subjects)):
-            yield ui, train_idx, test_idx
-
-
-def _run_split(
-    config: EvalConfig,
-    X: np.ndarray,
-    y: np.ndarray,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
-    split_index: int,
-) -> tuple[np.ndarray, int, int]:
-    """The test rows' predicted labels, the SVM pairs trained and how many hit the step budget."""
-    Xtr, Xte = X[train_idx], X[test_idx]
-    if config.treatment.normalized:
-        norm = fit_normalizer(Xtr)
-        Xtr = apply_normalizer(norm, Xtr)
-        Xte = apply_normalizer(norm, Xte)
-    spec = replace(config.model_spec, seed=config.model_spec.seed ^ split_index)
-    model = train(spec, Xtr, y[train_idx])
-    labels, _ = predict_batch(model, Xte)
-    return labels, model.svm_pairs, model.svm_budget_hits
+        if len(unit_ids) < 2:
+            raise SingleSubject("leave-one-subject-out needs at least 2 subjects")
+    for ui, s in enumerate(unit_ids):
+        sub_idx = np.flatnonzero(ids == s)
+        if config.protocol is Protocol.Impersonal:
+            yield ui, np.flatnonzero(ids != s), sub_idx
+        elif len(sub_idx) < config.folds:
+            raise TooFewInstances(f"need at least {config.folds} instances of subject {s}, "
+                                  f"got {len(sub_idx)}")
+        else:
+            for fold in kfold_split(config.folds, y[sub_idx]):
+                yield ui, np.delete(sub_idx, fold), sub_idx[fold]
 
 
 def evaluate(
@@ -168,10 +144,12 @@ def evaluate(
 ) -> EvalReport:
     """Run the configured protocol over a labeled feature matrix.
 
-    Personal: stratified k-fold within each subject; units are subjects.
+    Personal: stratified k-fold within each subject; units are subjects, and one with
+    fewer rows than folds raises TooFewInstances naming it.
     Impersonal: leave-one-subject-out; units are held-out subjects.
-    Instance permutation (when enabled) reorders instances before fold
-    assignment; normalization statistics come from the training side only.
+    Instance permutation (when enabled) reorders instances before fold assignment; each
+    split normalizes with its training rows' statistics only, trains with seed
+    `model_spec.seed ^ split index` and predicts its test rows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -194,14 +172,22 @@ def evaluate(
 
     unit_ids = sorted(set(subjects))
     unit_conf = np.zeros((len(unit_ids), N_CLASSES, N_CLASSES), dtype=int)
-    svm_health = np.zeros(2, dtype=int)  # SVM pairs trained, pairs that hit the step budget
+    svm_pairs = svm_budget_hits = 0
     for split_index, (ui, train_idx, test_idx) in enumerate(
             _splits(config, y, subjects, unit_ids)):
-        pred, *health = _run_split(config, X, y, train_idx, test_idx, split_index)
-        svm_health += health
+        Xtr, Xte = X[train_idx], X[test_idx]
+        if config.treatment.normalized:
+            norm = fit_normalizer(Xtr)
+            Xtr, Xte = apply_normalizer(norm, Xtr), apply_normalizer(norm, Xte)
+        spec = replace(config.model_spec, seed=config.model_spec.seed ^ split_index)
+        model = train(spec, Xtr, y[train_idx])
+        pred, _ = predict_batch(model, Xte)
+        svm_pairs += model.svm_pairs
+        svm_budget_hits += model.svm_budget_hits
         np.add.at(unit_conf[ui], (y[test_idx], pred), 1)
+        del Xtr, Xte, model  # the next split trains without this one's model and copies
 
-    return EvalReport(tuple(unit_ids), unit_conf, int(svm_health[0]), int(svm_health[1]))
+    return EvalReport(tuple(unit_ids), unit_conf, svm_pairs, svm_budget_hits)
 
 
 def recordings_to_features(
@@ -210,39 +196,51 @@ def recordings_to_features(
     samples_per_window: int,
     filter_order: int = 3,
     sensor: SensorKind = SensorKind.Accelerometer,
-):
-    """filter -> segment -> one bank call per recording of `sensor`; returns FeatureVectors.
-    Raises TooFewInstances when no recording holds a whole window, and SchemaError when
-    a recording's features are not finite: finite samples large enough overflow."""
-    vectors = []
-    for rec in recordings:
-        if rec.sensor is not sensor:
-            continue
+) -> list[FeatureVector]:
+    """feature_matrices' rows for one bank and window as FeatureVectors, with its errors."""
+    [(X, y, subjects)] = feature_matrices(recordings, [bank], (samples_per_window,),
+                                          filter_order, sensor).values()
+    return [FeatureVector(bank, row, Activity(code), subject, samples_per_window)
+            for row, code, subject in zip(X, y.tolist(), subjects)]
+
+
+def feature_matrices(recordings: list[Recording], banks: list[Bank],
+                     windows: tuple[int, ...] | range, filter_order: int,
+                     sensor: SensorKind) -> dict:
+    """{(bank, window): (X, y, subjects)}, bank-major, in one pass over the recordings of
+    `sensor`: each is filtered once (order 0: not at all), extracted once per (bank,
+    window) into its rows of the preallocated matrices, and dropped before the next.
+    Before any extraction, a size below MIN_WINDOW raises ValueError, and no recording of
+    `sensor`, or the first size no recording holds, TooFewInstances (a range of sizes is
+    walked no further than the longest recording). SchemaError names the first recording
+    whose features are not finite: finite samples large enough overflow."""
+    recordings = [rec for rec in recordings if rec.sensor is sensor]
+    if not recordings:
+        raise TooFewInstances(f"no recordings of sensor {sensor.value} in the input")
+    longest = max(len(rec.samples) for rec in recordings)
+    for window in windows:
+        if window < MIN_WINDOW:
+            raise ValueError(f"samples_per_window must be >= {MIN_WINDOW}")
+        if window > longest:
+            raise TooFewInstances(f"no windows of {window} samples in the recordings")
+    counts = {window: [len(rec.samples) // window for rec in recordings] for window in windows}
+    # each recording's first row in the matrices of each window
+    starts = {window: np.cumsum([0, *n]) for window, n in counts.items()}
+    out = {(bank, window): (np.empty((starts[window][-1], BANK_WIDTH[bank])),
+                            np.repeat([rec.activity.value for rec in recordings], n),
+                            [rec.subject_id for rec, k in zip(recordings, n) for _ in range(k)])
+           for bank in banks for window, n in counts.items()}
+    for i, rec in enumerate(recordings):
+        finite = True
         with np.errstate(all="ignore"):  # an overflow shows in the features, checked below
             filtered = filter_recording(rec, filter_order) if filter_order else rec
-            values = bank_matrix(bank, window_block(filtered, samples_per_window))
-        if not np.isfinite(values).all():
+            for (bank, window), (X, _, _) in out.items():
+                rows = slice(starts[window][i], starts[window][i + 1])
+                X[rows] = bank_matrix(bank, window_block(filtered, window))
+                finite = finite and np.isfinite(X[rows]).all()
+        if not finite:
             raise SchemaError(
                 f"the features of subject {rec.subject_id}, activity "
                 f"{ACTIVITY_CSV_NAMES[rec.activity]}, sensor {rec.sensor.value} are not "
                 "finite: the recording's samples are too large")
-        vectors.extend(FeatureVector(bank, row, rec.activity, rec.subject_id, samples_per_window)
-                       for row in values)
-    if not vectors:
-        raise TooFewInstances(f"no windows of {samples_per_window} samples in the recordings")
-    return vectors
-
-
-def feature_matrices(recordings: list[Recording], banks: list[Bank], windows: tuple[int, ...],
-                     filter_order: int, sensor: SensorKind) -> dict:
-    """{(bank, window): (X, y, subjects)}, bank-major: each recording of `sensor` is
-    filtered once, then cut and extracted once per (bank, window)."""
-    with np.errstate(all="ignore"):  # recordings_to_features rejects what overflows
-        recordings = [filter_recording(rec, filter_order) if filter_order else rec
-                      for rec in recordings if rec.sensor is sensor]
-    out = {}
-    for bank in banks:
-        for window in windows:
-            out[bank, window] = feature_matrix(
-                recordings_to_features(recordings, bank, window, 0, sensor))
     return out

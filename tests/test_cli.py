@@ -5,11 +5,14 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import harkit
 import harkit.classifiers as classifiers
 import harkit.errors as errors
 import harkit.evaluation as ev
@@ -44,6 +47,22 @@ def data_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def recordings_csv(data_dir):
     return data_dir / "recordings.csv"
+
+
+@pytest.fixture
+def extraction_calls(monkeypatch):
+    """How often the feature builder has filtered a recording and called a bank."""
+    calls = {"filter": 0, "bank": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ev, "filter_recording", counting("filter", ev.filter_recording))
+    monkeypatch.setattr(ev, "bank_matrix", counting("bank", ev.bank_matrix))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +252,15 @@ class TestCell:
         assert "extracted at window 75" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_window_range_is_checked_against_features_csv(self, bank_b_csv, tmp_path):
+        """A range of the CSV's one window agrees; a huge one disagrees without being listed."""
+        cell = ["grid", str(bank_b_csv), "--model", "nb", "--treatment", "nr-rp",
+                "--protocol", "personal"]
+        assert main([*cell, "--window", "75:75:1", "-o", str(tmp_path / "one")]) == EXIT_OK
+        assert main([*cell, "--window", "75:10000000000:1",
+                     "-o", str(tmp_path / "x")]) == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("flag", [["--bank", "a"], ["--sensor", "gyro"],
                                       ["--sensor", "accel"], ["--filter-order", "9"],
                                       ["--filter-order", "3"]])
@@ -302,6 +330,21 @@ class TestGridWindows:
         assert main(["grid", str(recordings_csv), *self.ONE_MODEL, "--window", "100000",
                      "-o", str(tmp_path / "x")]) == EXIT_PROTOCOL
 
+    def test_window_no_recording_holds_fails_before_extraction(
+            self, recordings_csv, tmp_path, capsys, extraction_calls):
+        assert main(["grid", str(recordings_csv), *self.ONE_MODEL, "--window", "100,100000",
+                     "-o", str(tmp_path / "x")]) == EXIT_PROTOCOL
+        assert "no windows of 100000 samples" in capsys.readouterr().err
+        assert extraction_calls["bank"] == 0
+        assert not (tmp_path / "x").exists()
+
+    def test_huge_window_range_is_protocol_error(self, recordings_csv, tmp_path, capsys):
+        """A range is checked against the recordings, never listed: the first size past
+        the longest recording (600 samples) fails."""
+        assert main(["grid", str(recordings_csv), *self.ONE_MODEL,
+                     "--window", "4:10000000000:1", "-o", str(tmp_path / "x")]) == EXIT_PROTOCOL
+        assert "no windows of 601 samples" in capsys.readouterr().err
+
     def test_one_model_outputs_are_unchanged(self, recordings_csv, tmp_path):
         # sha256 of the files the one-model window sweep wrote before it became a
         # grid axis; its rows and chart must stay byte for byte
@@ -334,17 +377,8 @@ class TestGridWindows:
         assert manifest["config"]["model"] == ["nb", "dtree"]
 
     def test_filters_once_and_extracts_once_per_bank_and_window(
-            self, recordings_csv, tmp_path, monkeypatch):
-        calls = {"filter": 0, "bank": 0}
-
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(ev, "filter_recording", counting("filter", ev.filter_recording))
-        monkeypatch.setattr(ev, "bank_matrix", counting("bank", ev.bank_matrix))
+            self, recordings_csv, tmp_path, extraction_calls):
+        calls = extraction_calls
         out = tmp_path / "grid"
         assert main(["--seed", "4", "grid", str(recordings_csv), "--model", "nb", "dtree",
                      "--treatment", "nr-rp", "--protocol", "impersonal", "personal",
@@ -601,6 +635,26 @@ class TestExitCodes:
         assert main(["grid", str(bad), "--model", "nb", "-o", str(tmp_path / "res")]) == EXIT_SCHEMA
         assert "MalformedRow" in capsys.readouterr().err
 
+    def test_subject_with_fewer_rows_than_folds_is_named(self, recordings_csv, tmp_path,
+                                                         capsys):
+        """Each subject has 8 windows of 75 samples per activity, 40 rows in all."""
+        assert main(["grid", str(recordings_csv), "--model", "nb", "--treatment", "nr-rp",
+                     "--protocol", "personal", "--bank", "b", "--folds", "50",
+                     "-o", str(tmp_path / "x")]) == EXIT_PROTOCOL
+        assert ("error (TooFewInstances): need at least 50 instances of subject subj00, "
+                "got 40" in capsys.readouterr().err)
+
+    def test_input_without_the_sensor_names_it(self, recordings_csv, tmp_path, capsys):
+        lines = recordings_csv.read_text().splitlines()
+        accel = tmp_path / "accel.csv"
+        accel.write_text("\n".join([lines[0], *(line for line in lines[1:]
+                                                if line.split(",")[3] == "accel")]) + "\n")
+        out = tmp_path / "f.csv"
+        assert main(["extract", str(accel), "--sensor", "gyro", "-o", str(out)]) == EXIT_PROTOCOL
+        assert ("error (TooFewInstances): no recordings of sensor gyro in the input"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_single_subject_impersonal_is_protocol_error(self, tmp_path):
         out = tmp_path / "one"
         assert main(["--seed", "1", "synth", "--subjects", "1", "--minutes", "0.5",
@@ -757,6 +811,20 @@ def test_error_exit_code_is_the_documented_one(error):
     kind = ("usage" if error is errors.UsageError
             else "schema" if error.__name__ in SCHEMA_ERRORS else "protocol")
     assert error.exit_code == documented[kind]
+
+
+def test_cli_imports_only_the_standard_library_and_numpy():
+    """NumPy is the one runtime dependency: importing the command line loads nothing else."""
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import harkit.cli\n"
+             "for name in sorted(set(sys.modules) - before):\n"
+             "    print(name.partition('.')[0])\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(harkit.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert set(out.stdout.split()) - set(sys.stdlib_module_names) == {"harkit", "numpy"}
+
 
 def readme_commands() -> list[str]:
     """Every `harkit ...` line of the README's sh blocks, continuations joined."""

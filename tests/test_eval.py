@@ -19,7 +19,6 @@ from harkit.evaluation import (
     evaluate,
     feature_matrices,
     kfold_split,
-    loso_split,
     recall,
     recordings_to_features,
 )
@@ -91,19 +90,34 @@ class TestKfoldSplit:
 
 
 class TestLosoSplit:
-    def test_one_split_per_subject(self):
+    def test_one_split_per_subject(self, monkeypatch):
+        """Each subject is one held-out unit: trained on every other row, tested on its own."""
         subjects = ["a"] * 3 + ["b"] * 4 + ["c"] * 2
-        splits = loso_split(subjects)
-        assert [s for _, _, s in splits] == ["a", "b", "c"]
-        ids = np.asarray(subjects)
-        for train, test, s in splits:
-            assert np.all(ids[test] == s)
-            assert not np.any(ids[train] == s)
-            assert len(train) + len(test) == len(subjects)
+        X = np.arange(len(subjects), dtype=float)[:, None]  # each row's index as its feature
+        y = np.arange(len(subjects)) % 2
+        trained = []
+        real_train = ev.train
 
-    def test_single_subject_raises(self):
+        def spy(spec, Xtr, ytr):
+            trained.append(sorted(Xtr[:, 0].astype(int)))
+            return real_train(spec, Xtr, ytr)
+
+        monkeypatch.setattr(ev, "train", spy)
+        config = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75, UNR_RP,
+                            Protocol.Impersonal, seed=5)
+        report = evaluate(config, X, y, subjects)
+        assert report.unit_ids == ("a", "b", "c")
+        ids = np.asarray(subjects)
+        for s, train, conf in zip(report.unit_ids, trained, report.unit_confusions, strict=True):
+            assert train == list(np.flatnonzero(ids != s))
+            assert conf.sum() == np.count_nonzero(ids == s)
+
+    def test_single_subject_raises(self, monkeypatch):
+        monkeypatch.setattr(ev, "train", None)
+        config = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75,
+                            protocol=Protocol.Impersonal)
         with pytest.raises(SingleSubject):
-            loso_split(["only"] * 5)
+            evaluate(config, np.zeros((5, 2)), np.arange(5) % 2, ["only"] * 5)
 
 
 class TestConfusionFigures:
@@ -206,7 +220,7 @@ class TestEvaluateAccounting:
         """A label outside the activity codes raises before the first split, naming it."""
         X, y, subjects = toy_problem(rng)
         y = np.where(np.arange(len(y)) == 7, label, y)
-        monkeypatch.setattr(ev, "_run_split", None)
+        monkeypatch.setattr(ev, "train", None)
         config = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75)
         with pytest.raises(ValueError, match=f"labels must be class codes 0 to 4, got {label}$"):
             evaluate(config, X, y, subjects)
@@ -218,7 +232,7 @@ class TestEvaluateAccounting:
         permutation, rather than being dropped or indexed past the end."""
         X, y, subjects = toy_problem(rng)
         inputs = {"y": y, "subjects": subjects}
-        monkeypatch.setattr(ev, "_run_split", None)
+        monkeypatch.setattr(ev, "train", None)
         for extra in (5, -5):
             given = dict(inputs)
             given[longer] = np.resize(given[longer], len(X) + extra)
@@ -293,14 +307,18 @@ class TestRecordingsPipeline:
         assert len(vecs) == len(accel_recs) * (n_samples // 75)
         assert all(len(v.values) == 70 for v in vecs)
 
-    def test_feature_matrices_equal_recordings_to_features(self, small_dataset):
+    @pytest.mark.parametrize("filter_order", [3, 0])
+    @pytest.mark.parametrize("sensor", list(SensorKind), ids=lambda sensor: sensor.value)
+    def test_feature_matrices_equal_recordings_to_features(self, small_dataset, sensor,
+                                                           filter_order):
         _, recordings, _ = small_dataset
-        matrices = feature_matrices(recordings, [Bank.B70, Bank.A43], (100, 300), 3,
-                                    SensorKind.Accelerometer)
+        matrices = feature_matrices(recordings, [Bank.B70, Bank.A43], (100, 300), filter_order,
+                                    sensor)
         assert list(matrices) == [(Bank.B70, 100), (Bank.B70, 300),
                                   (Bank.A43, 100), (Bank.A43, 300)]
         for (bank, window), (X, y, subjects) in matrices.items():
-            X0, y0, subjects0 = feature_matrix(recordings_to_features(recordings, bank, window))
+            X0, y0, subjects0 = feature_matrix(
+                recordings_to_features(recordings, bank, window, filter_order, sensor))
             np.testing.assert_array_equal(X, X0)
             np.testing.assert_array_equal(y, y0)
             assert subjects == subjects0
