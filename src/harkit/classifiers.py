@@ -35,14 +35,16 @@ class ModelSpec:
     C: float = 1.0               # SVM box constraint
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.n_learners < 1:
-            raise ValueError("n_learners must be >= 1")
-        if self.C <= 0:
-            raise ValueError("C must be > 0")
-        if self.max_splits is not None and self.max_splits < 1:
-            raise ValueError("max_splits must be >= 1")
+        for name in ("k", "n_learners", "max_splits"):
+            value = getattr(self, name)
+            if value is None and name == "max_splits":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0 < self.C < np.inf:  # false for nan too
+            raise ValueError("C must be finite and > 0")
 
 
 # ---------------------------------------------------------------------------

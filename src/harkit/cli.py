@@ -124,7 +124,8 @@ def _window_axis(text: str) -> tuple[int, ...] | range:
 
 def _recording_settings(args) -> tuple[str, int]:
     """(--sensor, --filter-order) for recordings: accel and 3 unless given."""
-    return args.sensor or "accel", 3 if args.filter_order is None else args.filter_order
+    sensor = args.sensor or SensorKind.Accelerometer.value
+    return sensor, 3 if args.filter_order is None else args.filter_order
 
 
 def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
@@ -220,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     # each shared flag once, on the commands that read it
     for p in (extract, grid):
         p.add_argument("--filter-order", type=_filter_order, help="recordings only (default 3)")
-        p.add_argument("--sensor", choices=["accel", "gyro", "mag"],
-                       help="recordings only (default accel)")
+        p.add_argument("--sensor", choices=[s.value for s in SensorKind],
+                       help=f"recordings only (default {SensorKind.Accelerometer.value})")
     grid.add_argument("--folds", type=_fold_count, default=10)
     grid.add_argument("--knn-k", type=_positive_int, default=10)
     grid.add_argument("--bag-learners", type=_positive_int, default=50)

@@ -76,7 +76,3 @@ class SingleSubject(HarkitError):
 
 class TooFewUnits(HarkitError):
     pass
-
-
-class IllConditionedWarning(UserWarning):
-    """Regression matrix was rank deficient; coefficients replaced by zeros."""

@@ -1,7 +1,8 @@
 """Feature primitives and the two fixed-width feature banks.
 
-Every primitive reduces over the last axis: one signal gives its value, an
-(n, w) block gives one value per row. The sequential estimators run their
+Every primitive takes an (n, w) block of signals, one per row, and returns one
+row per signal: an (n,) or (n, k) array. average_resultant takes the (3, n, w)
+block of n windows' x, y and z axes. The sequential estimators run their
 recursions element-wise across the rows.
 
 Bank A (width 43) = 14 per-axis slots x 3 axes + average resultant:
@@ -22,33 +23,25 @@ square overflows: samples large enough (1e200, say) give inf or nan, which
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import IllConditionedWarning, LengthMismatch, SignalTooShort
+from .errors import SignalTooShort
 from .ingest import Activity
 from .preprocess import Window
 
 _EPS = 1e-12
 
 
-def _block(signal) -> np.ndarray:
-    """One signal as a (1, w) block, or an (n, w) block as it is, as floats."""
-    x = np.asarray(signal, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError("expected one signal or an (n, w) block of signals")
-    return x[None] if x.ndim == 1 else x
-
-
-def _per_signal(signal, out: np.ndarray):
-    """out (one entry per row) for a block; for one signal, its one entry."""
-    if np.ndim(signal) == 2:
-        return out
-    return float(out[0]) if out.ndim == 1 else out[0]
+def _block(signals) -> np.ndarray:
+    """The (n, w) block of signals as floats; any other shape raises ValueError."""
+    x = np.asarray(signals, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"expected an (n, w) block of signals, got shape {x.shape}")
+    return x
 
 
 def _lag_products(centered: np.ndarray, max_lag: int) -> np.ndarray:
@@ -67,13 +60,13 @@ def _sample_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
                      out=np.zeros((len(x), max_lag + 1)), where=varying[:, None])
 
 
-def autocorrelation(signal: np.ndarray, lag: int):
+def autocorrelation(signals: np.ndarray, lag: int) -> np.ndarray:
     if lag < 0:
         raise ValueError("lag must be non-negative")
-    x = _block(signal)
+    x = _block(signals)
     if x.shape[1] < lag + 2:
         raise SignalTooShort(f"need at least {lag + 2} samples for lag {lag}")
-    return _per_signal(signal, _sample_acf(x, lag)[:, lag])
+    return _sample_acf(x, lag)[:, lag]
 
 
 def _durbin_levinson(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,32 +87,32 @@ def _durbin_levinson(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return phi, pacf
 
 
-def partial_autocorrelation(signal: np.ndarray, lag: int):
+def partial_autocorrelation(signals: np.ndarray, lag: int) -> np.ndarray:
     if lag < 1:
         raise ValueError("lag must be positive")
-    x = _block(signal)
+    x = _block(signals)
     if x.shape[1] < lag + 2:
         raise SignalTooShort(f"need at least {lag + 2} samples for lag {lag}")
     _, pacf = _durbin_levinson(_sample_acf(x, lag), lag)
-    return _per_signal(signal, pacf[:, lag - 1])
+    return pacf[:, lag - 1]
 
 
-def fit_ar(signal: np.ndarray, order: int) -> np.ndarray:
+def fit_ar(signals: np.ndarray, order: int) -> np.ndarray:
     """Yule-Walker AR coefficients via the Levinson recursion."""
     if order < 1:
         raise ValueError("order must be positive")
-    x = _block(signal)
+    x = _block(signals)
     if x.shape[1] < 10 * order:
         raise SignalTooShort(f"need at least {10 * order} samples for AR({order})")
     phi, _ = _durbin_levinson(_sample_acf(x, order), order)
-    return _per_signal(signal, phi)
+    return phi
 
 
-def fit_ma(signal: np.ndarray, order: int) -> np.ndarray:
+def fit_ma(signals: np.ndarray, order: int) -> np.ndarray:
     """Innovations-algorithm MA coefficient estimates (Brockwell & Davis, 5.2)."""
     if order < 1:
         raise ValueError("order must be positive")
-    x = _block(signal)
+    x = _block(signals)
     n, w = x.shape
     if w < 10 * order:
         raise SignalTooShort(f"need at least {10 * order} samples for MA({order})")
@@ -139,18 +132,18 @@ def fit_ma(signal: np.ndarray, order: int) -> np.ndarray:
         v[:, j + 1] = np.maximum(
             gamma[:, 0] - np.vecdot(theta[:, j + 1, : j + 1] ** 2, v[:, : j + 1]), _EPS)
     coef = theta[:, m, m - order : m][:, ::-1]  # theta_{m,1..order}
-    return _per_signal(signal, np.where(varying[:, None], coef, 0.0))
+    return np.where(varying[:, None], coef, 0.0)
 
 
-def fit_arma(signal: np.ndarray, p: int, q: int) -> np.ndarray:
+def fit_arma(signals: np.ndarray, p: int, q: int) -> np.ndarray:
     """Hannan-Rissanen two-stage ARMA estimate: long-AR residuals, then OLS.
 
-    Returns p AR coefficients followed by q MA coefficients. A rank-deficient
-    second-stage regression emits IllConditionedWarning and returns zeros.
+    Each row gets p AR coefficients followed by q MA coefficients, or zeros when
+    it is constant or its second-stage regression is rank deficient.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
-    x = _block(signal)
+    x = _block(signals)
     n, w = x.shape
     if w < 10 * (p + q):
         raise SignalTooShort(f"need at least {10 * (p + q)} samples for ARMA({p},{q})")
@@ -174,16 +167,15 @@ def fit_arma(signal: np.ndarray, p: int, q: int) -> np.ndarray:
         sol, _, rank, _ = _umath_linalg.lstsq(
             design, centered[:, start:, None], rcond, signature="ddd->ddid")
     deficient = rank < p + q
-    if np.any(deficient):
-        warnings.warn("ARMA design matrix is rank deficient", IllConditionedWarning)
     coef = np.zeros((n, p + q))
     coef[live] = np.where(deficient[:, None], 0.0, sol[..., 0])
-    return _per_signal(signal, coef)
+    return coef
 
 
-def haar_dwt_energies(signal: np.ndarray):
-    """One-level orthonormal Haar band energies (mean squared coefficient)."""
-    x = _block(signal)
+def haar_dwt_energies(signals: np.ndarray) -> np.ndarray:
+    """One-level orthonormal Haar band energies (mean squared coefficient):
+    approximation, then detail."""
+    x = _block(signals)
     if x.shape[1] < 2:
         raise SignalTooShort("need at least 2 samples for the Haar transform")
     n = x.shape[1] - (x.shape[1] % 2)
@@ -191,45 +183,45 @@ def haar_dwt_energies(signal: np.ndarray):
     b = x[:, 1:n:2]
     approx = (a + b) / np.sqrt(2.0)
     detail = (a - b) / np.sqrt(2.0)
-    return tuple(_per_signal(signal, np.mean(band**2, axis=1)) for band in (approx, detail))
+    return np.column_stack([np.mean(approx**2, axis=1), np.mean(detail**2, axis=1)])
 
 
-def binned_distribution(signal: np.ndarray, n_bins: int = 10) -> np.ndarray:
+def binned_distribution(signals: np.ndarray, n_bins: int = 10) -> np.ndarray:
     """Fraction of samples per equal-width bin spanning [min, max]."""
     if n_bins < 1:
         raise ValueError("n_bins must be positive")
-    x = _block(signal)
+    x = _block(signals)
     if x.shape[1] == 0:
-        raise ValueError("signal must be non-empty")
+        raise ValueError("signals must be non-empty")
     lo = x.min(axis=1, keepdims=True)
     hi = x.max(axis=1, keepdims=True)
     span = np.where(hi > lo, hi - lo, 1.0)  # a constant row falls wholly in bin 0
     idx = np.floor((x - lo) / span * n_bins).astype(int)
     idx = np.clip(idx, 0, n_bins - 1)  # max value lands in the last bin
     counts = np.sum(idx[:, :, None] == np.arange(n_bins), axis=1)
-    return _per_signal(signal, counts / x.shape[1])
+    return counts / x.shape[1]
 
 
-def peak_interval_stats(signal: np.ndarray):
+def peak_interval_stats(signals: np.ndarray) -> np.ndarray:
     """Mean gap in samples between consecutive strict local maxima; <2 peaks -> 0."""
-    x = _block(signal)
+    x = _block(signals)
     if x.shape[1] < 3:
         raise SignalTooShort("need at least 3 samples to find peaks")
     peaks = (x[:, 1:-1] > x[:, :-2]) & (x[:, 1:-1] > x[:, 2:])
     count = peaks.sum(axis=1)
     # the gaps between consecutive peaks add up to the last peak minus the first
     span = peaks.shape[1] - 1 - peaks[:, ::-1].argmax(axis=1) - peaks.argmax(axis=1)
-    gap = np.divide(span, count - 1, out=np.zeros(len(x)), where=count >= 2)
-    return _per_signal(signal, gap)
+    return np.divide(span, count - 1, out=np.zeros(len(x)), where=count >= 2)
 
 
-def average_resultant(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray):
-    x, y, z = (_block(a) for a in (sx, sy, sz))
-    if not (x.shape == y.shape == z.shape):
-        raise LengthMismatch("axis signals must have equal lengths")
-    if x.shape[1] == 0:
-        raise LengthMismatch("axis signals must be non-empty")
-    return _per_signal(sx, np.mean(np.sqrt(x**2 + y**2 + z**2), axis=1))
+def average_resultant(xyz: np.ndarray) -> np.ndarray:
+    """Mean length of the (x, y, z) sample vectors of each window of a (3, n, w) block."""
+    xyz = np.asarray(xyz, dtype=float)
+    if xyz.ndim != 3 or len(xyz) != 3 or xyz.shape[2] == 0:
+        raise ValueError(
+            f"expected a (3, n, w) block of axis signals, w > 0, got shape {xyz.shape}")
+    x, y, z = xyz
+    return np.mean(np.sqrt(x**2 + y**2 + z**2), axis=1)
 
 
 class Bank(Enum):
@@ -298,21 +290,19 @@ def _float_pow(base: np.ndarray, exponent: float) -> np.ndarray:
 def _bank_a_slots(block: np.ndarray) -> np.ndarray:
     """Bank A's 14 per-axis slots for every row of an (n, w) block."""
     q75, q25 = np.percentile(block, [75, 25], axis=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        return np.column_stack([
-            np.mean(block, axis=1),
-            np.median(block, axis=1),
-            np.var(block, axis=1),
-            np.std(block, axis=1),
-            q75 - q25,
-            _zero_on_short(autocorrelation, block, 1),
-            _zero_on_short(partial_autocorrelation, block, 2),
-            _zero_on_short(fit_ar, block, 2, width=2),
-            _zero_on_short(fit_ma, block, 1),
-            _zero_on_short(fit_arma, block, 1, 1, width=2),
-            *haar_dwt_energies(block),
-        ])
+    return np.column_stack([
+        np.mean(block, axis=1),
+        np.median(block, axis=1),
+        np.var(block, axis=1),
+        np.std(block, axis=1),
+        q75 - q25,
+        _zero_on_short(autocorrelation, block, 1),
+        _zero_on_short(partial_autocorrelation, block, 2),
+        _zero_on_short(fit_ar, block, 2, width=2),
+        _zero_on_short(fit_ma, block, 1),
+        _zero_on_short(fit_arma, block, 1, 1, width=2),
+        haar_dwt_energies(block),
+    ])
 
 
 def _bank_b_slots(block: np.ndarray) -> np.ndarray:
@@ -356,7 +346,7 @@ def bank_matrix(bank: Bank, xyz: np.ndarray) -> np.ndarray:
     xyz = np.asarray(xyz, dtype=float)
     _, n, w = xyz.shape
     slots = (_bank_a_slots if bank is Bank.A43 else _bank_b_slots)(xyz.reshape(3 * n, w))
-    return np.column_stack([*np.split(slots, 3), average_resultant(*xyz)])
+    return np.column_stack([*np.split(slots, 3), average_resultant(xyz)])
 
 
 def extract_bank_a(w: Window) -> FeatureVector:

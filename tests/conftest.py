@@ -1,4 +1,5 @@
-"""Shared fixtures: a small synthetic dataset sized for fast unit tests."""
+"""Shared fixtures: a small synthetic dataset sized for fast unit tests; `one`, a
+feature primitive applied to one signal."""
 import numpy as np
 import pytest
 
@@ -11,6 +12,11 @@ def small_dataset():
     params = SynthParams(n_subjects=3, minutes_per_activity=1.0, seed=123)
     recordings, metas = generate_synthetic(params)
     return params, recordings, metas
+
+
+def one(fn, signal, *args):
+    """fn's result for one signal: its row of the one-row block."""
+    return fn(signal[None], *args)[0]
 
 
 @pytest.fixture

@@ -276,6 +276,17 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(ModelKind.Knn, **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"C": float("nan")}, {"C": float("inf")},
+        {"k": 2.5}, {"k": True}, {"n_learners": 5.0}, {"max_splits": 8.5}, {"max_splits": False},
+    ], ids=str)
+    def test_rejects_values_the_classifiers_cannot_run_with(self, kwargs):
+        with pytest.raises(ValueError):
+            ModelSpec(ModelKind.Svm, **kwargs)
+
+    def test_accepts_numpy_integers(self):
+        assert ModelSpec(ModelKind.Knn, k=np.int64(3), max_splits=None).k == 3
+
 
 class TestTrainContract:
     def test_empty_raises(self):

@@ -5,6 +5,8 @@ import pytest
 from harkit.errors import SignalTooShort
 from harkit.features import fit_ar, fit_arma, fit_ma
 
+from conftest import one
+
 
 def simulate_ar(phi, n, seed):
     rng = np.random.default_rng(seed)
@@ -45,61 +47,61 @@ def simulate_arma(phi, theta, n, seed):
 class TestFitAr:
     def test_recovers_ar1(self):
         x = simulate_ar([0.6], 20000, seed=0)
-        assert fit_ar(x, 1)[0] == pytest.approx(0.6, abs=0.03)
+        assert one(fit_ar, x, 1)[0] == pytest.approx(0.6, abs=0.03)
 
     def test_recovers_ar2(self):
         x = simulate_ar([0.5, -0.25], 20000, seed=1)
-        np.testing.assert_allclose(fit_ar(x, 2), [0.5, -0.25], atol=0.03)
+        np.testing.assert_allclose(one(fit_ar, x, 2), [0.5, -0.25], atol=0.03)
 
     def test_constant_signal_gives_zeros(self):
-        np.testing.assert_array_equal(fit_ar(np.full(100, 2.0), 2), 0.0)
+        np.testing.assert_array_equal(one(fit_ar, np.full(100, 2.0), 2), 0.0)
 
     def test_too_short_raises(self):
         with pytest.raises(SignalTooShort):
-            fit_ar(np.ones(19), 2)
+            one(fit_ar, np.ones(19), 2)
 
     def test_bad_order_raises(self):
         with pytest.raises(ValueError):
-            fit_ar(np.ones(100), 0)
+            one(fit_ar, np.ones(100), 0)
 
 
 class TestFitMa:
     def test_recovers_ma1(self):
         x = simulate_ma([0.5], 20000, seed=2)
-        assert fit_ma(x, 1)[0] == pytest.approx(0.5, abs=0.06)
+        assert one(fit_ma, x, 1)[0] == pytest.approx(0.5, abs=0.06)
 
     def test_constant_signal_gives_zeros(self):
-        np.testing.assert_array_equal(fit_ma(np.full(100, -1.0), 1), 0.0)
+        np.testing.assert_array_equal(one(fit_ma, np.full(100, -1.0), 1), 0.0)
 
     def test_too_short_raises(self):
         with pytest.raises(SignalTooShort):
-            fit_ma(np.ones(9), 1)
+            one(fit_ma, np.ones(9), 1)
 
 
 class TestFitArma:
     def test_recovers_arma11(self):
         x = simulate_arma([0.5], [0.3], 20000, seed=3)
-        np.testing.assert_allclose(fit_arma(x, 1, 1), [0.5, 0.3], atol=0.08)
+        np.testing.assert_allclose(one(fit_arma, x, 1, 1), [0.5, 0.3], atol=0.08)
 
     def test_short_but_allowed_signal_is_finite(self):
         # windows as short as 25 samples must produce finite coefficients
         rng = np.random.default_rng(4)
-        out = fit_arma(rng.normal(size=25), 1, 1)
+        out = one(fit_arma, rng.normal(size=25), 1, 1)
         assert out.shape == (2,)
         assert np.all(np.isfinite(out))
 
     def test_constant_signal_gives_zeros(self):
-        np.testing.assert_array_equal(fit_arma(np.full(60, 5.0), 1, 1), 0.0)
+        np.testing.assert_array_equal(one(fit_arma, np.full(60, 5.0), 1, 1), 0.0)
 
     def test_too_short_raises(self):
         with pytest.raises(SignalTooShort):
-            fit_arma(np.ones(19), 1, 1)
+            one(fit_arma, np.ones(19), 1, 1)
 
     def test_bad_orders_raise(self):
         with pytest.raises(ValueError):
-            fit_arma(np.ones(100), 0, 1)
+            one(fit_arma, np.ones(100), 0, 1)
         with pytest.raises(ValueError):
-            fit_arma(np.ones(100), 1, 0)
+            one(fit_arma, np.ones(100), 1, 0)
 
 
 # One-signal loops the block estimators replaced. The block forms keep each

@@ -1,11 +1,13 @@
 """Feature primitives against brute-force oracles, plus bank invariants."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from harkit.errors import LengthMismatch, SignalTooShort
+from harkit.errors import SignalTooShort
 from harkit.features import (
     BANK_A_LAYOUT,
     BANK_B_LAYOUT,
@@ -28,6 +30,8 @@ from harkit.features import (
 )
 from harkit.ingest import Activity, SensorKind
 from harkit.preprocess import Window
+
+from conftest import one
 
 signal_values = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -69,23 +73,23 @@ class TestAutocorrelation:
            st.integers(0, 2))
     @settings(max_examples=150, deadline=None)
     def test_matches_definition(self, signal, lag):
-        got = autocorrelation(signal, lag)
+        got = one(autocorrelation, signal, lag)
         expect = 0.0 if is_degenerate(signal) else acf_oracle(signal, lag)
         assert got == pytest.approx(expect, abs=1e-9)
 
     def test_constant_signal_is_zero(self):
-        assert autocorrelation(np.full(32, 4.2), 1) == 0.0
+        assert one(autocorrelation, np.full(32, 4.2), 1) == 0.0
 
     def test_lag_zero_of_varying_signal_is_one(self):
-        assert autocorrelation(np.array([1.0, 2.0, 0.5, 3.0]), 0) == pytest.approx(1.0)
+        assert one(autocorrelation, np.array([1.0, 2.0, 0.5, 3.0]), 0) == pytest.approx(1.0)
 
     def test_too_short_raises(self):
         with pytest.raises(SignalTooShort):
-            autocorrelation(np.array([1.0, 2.0]), 1)
+            one(autocorrelation, np.array([1.0, 2.0]), 1)
 
     def test_negative_lag_raises(self):
         with pytest.raises(ValueError):
-            autocorrelation(np.ones(10), -1)
+            one(autocorrelation, np.ones(10), -1)
 
 
 class TestPartialAutocorrelation:
@@ -94,34 +98,34 @@ class TestPartialAutocorrelation:
     @settings(max_examples=150, deadline=None)
     def test_matches_yule_walker_solve(self, signal, lag):
         if is_degenerate(signal):
-            assert partial_autocorrelation(signal, lag) == 0.0
+            assert one(partial_autocorrelation, signal, lag) == 0.0
             return
         r1 = np.array([acf_oracle(signal, k) for k in range(lag + 1)])
         R = np.array([[r1[abs(i - j)] for j in range(lag)] for i in range(lag)])
         if abs(np.linalg.det(R)) < 1e-8:  # oracle itself ill-conditioned
             return
-        got = partial_autocorrelation(signal, lag)
+        got = one(partial_autocorrelation, signal, lag)
         assert got == pytest.approx(pacf_oracle(signal, lag), abs=1e-6)
 
     def test_lag_one_equals_acf_lag_one(self):
         sig = np.random.default_rng(3).normal(size=200)
-        assert partial_autocorrelation(sig, 1) == pytest.approx(
-            autocorrelation(sig, 1), abs=1e-12
+        assert one(partial_autocorrelation, sig, 1) == pytest.approx(
+            one(autocorrelation, sig, 1), abs=1e-12
         )
 
     def test_white_noise_pacf2_near_zero(self):
         sig = np.random.default_rng(0).normal(size=20000)
-        assert abs(partial_autocorrelation(sig, 2)) < 0.05
+        assert abs(one(partial_autocorrelation, sig, 2)) < 0.05
 
     def test_bad_lag_raises(self):
         with pytest.raises(ValueError):
-            partial_autocorrelation(np.ones(10), 0)
+            one(partial_autocorrelation, np.ones(10), 0)
 
 
 class TestHaarEnergies:
     def test_matches_pairwise_definition(self, rng):
         sig = rng.normal(size=64)
-        a, d = haar_dwt_energies(sig)
+        a, d = one(haar_dwt_energies, sig)
         pairs = sig.reshape(-1, 2)
         approx = (pairs[:, 0] + pairs[:, 1]) / np.sqrt(2)
         detail = (pairs[:, 0] - pairs[:, 1]) / np.sqrt(2)
@@ -130,7 +134,7 @@ class TestHaarEnergies:
 
     def test_odd_length_drops_last_sample(self):
         sig = np.array([1.0, 3.0, 99.0])
-        a, d = haar_dwt_energies(sig)
+        a, d = one(haar_dwt_energies, sig)
         assert a == pytest.approx((4.0 / np.sqrt(2)) ** 2)
         assert d == pytest.approx((2.0 / np.sqrt(2)) ** 2)
 
@@ -138,19 +142,19 @@ class TestHaarEnergies:
         # orthonormality: per-pair energies sum to the pair's sample energy,
         # and the band means average over n/2 pairs instead of n samples
         sig = rng.normal(size=50)
-        a, d = haar_dwt_energies(sig)
+        a, d = one(haar_dwt_energies, sig)
         assert a + d == pytest.approx(2.0 * np.mean(sig**2))
 
     def test_too_short_raises(self):
         with pytest.raises(SignalTooShort):
-            haar_dwt_energies(np.array([1.0]))
+            one(haar_dwt_energies, np.array([1.0]))
 
 
 class TestBinnedDistribution:
     @given(arrays(np.float64, st.integers(1, 200), elements=signal_values))
     @settings(max_examples=150, deadline=None)
     def test_matches_bruteforce(self, signal):
-        bins = binned_distribution(signal, 10)
+        bins = one(binned_distribution, signal, 10)
         assert bins.sum() == pytest.approx(1.0)
         lo, hi = signal.min(), signal.max()
         if hi == lo:
@@ -166,14 +170,14 @@ class TestBinnedDistribution:
         np.testing.assert_allclose(bins, expect, atol=1e-9)
 
     def test_max_value_falls_in_last_bin(self):
-        bins = binned_distribution(np.array([0.0, 1.0]), 10)
+        bins = one(binned_distribution, np.array([0.0, 1.0]), 10)
         assert bins[0] == 0.5 and bins[9] == 0.5
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            binned_distribution(np.array([1.0]), 0)
+            one(binned_distribution, np.array([1.0]), 0)
         with pytest.raises(ValueError):
-            binned_distribution(np.array([]), 10)
+            one(binned_distribution, np.array([]), 10)
 
 
 class TestPeakIntervalStats:
@@ -185,19 +189,19 @@ class TestPeakIntervalStats:
             if signal[i] > signal[i - 1] and signal[i] > signal[i + 1]
         ]
         expect = float(np.mean(np.diff(peaks))) if len(peaks) >= 2 else 0.0
-        assert peak_interval_stats(signal) == pytest.approx(expect, abs=1e-9)
+        assert one(peak_interval_stats, signal) == pytest.approx(expect, abs=1e-9)
 
     def test_periodic_signal(self):
         t = np.arange(200)
         sig = np.sin(2 * np.pi * t / 20.0)
-        assert peak_interval_stats(sig) == pytest.approx(20.0, abs=0.1)
+        assert one(peak_interval_stats, sig) == pytest.approx(20.0, abs=0.1)
 
     def test_monotone_has_no_peaks(self):
-        assert peak_interval_stats(np.arange(10.0)) == 0.0
+        assert one(peak_interval_stats, np.arange(10.0)) == 0.0
 
     def test_too_short_raises(self):
         with pytest.raises(SignalTooShort):
-            peak_interval_stats(np.array([1.0, 2.0]))
+            one(peak_interval_stats, np.array([1.0, 2.0]))
 
 
 class TestAverageResultant:
@@ -207,14 +211,14 @@ class TestAverageResultant:
         rng = np.random.default_rng(0)
         y = rng.normal(size=len(x))
         z = rng.normal(size=len(x))
-        got = average_resultant(x, y, z)
+        got = average_resultant(np.stack([x, y, z])[:, None])[0]
         assert got == pytest.approx(np.mean(np.sqrt(x**2 + y**2 + z**2)), rel=1e-12)
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(LengthMismatch):
-            average_resultant(np.zeros(3), np.zeros(3), np.zeros(4))
-        with pytest.raises(LengthMismatch):
-            average_resultant(np.zeros(0), np.zeros(0), np.zeros(0))
+        # the axes are one (3, n, w) block, so they cannot differ in length
+        for shape in [(3, 4), (2, 1, 4), (3, 1, 0)]:
+            with pytest.raises(ValueError, match=r"\(3, n, w\)"):
+                average_resultant(np.zeros(shape))
 
 
 WIDTHS = (4, 9, 10, 19, 20, 75, 300)  # on both sides of every too-short threshold
@@ -242,14 +246,6 @@ def signal_blocks(draw, n_blocks=1):
     return np.array(rows).reshape(n_blocks, n, w)
 
 
-def as_rows(result):
-    """A block result, or the list of one-signal results, one row per signal."""
-    if isinstance(result, list):
-        return np.array([np.hstack([r]) for r in result], dtype=float)
-    out = np.column_stack(result) if isinstance(result, tuple) else np.asarray(result)
-    return out.reshape(len(out), -1) if len(out) else out
-
-
 BLOCK_PRIMITIVES = [
     (autocorrelation, (0,)),
     (autocorrelation, (1,)),
@@ -261,11 +257,16 @@ BLOCK_PRIMITIVES = [
     (binned_distribution, (10,)),
     (peak_interval_stats, ()),
 ]
+ONE_OF_EACH = [*BLOCK_PRIMITIVES[1:], (average_resultant, ())]
 
 
-@pytest.mark.filterwarnings("ignore::harkit.errors.IllConditionedWarning")
+def row_blocks(block):
+    """The one-row blocks of a block's rows (or, for (3, n, w), of its windows)."""
+    return [block[..., i : i + 1, :] for i in range(block.shape[-2])]
+
+
 class TestBlockPath:
-    """A primitive given an (n, w) block equals its one-signal calls, bit for bit."""
+    """A primitive given an (n, w) block equals its one-row blocks, bit for bit."""
 
     @pytest.mark.parametrize("fn,args", BLOCK_PRIMITIVES,
                              ids=[f"{fn.__name__}{args}" for fn, args in BLOCK_PRIMITIVES])
@@ -276,15 +277,20 @@ class TestBlockPath:
         try:
             got = fn(block, *args)
         except SignalTooShort:
-            for row in block:
+            for row in row_blocks(block):
                 with pytest.raises(SignalTooShort):
                     fn(row, *args)
             return
-        got = as_rows(got)
         assert len(got) == len(block)
         if len(block):
-            expect = as_rows([fn(row, *args) for row in block])
+            expect = np.concatenate([fn(row, *args) for row in row_blocks(block)])
             assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("fn,args", ONE_OF_EACH, ids=[fn.__name__ for fn, _ in ONE_OF_EACH])
+    def test_one_signal_raises(self, fn, args):
+        shape = "(3, n, w)" if fn is average_resultant else "(n, w)"
+        with pytest.raises(ValueError, match=re.escape(shape)):
+            fn(np.ones(300), *args)
 
     @pytest.mark.parametrize("w", WIDTHS)
     def test_empty_block(self, w):
@@ -294,16 +300,16 @@ class TestBlockPath:
                 out = fn(empty, *args)
             except SignalTooShort:
                 continue
-            assert len(as_rows(out)) == 0
-        assert average_resultant(empty, empty, empty).shape == (0,)
+            assert len(out) == 0
+        assert average_resultant(np.empty((3, 0, w))).shape == (0,)
         for bank in Bank:
             assert bank_matrix(bank, np.empty((3, 0, w))).shape == (0, BANK_WIDTH[bank])
 
     @given(blocks=signal_blocks(n_blocks=3))
     @settings(max_examples=60, deadline=None)
     def test_average_resultant_rows_equal_single_calls(self, blocks):
-        got = average_resultant(*blocks)
-        expect = np.array([average_resultant(*row) for row in blocks.transpose(1, 0, 2)])
+        got = average_resultant(blocks)
+        expect = np.array([average_resultant(xyz)[0] for xyz in row_blocks(blocks)])
         assert got.shape == (blocks.shape[1],) and got.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("bank,extract", [(Bank.A43, extract_bank_a), (Bank.B70, extract_bank_b)])
