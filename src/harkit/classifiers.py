@@ -35,14 +35,14 @@ class ModelSpec:
     C: float = 1.0               # SVM box constraint
 
     def __post_init__(self):
-        for name in ("k", "n_learners", "max_splits"):
+        for name, least in (("seed", 0), ("k", 1), ("n_learners", 1), ("max_splits", 1)):
             value = getattr(self, name)
             if value is None and name == "max_splits":
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not 0 < self.C < np.inf:  # false for nan too
             raise ValueError("C must be finite and > 0")
 

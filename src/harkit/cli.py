@@ -20,6 +20,7 @@ from pathlib import Path
 from .classifiers import ModelKind, ModelSpec
 from .errors import HarkitError, SchemaError, TooFewInstances, UsageError
 from .evaluation import (
+    TREATMENTS,
     EvalConfig,
     Protocol,
     Treatment,
@@ -60,9 +61,8 @@ EXIT_IO = 3
 EXIT_SCHEMA = SchemaError.exit_code
 EXIT_PROTOCOL = HarkitError.exit_code
 
-# The treatments the grid compares by default; `--treatment unr-nrp` stays available.
-GRID_TREATMENTS = ("nr-rp", "nr-nrp", "unr-rp")
-TREATMENTS = (*GRID_TREATMENTS, "unr-nrp")
+TREATMENT_NAMES = [t.name for t in TREATMENTS]
+GRID_TREATMENTS = TREATMENT_NAMES[:3]  # grid's default; `--treatment unr-nrp` stays available
 DEFAULT_WINDOW = 75
 
 
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                     f"window, else bank a and window {DEFAULT_WINDOW}.")
     grid.add_argument("input", help="recordings CSV or feature CSV")
     grid.add_argument("--model", nargs="+", choices=models)
-    grid.add_argument("--treatment", nargs="+", choices=TREATMENTS)
+    grid.add_argument("--treatment", nargs="+", choices=TREATMENT_NAMES)
     grid.add_argument("--protocol", nargs="+", choices=protocols)
     grid.add_argument("--bank", nargs="+", choices=banks,
                       help="default: a features CSV's own, else a")

@@ -38,6 +38,8 @@ class Treatment:
 NR_RP = Treatment(True, True)
 NR_NRP = Treatment(True, False)
 UNR_RP = Treatment(False, True)
+UNR_NRP = Treatment(False, False)
+TREATMENTS = (NR_RP, NR_NRP, UNR_RP, UNR_NRP)  # the grid compares the first three by default
 
 
 class Protocol(Enum):

@@ -123,8 +123,12 @@ class SynthParams:
     subject_variability: float = 1.0
 
     def __post_init__(self):
-        if self.n_subjects < 1:
-            raise ValueError("n_subjects must be positive")
+        for name, least in (("n_subjects", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not 0 < self.minutes_per_activity < math.inf:
             raise ValueError("minutes_per_activity must be positive and finite")
         if not 0 < self.sample_rate_hz <= 1000:
@@ -136,8 +140,6 @@ class SynthParams:
                              f"{MAX_SAMPLES:,} samples per recording")
         if not 0 <= self.subject_variability < math.inf:
             raise ValueError("subject_variability must be non-negative and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
     @property
     def n_samples(self) -> float:

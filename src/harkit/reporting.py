@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,10 +14,12 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedRow, NonFiniteValue
-from .evaluation import EvalConfig, EvalReport, accuracy, recall
+from .evaluation import NR_RP, EvalConfig, EvalReport, accuracy, recall
 from .features import Bank, BANK_WIDTH, FeatureVector
 from .ingest import ACTIVITY_CSV_NAMES, Activity, CSV_NAME_TO_ACTIVITY, atomic_open, csv_records
 from .stats import paired_t_test
+
+ALPHA = 0.02  # the treatment report's significance level
 
 RESULTS_HEADER = [
     "protocol", "classifier", "bank", "treatment", "window",
@@ -30,6 +33,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 FEATURES_KEY_COLUMNS = ["subject_id", "activity", "bank", "window"]
+
+
+def read_window(line_no: int, text: str) -> int:
+    """A CSV `window` field: ASCII digits without a leading zero, so each window size
+    has one text; anything else raises `MalformedRow` naming the line."""
+    if not re.fullmatch("[1-9][0-9]*", text):
+        raise MalformedRow(line_no, f"window {text!r} is not a positive integer in ASCII "
+                                    "digits without a leading zero")
+    return int(text)
 
 
 def write_features_csv(vectors: list[FeatureVector], path: str | Path) -> None:
@@ -64,16 +76,16 @@ def read_features_csv(path: str | Path) -> list[FeatureVector]:
             try:
                 bank = Bank(row[2])
                 activity = CSV_NAME_TO_ACTIVITY[row[1]]
-                window = int(row[3])
                 values = np.array([float(v) for v in row[keys:]])
             except (ValueError, KeyError):
                 raise MalformedRow(line_no, "unparseable feature row")
             if width != BANK_WIDTH[bank]:
                 raise MalformedRow(
                     line_no, f"bank {bank.value!r} has width {BANK_WIDTH[bank]}, the row {width}")
-            if window < 1 or (vectors and window != vectors[0].window):
-                raise MalformedRow(line_no, f"window {window} is not positive or differs "
-                                            "from the first row's")
+            window = read_window(line_no, row[3])
+            if vectors and window != vectors[0].window:
+                raise MalformedRow(line_no, f"window {window} differs from the first row's "
+                                            f"{vectors[0].window}")
             non_finite = np.flatnonzero(~np.isfinite(values))
             if non_finite.size:
                 raise NonFiniteValue(line_no, header[keys + non_finite[0]])
@@ -121,7 +133,7 @@ def write_results_csv(rows: list[list[str]], path: str | Path) -> None:
 
 def read_results_csv(path: str | Path) -> list[dict[str, str]]:
     """The rows of a results CSV as {column: text}; every row has all the columns, a
-    finite `value` and a positive integer `window`."""
+    finite `value` and a `window` that `read_window` accepts."""
     rows = []
     with closing(csv_records(path)) as records:
         _, header = next(records, (1, None))
@@ -135,19 +147,15 @@ def read_results_csv(path: str | Path) -> list[dict[str, str]]:
                 raise MalformedRow(line_no, "unparseable value") from None
             if not math.isfinite(value):
                 raise NonFiniteValue(line_no, "value")
-            if not record["window"].isdecimal() or int(record["window"]) < 1:
-                raise MalformedRow(line_no, f"window {record['window']!r} is not a positive "
-                                            "integer")
+            read_window(line_no, record["window"])
             rows.append(record)
     return rows
 
 
 def treatment_report(rows: list[dict[str, str]]) -> str:
-    """Markdown comparing treatments per cell from results-CSV rows.
-
-    With an NR-RP/UNR-RP pair, a paired t-test per cell over the shared units
-    (significant means in bold); without one, each treatment's mean per cell.
-    """
+    """Markdown with one row per (cell, treatment) of results-CSV rows: the mean over the
+    treatment's units and, for a treatment other than NR-RP sharing at least 2 units
+    with it, a paired t-test against NR-RP over the units they share."""
     # cell key -> treatment -> {unit -> value}
     cells: dict[tuple, dict[str, dict[str, float]]] = {}
     for r in rows:
@@ -157,41 +165,25 @@ def treatment_report(rows: list[dict[str, str]]) -> str:
         key = (r["protocol"], r["classifier"], r["bank"], r["window"], r["activity"])
         cells.setdefault(key, {}).setdefault(r["treatment"], {})[unit] = float(r["value"])
 
-    # windows in numeric order
-    keys = sorted(cells, key=lambda key: (*key[:3], int(key[3]), key[4]))
-    lines = ["# Treatment comparison report", ""]
-    have_pairs = any("nr-rp" in t and "unr-rp" in t for t in cells.values())
-    if not have_pairs:
-        lines.append("_Note: no NR-RP / UNR-RP pair found; t-test column omitted._")
-        lines.append("")
-        lines.append("| protocol | classifier | bank | window | activity | treatment | mean |")
-        lines.append("|---|---|---|---|---|---|---|")
-        for key in keys:
-            for tname, units in sorted(cells[key].items()):
-                mean = sum(units.values()) / len(units)
-                lines.append("| " + " | ".join(key) + f" | {tname} | {mean:.4f} |")
-    else:
-        lines.append("Paired t-tests compare NR-RP against UNR-RP per unit at α = 0.02;")
-        lines.append("significant means are in **boldface**.")
-        lines.append("")
-        lines.append("| protocol | classifier | bank | window | activity | NR-RP | UNR-RP | t | p |")
-        lines.append("|---|---|---|---|---|---|---|---|---|")
-        for key in keys:
-            treatments = cells[key]
-            if "nr-rp" not in treatments or "unr-rp" not in treatments:
-                continue
-            units = sorted(set(treatments["nr-rp"]) & set(treatments["unr-rp"]))
-            if len(units) < 2:
-                continue
-            a = np.array([treatments["nr-rp"][u] for u in units])
-            b = np.array([treatments["unr-rp"][u] for u in units])
-            res = paired_t_test(a, b)
-            ma, mb = float(a.mean()), float(b.mean())
-            sig = res.p_two_sided <= 0.02
-            fa = f"**{ma:.4f}**" if sig and ma >= mb else f"{ma:.4f}"
-            fb = f"**{mb:.4f}**" if sig and mb > ma else f"{mb:.4f}"
-            ttxt = "inf" if not np.isfinite(res.t_stat) else f"{res.t_stat:.3f}"
-            lines.append("| " + " | ".join(key) + f" | {fa} | {fb} | {ttxt} | {res.p_two_sided:.4f} |")
+    base = NR_RP.name
+    lines = ["# Treatment comparison report", "",
+             f"Each treatment is paired with {base} over the units they share; t > 0 means "
+             f"it scored higher. p ≤ {ALPHA} (α) is in **boldface**.", "",
+             "| protocol | classifier | bank | window | activity | treatment | mean | t | p |",
+             "|---|---|---|---|---|---|---|---|---|"]
+    # windows in numeric order; in a cell, the baseline first
+    for key in sorted(cells, key=lambda key: (*key[:3], int(key[3]), key[4])):
+        baseline = cells[key].get(base, {})
+        for name, units in sorted(cells[key].items(), key=lambda item: (item[0] != base, item[0])):
+            shared = sorted(set(units) & set(baseline)) if name != base else []
+            t = p = ""
+            if len(shared) >= 2:
+                res = paired_t_test(np.array([units[u] for u in shared]),
+                                    np.array([baseline[u] for u in shared]))
+                t, p = f"{res.t_stat:.3f}", f"{res.p_two_sided:.4f}"
+                p = f"**{p}**" if res.p_two_sided <= ALPHA else p
+            mean = sum(units.values()) / len(units)
+            lines.append("| " + " | ".join((*key, name, f"{mean:.4f}", t, p)) + " |")
     return "\n".join(lines) + "\n"
 
 

@@ -286,6 +286,15 @@ class TestModelSpec:
 
     def test_accepts_numpy_integers(self):
         assert ModelSpec(ModelKind.Knn, k=np.int64(3), max_splits=None).k == 3
+        assert ModelSpec(ModelKind.Bagging, seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "1", None], ids=repr)
+    def test_rejects_a_seed_that_is_no_non_negative_integer(self, kind, seed):
+        """Every kind checks its seed when built, not only bagging, whose bootstrap
+        would fail inside NumPy's SeedSequence."""
+        with pytest.raises(ValueError, match="seed must be"):
+            ModelSpec(kind, seed=seed)
 
 
 class TestTrainContract:

@@ -2,6 +2,7 @@
 import errno
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -433,6 +434,7 @@ class TestGrid:
         md = report.read_text()
         assert "| p |" in md
         assert "| impersonal | svm | b | 75 | overall |" in md
+        assert "| nr-nrp |" in md
 
     def test_one_cell_rows_equal_its_block(self, grid_dir, recordings_csv, tmp_path):
         out = tmp_path / "cell"
@@ -520,17 +522,24 @@ class TestReport:
         assert main(["report", str(dirs["nr-rp"]), str(dirs["unr-rp"]),
                      "-o", str(out)]) == EXIT_OK
         md = out.read_text()
-        assert "NR-RP" in md and "UNR-RP" in md
-        assert "| p |" in md
+        assert "| t | p |" in md
+        (row,) = [line for line in md.splitlines()
+                  if line.startswith("| impersonal | dtree | b | 100 | overall | unr-rp | ")]
+        t, p = row.strip("| ").split(" | ")[-2:]
+        assert not math.isnan(float(t)) and 0 <= float(p.strip("*")) <= 1
 
     def test_without_pair_emits_note(self, recordings_csv, tmp_path):
+        """One treatment lists its means, with empty t and p."""
         d = tmp_path / "single"
         assert main(["--seed", "4", "grid", str(recordings_csv),
                      "--model", "nb", "--bank", "b", "--window", "100", "--treatment", "nr-rp",
                      "--protocol", "impersonal", "-o", str(d)]) == EXIT_OK
         out = tmp_path / "report.md"
         assert main(["report", str(d / "grid_results.csv"), "-o", str(out)]) == EXIT_OK
-        assert "t-test column omitted" in out.read_text()
+        rows = [line for line in out.read_text().splitlines() if line.startswith("| impersonal")]
+        assert len(rows) == 6  # five activities and overall
+        assert all(row.startswith("| impersonal | nb | b | 100 | ") and " | nr-rp | " in row
+                   and row.endswith(" |  |  |") for row in rows)
 
 
 class TestOutputModes:

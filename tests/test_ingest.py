@@ -72,6 +72,21 @@ class TestSynthParams:
         with pytest.raises(ValueError):
             SynthParams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_subjects": 2.5}, {"n_subjects": True}, {"n_subjects": 2.0},
+        {"seed": 1.5}, {"seed": False}, {"seed": "7"},
+    ], ids=str)
+    def test_rejects_counts_and_seeds_that_are_no_integers(self, kwargs):
+        """A float would fail later inside the generator, and a bool would quietly
+        stand for 0 or 1."""
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SynthParams(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        params = SynthParams(n_subjects=np.int64(2), seed=np.int64(3))
+        assert (params.n_subjects, params.seed) == (2, 3)
+
     @pytest.mark.parametrize("rate", [20.0, 1000.0])
     def test_sample_count_cap(self, rate):
         """A recording may take MAX_SAMPLES samples and no more; the check runs before

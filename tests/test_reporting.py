@@ -26,6 +26,7 @@ from harkit.reporting import (
     write_features_csv,
     write_results_csv,
 )
+from harkit.stats import paired_t_test
 
 
 @pytest.fixture
@@ -138,7 +139,7 @@ class TestFeaturesCsv:
         with pytest.raises(MalformedRow) as ei:
             read_features_csv(path)
         assert ei.value.line_no == 4
-        assert str(ei.value).startswith("line 4: window 0 is not positive")
+        assert str(ei.value).startswith("line 4: window '0' is not a positive integer")
 
 
 class TestResultsCsv:
@@ -181,8 +182,32 @@ class TestResultsCsv:
         with pytest.raises(MalformedRow) as ei:
             read_results_csv(path)
         assert ei.value.line_no == 3
-        assert str(ei.value) == f"line 3: window {window!r} is not a positive integer"
+        assert str(ei.value) == (f"line 3: window {window!r} is not a positive integer in "
+                                 "ASCII digits without a leading zero")
 
+
+
+@pytest.mark.parametrize("window", ["7_5", " 75", "75 ", "+75", "075", "\u0667\u0665", "0"],
+                         ids=repr)
+@pytest.mark.parametrize("kind", ["features", "results"])
+def test_both_readers_take_only_ascii_digits_without_a_leading_zero(
+        vectors, config_and_report, tmp_path, kind, window):
+    """int() reads each of these windows as 75 (or 0), and str.isdecimal() passes the
+    Arabic-Indic "75"; both readers refuse them all, naming the line."""
+    path = tmp_path / "w.csv"
+    if kind == "features":
+        write_features_csv(vectors[:2], path)
+        read = read_features_csv
+    else:
+        write_results_csv(report_rows(*config_and_report)[:2], path)
+        read = read_results_csv
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace(",75,", f",{window},", 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as ei:
+        read(path)
+    assert ei.value.line_no == 3
+    assert str(ei.value).startswith(f"line 3: window {window!r} is not a positive integer")
 
 
 @pytest.mark.parametrize("read, header", [
@@ -208,42 +233,78 @@ def result_rows(treatment, activity, values, window="75"):
 
 
 class TestTreatmentReport:
+    HEADER = [
+        "# Treatment comparison report",
+        "",
+        "Each treatment is paired with nr-rp over the units they share; t > 0 means it "
+        "scored higher. p ≤ 0.02 (α) is in **boldface**.",
+        "",
+        "| protocol | classifier | bank | window | activity | treatment | mean | t | p |",
+        "|---|---|---|---|---|---|---|---|---|",
+    ]
+
     def test_pair_gets_t_test_row(self):
         rows = (result_rows("nr-rp", "overall", [0.9, 0.92, 0.88, 0.91])
                 + result_rows("unr-rp", "overall", [0.5, 0.52, 0.49, 0.51])
-                + result_rows("nr-rp", "walking", [0.7, 0.8]))  # no UNR-RP: no row
+                + result_rows("nr-rp", "walking", [0.7, 0.8]))  # no UNR-RP: a mean row
         lines = treatment_report(rows).splitlines()
-        assert lines[:2] == ["# Treatment comparison report", ""]
-        assert lines[5] == "| protocol | classifier | bank | window | activity | NR-RP | UNR-RP | t | p |"
-        (row,) = lines[7:]
-        assert row.startswith("| impersonal | nb | b | 75 | overall | **0.9025** | 0.5050 | ")
-        t, p = (float(v) for v in row.strip("| ").split(" | ")[-2:])
-        assert t > 10 and p < 0.02
+        assert lines[:6] == self.HEADER
+        base, pair, walking = lines[6:]
+        assert base == "| impersonal | nb | b | 75 | overall | nr-rp | 0.9025 |  |  |"
+        assert pair.startswith("| impersonal | nb | b | 75 | overall | unr-rp | 0.5050 | ")
+        t, p = pair.strip("| ").split(" | ")[-2:]
+        assert float(t) < -10
+        assert p.startswith("**") and p.endswith("**") and float(p.strip("*")) < 0.02
+        assert walking == "| impersonal | nb | b | 75 | walking | nr-rp | 0.7500 |  |  |"
 
     def test_without_pair_lists_means(self):
+        """A cell without UNR-RP lists every treatment's mean and pairs NR-NRP with NR-RP."""
         rows = (result_rows("nr-rp", "overall", [0.9, 0.8])
                 + result_rows("nr-nrp", "overall", [0.6, 0.7]))
-        assert treatment_report(rows) == "\n".join([
-            "# Treatment comparison report",
-            "",
-            "_Note: no NR-RP / UNR-RP pair found; t-test column omitted._",
-            "",
-            "| protocol | classifier | bank | window | activity | treatment | mean |",
-            "|---|---|---|---|---|---|---|",
-            "| impersonal | nb | b | 75 | overall | nr-nrp | 0.6500 |",
-            "| impersonal | nb | b | 75 | overall | nr-rp | 0.8500 |",
+        assert treatment_report(rows) == "\n".join(self.HEADER + [
+            "| impersonal | nb | b | 75 | overall | nr-rp | 0.8500 |  |  |",
+            "| impersonal | nb | b | 75 | overall | nr-nrp | 0.6500 | -2.000 | 0.2952 |",
         ]) + "\n"
 
+    def test_every_grid_treatment_is_paired_with_nr_rp(self):
+        rows = (result_rows("unr-rp", "overall", [0.95, 0.9, 0.97])
+                + result_rows("nr-nrp", "overall", [0.8, 0.7, 0.85])
+                + result_rows("nr-rp", "overall", [0.81, 0.75, 0.83]))
+        lines = treatment_report(rows).splitlines()[6:]
+        assert [line.split(" | ")[5] for line in lines] == ["nr-rp", "nr-nrp", "unr-rp"]
+        assert lines[0].endswith(" | 0.7967 |  |  |")
+        for line, (a, b) in zip(lines[1:], [([0.8, 0.7, 0.85], [0.81, 0.75, 0.83]),
+                                             ([0.95, 0.9, 0.97], [0.81, 0.75, 0.83])]):
+            res = paired_t_test(np.array(a), np.array(b))
+            p = f"{res.p_two_sided:.4f}"
+            assert line.endswith(f" | {res.t_stat:.3f} | "
+                                 + (f"**{p}**" if res.p_two_sided <= 0.02 else p) + " |")
+
+    def test_infinite_t_keeps_its_sign(self):
+        """A treatment below NR-RP by the same amount in every unit has t = -inf."""
+        rows = (result_rows("nr-rp", "overall", [0.25, 0.5, 0.75])
+                + result_rows("unr-rp", "overall", [0.0, 0.25, 0.5])
+                + result_rows("nr-nrp", "overall", [0.5, 0.75, 1.0]))
+        lines = treatment_report(rows).splitlines()[6:]
+        assert lines[1] == "| impersonal | nb | b | 75 | overall | nr-nrp | 0.7500 | inf | **0.0000** |"
+        assert lines[2] == "| impersonal | nb | b | 75 | overall | unr-rp | 0.2500 | -inf | **0.0000** |"
+
+    def test_fewer_than_two_shared_units_get_no_t_test(self):
+        rows = (result_rows("nr-rp", "overall", [0.9, 0.8])
+                + [dict(r, metric=r["metric"].replace("s1", "s9"))
+                   for r in result_rows("unr-rp", "overall", [0.6, 0.7])])
+        assert treatment_report(rows).splitlines()[7:] == [
+            "| impersonal | nb | b | 75 | overall | unr-rp | 0.6500 |  |  |"]
 
     @pytest.mark.parametrize("treatments", [("nr-rp", "unr-rp"), ("nr-rp", "nr-nrp")])
     def test_windows_in_numeric_order(self, treatments):
-        """Windows 150, 25 and 75 are listed 25, 75, 150, not in their text order."""
+        """Windows 150, 25 and 75 are listed 25, 75, 150, not in their text order, with
+        one row per treatment each."""
         rows = [row for window in ("150", "25", "75") for treatment in treatments
                 for row in result_rows(treatment, "overall", [0.9, 0.8, 0.85], window)]
         lines = treatment_report(rows).splitlines()
         windows = [line.split(" | ")[3] for line in lines if line.startswith("| impersonal")]
-        per_window = 1 if "unr-rp" in treatments else 2  # a t-test row, or a mean each
-        assert windows == [w for w in ("25", "75", "150") for _ in range(per_window)]
+        assert windows == [w for w in ("25", "75", "150") for _ in treatments]
 
 
 class TestSweepSvg:
