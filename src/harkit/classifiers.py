@@ -150,8 +150,9 @@ def _runs(sizes: np.ndarray, limit: int):
 class _Forest:
     """CART trees grown on one matrix `XT` (features, rows), whose `order` is
     `argsort(XT, axis=1)`, tree t counting row i `W[t, i]` times (rows with W = 0 are
-    left out) over `n_classes[t]` classes: a bagging ensemble's bootstraps, or one tree
-    with every count 1. Tree t's root is node root[t] of `nodes`, which the trees grow into.
+    left out), every tree over the model's `n_classes` classes: a bagging ensemble's
+    bootstraps, or one tree with every count 1. Tree t's root is node root[t] of
+    `nodes`, which the trees grow into.
 
     Growth runs on frontiers of open nodes from any of the trees (`_Frontier`): one
     `best_splits` call searches all of them, one `split` call partitions them and
@@ -166,20 +167,19 @@ class _Forest:
     """
 
     def __init__(self, XT: np.ndarray, order: np.ndarray, y: np.ndarray, W: np.ndarray,
-                 n_classes: np.ndarray, nodes: _Nodes, root: np.ndarray):
+                 n_classes: int, nodes: _Nodes, root: np.ndarray):
         self.XT, self.order, self.n_classes = XT, order, n_classes
         self.nodes, self.root = nodes, root
-        n_cls = int(n_classes.max())
         bits = int(W.sum(axis=1).max()).bit_length()
         self.mask, self.sq_mask = (1 << bits) - 1, (1 << 2 * bits) - 1
-        self.word, self.shift = _layout([bits] * n_cls)
+        self.word, self.shift = _layout([bits] * n_classes)
         # (words, classes): each class's unit in the packed class counts
-        self.unit = np.zeros((self.word[-1] + 1, n_cls), dtype=np.int64)
-        self.unit[self.word, np.arange(n_cls)] = np.left_shift(1, self.shift)
+        self.unit = np.zeros((self.word[-1] + 1, n_classes), dtype=np.int64)
+        self.unit[self.word, np.arange(n_classes)] = np.left_shift(1, self.shift)
         # the words and shifts of sum_c left_c^2, k and sum_c counts_c left_c
         self.sums = _layout([2 * bits, bits, 2 * bits])
-        # class 0 for the rows a tree leaves out keeps y within its counts
-        self.y = np.where(W > 0, y, 0).ravel()
+        # a row a tree leaves out weighs 0 in every sum, whatever its class
+        self.y = np.tile(y, len(W))
         self.w = W.ravel()
         # each row's packed terms; per word, the shift to the row's class's slot, or 63
         # (a shift to 0) in the other words
@@ -190,7 +190,7 @@ class _Forest:
     def roots(self) -> _Frontier:
         """The frontier of the roots that hold two classes or more; each root gets its
         majority label."""
-        n_trees, n_cls = len(self.n_classes), int(self.n_classes.max())
+        n_trees, n_cls = len(self.root), self.n_classes
         n_features, n = self.XT.shape
         counts = np.bincount(np.repeat(np.arange(n_trees), n) * n_cls + self.y,
                              weights=self.w, minlength=n_trees * n_cls)
@@ -250,8 +250,8 @@ class _Forest:
         - so a position of largest computed gain has an S within 2m(C + 7)u + 2 * 2mu =
           2m(C + 9)u of the largest computed S: 3.1e-15 m for C = 5. 1e-12 m is over 100
           times that up to C = 36, and still covers it up to C = 4,494.
-        Each node sums its classes over its own tree's class count, so the additions
-        run in the order a search of that node alone takes. The nodes of one tree hold
+        Every node sums its classes over the model's class count, so the additions run
+        in the order a search of that node alone takes. The nodes of one tree hold
         disjoint rows, as a tree's open nodes do.
         """
         n_features, n = self.XT.shape
@@ -264,13 +264,8 @@ class _Forest:
         m = fr.counts.sum(axis=1)
         tol = 1e-12 * m
         sq_total = np.einsum("ij,ij->i", fr.counts, fr.counts)
-        n_cls = self.n_classes[trees]
-        classes = sorted(set(n_cls.tolist()))
-        parent_gini = np.empty(n_nodes)
-        for C in classes:
-            at = slice(None) if len(classes) == 1 else n_cls == C
-            p = fr.counts[at, :C] / m[at, None]
-            parent_gini[at] = 1.0 - (p * p).sum(axis=1)
+        p = fr.counts / m[:, None]
+        parent_gini = 1.0 - (p * p).sum(axis=1)
         # the second sum's terms but sum_c left_c^2's, which come from the first sum:
         # per (tree, row), the row's count, and its count times its class's count in
         # its node
@@ -343,19 +338,15 @@ class _Forest:
                 fi, pi = np.divmod(near, c1 - c0)
                 ni = node[pi]
                 # the gain at those positions from the unpacked counts, in the
-                # formula's order, over each node's own class count
+                # formula's order
                 mm = m[ni]
                 kk = k[fi, pi]
                 left = (P[:, fi, pi][self.word] >> self.shift[:, None]) & self.mask
                 left = left.astype(float)
                 right = fr.counts[ni].T - left
-                gains = np.empty(len(near))
-                for C in classes:
-                    at = slice(None) if len(classes) == 1 else n_cls[ni] == C
-                    ka, ma = kk[at], mm[at]
-                    gl = 1.0 - _sum_classes((left[:C, at] / ka) ** 2)
-                    gr = 1.0 - _sum_classes((right[:C, at] / (ma - ka)) ** 2)
-                    gains[at] = parent_gini[ni[at]] - (ka * gl + (ma - ka) * gr) / ma
+                gl = 1.0 - _sum_classes((left / kk) ** 2)
+                gr = 1.0 - _sum_classes((right / (mm - kk)) ** 2)
+                gains = parent_gini[ni] - (kk * gl + (mm - kk) * gr) / mm
                 # per (feature, node): the first position of highest gain, by a stable
                 # sort of `near`, which is in (feature, node, position) order
                 ranked = np.lexsort((-gains, fi * n_nodes + ni))
@@ -475,8 +466,6 @@ class _TreesImpl:
         W = (np.ones((self.n_learners, len(y)), dtype=np.int64) if self.seed is None else
              np.stack([np.bincount(bootstrap_indices(self.seed, i, len(y)), minlength=len(y))
                        for i in range(self.n_learners)]))
-        # a tree sums its classes over the classes its rows hold
-        n_classes = np.where(W > 0, y, 0).max(axis=1) + 1
         # best-first growth under budget B splits nodes at depth <= B - 1, whose
         # children, at depth <= B, the first B + 1 levels search
         levels = None if self.max_splits is None else self.max_splits + 1
@@ -485,7 +474,7 @@ class _TreesImpl:
         self.nodes = _Nodes(*(np.full(self.n_learners, fill) for fill in _LEAF), self.n_learners)
         n_groups = -(-self.n_learners // max(1, _GROUP_ELEMENTS // XT.size))
         for group in np.array_split(np.arange(self.n_learners), n_groups):
-            self.nodes = _Forest(XT, order, y, W[group], n_classes[group], self.nodes,
+            self.nodes = _Forest(XT, order, y, W[group], self.n_classes, self.nodes,
                                  group).grow(levels)
         if self.max_splits is not None:
             _keep_best_first(self.nodes, self.max_splits)

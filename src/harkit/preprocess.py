@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptySignal, EmptyTrainingSet, WidthMismatch
+from .errors import EmptySignal, EmptyTrainingSet, SchemaError, WidthMismatch
 from .ingest import Activity, Recording, SensorKind, samples_from_columns
 
 MIN_WINDOW = 4  # samples; the fewest a window may hold
@@ -71,26 +71,41 @@ class Normalizer:
     std: np.ndarray
 
 
+def _overflow(what: str, finite: np.ndarray) -> None:
+    """SchemaError naming the first feature column that is not all `finite`."""
+    bad = np.flatnonzero(~finite.reshape(-1, finite.shape[-1]).all(axis=0))
+    if bad.size:
+        raise SchemaError(f"feature column {bad[0]} is too large to normalize: {what} "
+                          "overflows")
+
+
 def fit_normalizer(train_features: np.ndarray) -> Normalizer:
-    """Column means and population stds, computed on the training split only."""
+    """Column means and population stds, computed on the training split only;
+    SchemaError names a column whose mean or std overflows."""
     train_features = np.asarray(train_features, dtype=float)
     if train_features.ndim != 2 or train_features.shape[0] < 1:
         raise EmptyTrainingSet("need at least one training row")
-    return Normalizer(
-        mean=train_features.mean(axis=0),
-        std=train_features.std(axis=0),  # ddof=0
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = Normalizer(
+            mean=train_features.mean(axis=0),
+            std=train_features.std(axis=0),  # ddof=0
+        )
+    _overflow("its mean or standard deviation", np.isfinite(norm.mean) & np.isfinite(norm.std))
+    return norm
 
 
 def apply_normalizer(norm: Normalizer, features: np.ndarray) -> np.ndarray:
-    """Z-score using fitted stats; zero-variance columns map to all zeros."""
+    """Z-score using fitted stats; zero-variance columns map to all zeros. SchemaError
+    names a column whose z-score overflows."""
     features = np.asarray(features, dtype=float)
     if features.shape[-1] != norm.mean.shape[0]:
         raise WidthMismatch(
             f"feature width {features.shape[-1]} != normalizer width {norm.mean.shape[0]}"
         )
-    out = features - norm.mean
-    nonzero = norm.std > 0
-    out[..., nonzero] /= norm.std[nonzero]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = features - norm.mean
+        nonzero = norm.std > 0
+        out[..., nonzero] /= norm.std[nonzero]
     out[..., ~nonzero] = 0.0
+    _overflow("its z-score", np.isfinite(out))
     return out

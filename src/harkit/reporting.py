@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import MalformedRow, NonFiniteValue
-from .evaluation import NR_RP, EvalConfig, EvalReport, accuracy, recall
+from .classifiers import ModelKind
+from .errors import MalformedRow, NonFiniteValue, SchemaError
+from .evaluation import NR_RP, TREATMENTS, EvalConfig, EvalReport, Protocol, accuracy, recall
 from .features import Bank, BANK_WIDTH, FeatureVector
 from .ingest import ACTIVITY_CSV_NAMES, Activity, CSV_NAME_TO_ACTIVITY, atomic_open, csv_records
 from .stats import paired_t_test
@@ -25,6 +26,16 @@ RESULTS_HEADER = [
     "protocol", "classifier", "bank", "treatment", "window",
     "activity", "metric", "value", "ci_halfwidth", "n_units",
 ]
+
+# the texts `report_rows` writes in each key column of a results CSV but `window` and
+# `metric`
+RESULTS_KEYS = {
+    "protocol": [p.value for p in Protocol],
+    "classifier": [k.value for k in ModelKind],
+    "bank": [b.value for b in Bank],
+    "treatment": [t.name for t in TREATMENTS],
+    "activity": [*ACTIVITY_CSV_NAMES.values(), "overall"],
+}
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -133,7 +144,9 @@ def write_results_csv(rows: list[list[str]], path: str | Path) -> None:
 
 def read_results_csv(path: str | Path) -> list[dict[str, str]]:
     """The rows of a results CSV as {column: text}; every row has all the columns, a
-    finite `value` and a `window` that `read_window` accepts."""
+    finite `value`, a `window` that `read_window` accepts, a key of `RESULTS_KEYS` in each
+    of its columns and a `metric` of `recall` or `accuracy`, optionally with
+    `:<unit>`. Anything else raises `MalformedRow` naming the line and the column."""
     rows = []
     with closing(csv_records(path)) as records:
         _, header = next(records, (1, None))
@@ -148,6 +161,13 @@ def read_results_csv(path: str | Path) -> list[dict[str, str]]:
             if not math.isfinite(value):
                 raise NonFiniteValue(line_no, "value")
             read_window(line_no, record["window"])
+            for column, keys in RESULTS_KEYS.items():
+                if record[column] not in keys:
+                    raise MalformedRow(line_no, f"{column} {record[column]!r} is none of "
+                                                + ", ".join(keys))
+            if not re.fullmatch("(recall|accuracy)(:.+)?", record["metric"], re.DOTALL):
+                raise MalformedRow(line_no, f"metric {record['metric']!r} is not recall or "
+                                            "accuracy, optionally followed by :<unit>")
             rows.append(record)
     return rows
 
@@ -155,7 +175,8 @@ def read_results_csv(path: str | Path) -> list[dict[str, str]]:
 def treatment_report(rows: list[dict[str, str]]) -> str:
     """Markdown with one row per (cell, treatment) of results-CSV rows: the mean over the
     treatment's units and, for a treatment other than NR-RP sharing at least 2 units
-    with it, a paired t-test against NR-RP over the units they share."""
+    with it, a paired t-test against NR-RP over the units they share. A unit's value
+    given twice for one (cell, treatment) raises SchemaError."""
     # cell key -> treatment -> {unit -> value}
     cells: dict[tuple, dict[str, dict[str, float]]] = {}
     for r in rows:
@@ -163,7 +184,11 @@ def treatment_report(rows: list[dict[str, str]]) -> str:
             continue
         _, unit = r["metric"].split(":", 1)
         key = (r["protocol"], r["classifier"], r["bank"], r["window"], r["activity"])
-        cells.setdefault(key, {}).setdefault(r["treatment"], {})[unit] = float(r["value"])
+        units = cells.setdefault(key, {}).setdefault(r["treatment"], {})
+        if unit in units:
+            raise SchemaError(f"unit {unit!r} of {' '.join(key)} {r['treatment']} is "
+                              "given twice")
+        units[unit] = float(r["value"])
 
     base = NR_RP.name
     lines = ["# Treatment comparison report", "",

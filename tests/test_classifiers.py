@@ -483,8 +483,8 @@ def presorted_split(X, y, n_classes, w=None):
     w = np.ones(len(y), dtype=np.int64) if w is None else w
     XT = np.ascontiguousarray(X.T)
     nodes = classifiers._Nodes(*(np.full(1, fill) for fill in classifiers._LEAF), 1)
-    forest = classifiers._Forest(XT, np.argsort(XT, axis=1), y, w[None],
-                                 np.array([n_classes]), nodes, np.array([0]))
+    forest = classifiers._Forest(XT, np.argsort(XT, axis=1), y, w[None], n_classes, nodes,
+                                 np.array([0]))
     frontier = forest.roots()
     if not frontier.nodes.size:  # one class: no split improves impurity
         return None
@@ -567,7 +567,9 @@ class TestBestSplit:
 
     def test_bagging_trees_pinned(self):
         """Tree structures, labels and scores of dtree and bagging equal those the
-        per-feature split search grew (digests computed before the batched search)."""
+        per-feature split search grew (digests computed before the batched search; the
+        last, of 5 classes where bootstraps 1, 2 and 8 lack class 4, before every tree
+        counted the model's classes)."""
         recordings, _ = generate_synthetic(SynthParams(n_subjects=2, minutes_per_activity=0.5,
                                                        seed=7))
         X, y, _ = feature_matrix(recordings_to_features(recordings, Bank.B70, 50, 3,
@@ -575,10 +577,16 @@ class TestBestSplit:
         rng = np.random.default_rng(5)
         Xt = rng.integers(0, 4, size=(150, 12)).astype(float)
         yt = rng.integers(0, 4, 150)
+        Xr, yr = blobs(np.random.default_rng(11), n_per_class=16, n_classes=5, d=4, sep=1.5)
+        Xr, yr = Xr[:65], yr[:65]  # one row of class 4
+        lacking = [i for i in range(10)
+                   if not np.any(yr[classifiers.bootstrap_indices(2, i, len(yr))] == 4)]
+        assert lacking == [1, 2, 8]
         digests = [
             tree_digest(train(ModelSpec(ModelKind.Bagging, seed=3, n_learners=10), X, y), X),
             tree_digest(train(ModelSpec(ModelKind.DecisionTree, max_splits=5), X, y), X),
             tree_digest(train(ModelSpec(ModelKind.Bagging, seed=1, n_learners=10), Xt, yt), Xt),
+            tree_digest(train(ModelSpec(ModelKind.Bagging, seed=2, n_learners=10), Xr, yr), Xr),
         ]
         assert digests == PINNED_TREE_DIGESTS
 
@@ -597,18 +605,19 @@ def frontier_of(XT, W, nodes, counts):
 
 def search_nodes(X, y, W, nodes):
     """(gain, feature, threshold) or None of every node, from one multi-node search, and
-    from `reference_best_split` on each node's rows repeated by their counts."""
-    n_classes = np.where(W > 0, y, 0).max(axis=1) + 1
+    from `reference_best_split` on each node's rows repeated by their counts, every node
+    over the model's class count."""
+    n_classes = int(y.max()) + 1
     XT = np.ascontiguousarray(X.T)
     forest = classifiers._Forest(XT, np.argsort(XT, axis=1), y, W, n_classes, None,
                                  np.arange(len(W)))
-    counts = np.stack([np.bincount(y[rows], weights=W[t, rows], minlength=n_classes.max())
+    counts = np.stack([np.bincount(y[rows], weights=W[t, rows], minlength=n_classes)
                        for t, rows in nodes]).astype(np.int64)
     gain, feature, threshold = forest.best_splits(frontier_of(XT, W, nodes, counts))
     got = [None if f < 0 else (g, f, thr)
            for g, f, thr in zip(gain.tolist(), feature.tolist(), threshold.tolist())]
     expected = [reference_best_split(np.repeat(X[rows], W[t, rows], axis=0),
-                                     np.repeat(y[rows], W[t, rows]), n_classes[t])
+                                     np.repeat(y[rows], W[t, rows]), n_classes)
                 for t, rows in nodes]
     return forest, got, expected
 
@@ -686,6 +695,7 @@ PINNED_TREE_DIGESTS = [
     "d7653cad9a21195d3f7c978da2427b85df5b43786f038768556926b9a45f1274",
     "8117b6de80b6106c9f7e0325c0c444019badf21b6a11bc997de0df4304344567",
     "efd3fcdce1d443d249d6b786f16e7e3a56036faa13c1080fa90ffa931eec3148",
+    "9f67db5ed891498b3fa884e436f0b5e331be82dc6adfc3c15777ef33932ab221",
 ]
 
 

@@ -542,6 +542,18 @@ class TestReport:
                    and row.endswith(" |  |  |") for row in rows)
 
 
+    def test_same_results_twice_is_schema_error(self, recordings_csv, tmp_path, capsys):
+        d = tmp_path / "once"
+        assert main(["--seed", "4", "grid", str(recordings_csv), "--model", "nb", "--bank", "b",
+                     "--window", "100", "--treatment", "nr-rp", "--protocol", "impersonal",
+                     "-o", str(d)]) == EXIT_OK
+        results, out = d / "grid_results.csv", tmp_path / "report.md"
+        assert main(["report", str(results), str(results), "-o", str(out)]) == EXIT_SCHEMA
+        assert ("error (SchemaError): unit 'subj00' of impersonal nb b 100 walking nr-rp is "
+                "given twice" in capsys.readouterr().err)
+        assert not out.exists()
+
+
 class TestOutputModes:
     @pytest.fixture
     def umask_022(self):
@@ -638,6 +650,24 @@ class TestExitCodes:
                 "sensor accel are not finite" in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["dtree", "nb", "knn", "svm", "bag"])
+    def test_features_too_large_to_normalize_are_schema_error(self, bank_b_csv, tmp_path,
+                                                              capsys, model):
+        """A column of +-1e308 is finite, but its standard deviation overflows."""
+        lines = bank_b_csv.read_text().splitlines()
+        for i in range(1, len(lines)):
+            fields = lines[i].split(",")
+            fields[11] = "1e308" if i % 2 else "-1e308"  # f7: four key columns come first
+            lines[i] = ",".join(fields)
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "res"
+        assert main(["grid", str(big), "--model", model, "--treatment", "nr-rp",
+                     "-o", str(out)]) == EXIT_SCHEMA
+        assert ("error (SchemaError): feature column 7 is too large to normalize: its mean "
+                "or standard deviation overflows" in capsys.readouterr().err)
+        assert not any(out.iterdir())
+
     def test_bank_tag_of_other_width_is_schema_error(self, bank_b_csv, tmp_path, capsys):
         bad = tmp_path / "relabelled.csv"
         bad.write_text(bank_b_csv.read_text().replace(",b,", ",a,"))
@@ -701,18 +731,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("row, error, message", [
         ("personal,nb,a", "MalformedRow", "line 3: expected 10 fields, got 3"),
-        ("personal,nb,b,NR_RP,75,overall,accuracy:s0,abc,,2", "MalformedRow",
+        ("personal,nb,b,nr-rp,75,overall,accuracy:s0,abc,,2", "MalformedRow",
          "line 3: unparseable value"),
-        ("personal,nb,b,NR_RP,75,overall,accuracy:s0,nan,,2", "NonFiniteValue",
+        ("personal,nb,b,nr-rp,75,overall,accuracy:s0,nan,,2", "NonFiniteValue",
          "line 3: non-finite value in column 'value'"),
-        ("personal,nb,b,NR_RP,75,overall,accuracy:s0,-inf,,2", "NonFiniteValue",
+        ("personal,nb,b,nr-rp,75,overall,accuracy:s0,-inf,,2", "NonFiniteValue",
          "line 3: non-finite value in column 'value'"),
+        ("personal,nb,b,NR_RP,75,overall,accuracy:s0,0.5,,2", "MalformedRow",
+         "line 3: treatment 'NR_RP' is none of nr-rp, nr-nrp, unr-rp, unr-nrp"),
+        ("personal,nb,b,nr-rp,75,overall,accuracy:s1,0.99,,2", "SchemaError",
+         "unit 's1' of personal nb b 75 overall nr-rp is given twice"),
     ])
     def test_malformed_results_row_is_schema_error(self, tmp_path, capsys, row, error,
                                                    message):
         results = tmp_path / "results.csv"
         results.write_text(",".join(RESULTS_HEADER) + "\n"
-                           "personal,nb,b,NR_RP,75,overall,accuracy:s1,0.5,,2\n" + row + "\n")
+                           "personal,nb,b,nr-rp,75,overall,accuracy:s1,0.5,,2\n" + row + "\n")
         out = tmp_path / "report.md"
         assert main(["report", str(results), "-o", str(out)]) == EXIT_SCHEMA
         assert f"error ({error}): {message}" in capsys.readouterr().err
@@ -721,9 +755,9 @@ class TestExitCodes:
     def test_results_error_names_the_physical_line(self, tmp_path, capsys):
         """A unit id holding a newline makes its row span lines 2-3."""
         results = tmp_path / "results.csv"
-        write_results_csv([["personal", "nb", "b", "NR_RP", "75", "overall", "accuracy:a\nb",
+        write_results_csv([["personal", "nb", "b", "nr-rp", "75", "overall", "accuracy:a\nb",
                             "0.5", "", "2"],
-                           ["personal", "nb", "b", "NR_RP", "75", "overall", "accuracy:c",
+                           ["personal", "nb", "b", "nr-rp", "75", "overall", "accuracy:c",
                             "abc", "", "2"]], results)
         assert main(["report", str(results), "-o", str(tmp_path / "report.md")]) == EXIT_SCHEMA
         assert "error (MalformedRow): line 4: unparseable value" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from harkit.errors import EmptySignal, EmptyTrainingSet, WidthMismatch
+from harkit.errors import EmptySignal, EmptyTrainingSet, SchemaError, WidthMismatch
 from harkit.ingest import Activity, Recording, SensorKind, samples_from_columns
 from harkit.preprocess import (
     Normalizer,
@@ -138,3 +138,19 @@ class TestNormalizer:
     def test_empty_raises(self):
         with pytest.raises(EmptyTrainingSet):
             fit_normalizer(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("column", [[1e308, 1e308, 1e308], [1e308, -1e308, 1e308]],
+                             ids=["mean", "std"])
+    def test_overflowing_column_is_named(self, column):
+        X = np.ones((3, 4))
+        X[:, 2] = column
+        with pytest.raises(SchemaError, match="^feature column 2 is too large to normalize: "
+                                              "its mean or standard deviation overflows$"):
+            fit_normalizer(X)
+
+    def test_overflowing_z_score_is_named(self):
+        """Training statistics that are finite still overflow on a test row far outside them."""
+        norm = fit_normalizer(np.array([[0.0, 0.0], [2e-150, 1.0]]))  # std 1e-150
+        with pytest.raises(SchemaError, match="^feature column 0 is too large to normalize: "
+                                              "its z-score overflows$"):
+            apply_normalizer(norm, np.array([[0.5, 0.5], [1e200, 0.5]]))

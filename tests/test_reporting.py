@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from harkit.classifiers import ModelKind, ModelSpec
-from harkit.errors import MalformedRow
+from harkit.errors import MalformedRow, SchemaError
 from harkit.evaluation import NR_RP, EvalConfig, Protocol, evaluate
 from harkit.features import Bank, FeatureVector, feature_matrix
 from harkit.ingest import Activity
@@ -185,6 +185,43 @@ class TestResultsCsv:
         assert str(ei.value) == (f"line 3: window {window!r} is not a positive integer in "
                                  "ASCII digits without a leading zero")
 
+    BAD_KEYS = [
+        ("protocol", "Personal", "is none of personal, impersonal"),
+        ("classifier", "dtreee", "is none of dtree, nb, knn, svm, bag"),
+        ("bank", "B", "is none of a, b"),
+        ("treatment", "NR-RP", "is none of nr-rp, nr-nrp, unr-rp, unr-nrp"),
+        ("treatment", "bogus", "is none of nr-rp, nr-nrp, unr-rp, unr-nrp"),
+        ("activity", "Walking", "is none of walking, upstairs, downstairs, "),
+        ("activity", "", "is none of walking, upstairs, downstairs, "),
+        ("metric", "precision", "is not recall or accuracy, optionally followed by :<unit>"),
+        ("metric", "accuracy:", "is not recall or accuracy, optionally followed by :<unit>"),
+        ("metric", "recall_s0", "is not recall or accuracy, optionally followed by :<unit>"),
+        ("metric", " accuracy", "is not recall or accuracy, optionally followed by :<unit>"),
+    ]
+
+    @pytest.mark.parametrize("column, text, rule", BAD_KEYS,
+                             ids=[f"{column}={text!r}" for column, text, _ in BAD_KEYS])
+    def test_key_that_grid_does_not_write_reports_line_and_column(self, tmp_path, column,
+                                                                   text, rule):
+        """A treatment is matched exactly, not lowercased as `Treatment.from_name` does:
+        a baseline written NR-RP would get no t-test against it."""
+        path = tmp_path / "r.csv"
+        row = ["personal", "nb", "b", "nr-rp", "75", "overall", "accuracy:s0", "0.5", "", "2"]
+        bad = list(row)
+        bad[RESULTS_HEADER.index(column)] = text
+        write_results_csv([row, bad], path)
+        with pytest.raises(MalformedRow) as ei:
+            read_results_csv(path)
+        assert ei.value.line_no == 3
+        assert str(ei.value).startswith(f"line 3: {column} {text!r} {rule}")
+
+    @pytest.mark.parametrize("metric", ["accuracy:a:b", "recall:\u00e9 x"])
+    def test_any_non_empty_unit_is_read(self, tmp_path, metric):
+        path = tmp_path / "r.csv"
+        write_results_csv([["impersonal", "bag", "a", "unr-nrp", "150", "walking", metric,
+                            "0.5", "", "2"]], path)
+        assert read_results_csv(path)[0]["metric"] == metric
+
 
 
 @pytest.mark.parametrize("window", ["7_5", " 75", "75 ", "+75", "075", "\u0667\u0665", "0"],
@@ -288,6 +325,14 @@ class TestTreatmentReport:
         lines = treatment_report(rows).splitlines()[6:]
         assert lines[1] == "| impersonal | nb | b | 75 | overall | nr-nrp | 0.7500 | inf | **0.0000** |"
         assert lines[2] == "| impersonal | nb | b | 75 | overall | unr-rp | 0.2500 | -inf | **0.0000** |"
+
+    def test_unit_given_twice_raises(self):
+        """A second value of one unit would replace the first and move the mean."""
+        rows = result_rows("nr-rp", "overall", [0.5, 0.6, 0.7])
+        rows.append(dict(rows[1], value="0.99"))
+        with pytest.raises(SchemaError, match="unit 's0' of impersonal nb b 75 overall "
+                                              "nr-rp is given twice"):
+            treatment_report(rows)
 
     def test_fewer_than_two_shared_units_get_no_t_test(self):
         rows = (result_rows("nr-rp", "overall", [0.9, 0.8])
