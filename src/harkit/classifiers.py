@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyTrainingSet
+from .errors import DimensionMismatch, EmptyTrainingSet, SchemaError
 
 
 class ModelKind(Enum):
@@ -535,17 +536,14 @@ class _KnnImpl:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self.X = X.copy()
+        self.sq_norms = np.sum(X * X, axis=1)  # here, so training rows too large overflow in fit
         self.y = y.copy()
         self.n_classes = int(y.max()) + 1
         self.onehot = (y[:, None] == np.arange(self.n_classes)).astype(float)
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = min(self.k, len(self.y))
-        sq = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * X @ self.X.T
-            + np.sum(self.X * self.X, axis=1)[None, :]
-        )
+        sq = np.sum(X * X, axis=1)[:, None] - 2.0 * X @ self.X.T + self.sq_norms[None, :]
         # the first k of a stable sort by distance, without the sort: every
         # neighbor closer than the k-th distance, then the lowest training
         # indices at exactly that distance
@@ -714,6 +712,24 @@ class TrainedModel:
         return self.svm_budget_hits == 0
 
 
+@contextmanager
+def _overflow_named(kind: ModelKind, X: np.ndarray):
+    """Run the block with NumPy's overflow and invalid-value errors raised, for naive Bayes,
+    KNN and the SVM, whose sums and products of features can overflow on finite input (the
+    trees only compare values): either raises SchemaError naming the model and the column
+    of `X` of largest magnitude."""
+    if kind in (ModelKind.DecisionTree, ModelKind.Bagging):
+        yield
+        return
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        column = int(np.abs(X).max(axis=0).argmax())
+        raise SchemaError(f"feature column {column} is too large for model {kind.value}: "
+                          "its arithmetic on the features overflows") from None
+
+
 def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -731,7 +747,8 @@ def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
             ModelKind.Knn: lambda: _KnnImpl(spec.k),
             ModelKind.Svm: lambda: _SvmImpl(spec.C),
             ModelKind.Bagging: lambda: _TreesImpl(spec.n_learners, spec.seed, None)}[spec.kind]()
-    impl.fit(X, y)
+    with _overflow_named(spec.kind, X):
+        impl.fit(X, y)
     return TrainedModel(spec=spec, impl=impl, n_features=X.shape[1])
 
 
@@ -743,4 +760,5 @@ def predict_batch(model: TrainedModel, X: np.ndarray) -> tuple[np.ndarray, np.nd
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("prediction matrix contains non-finite values")
-    return model.impl.predict_batch(X)
+    with _overflow_named(model.spec.kind, X):
+        return model.impl.predict_batch(X)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import math
 import os
 import sys
@@ -17,13 +18,13 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+from . import __version__
 from .classifiers import ModelKind, ModelSpec
 from .errors import HarkitError, SchemaError, TooFewInstances, UsageError
 from .evaluation import (
     TREATMENTS,
     EvalConfig,
     Protocol,
-    Treatment,
     evaluate,
     feature_matrices,
     recordings_to_features,
@@ -34,7 +35,7 @@ from .ingest import (
     Activity,
     SensorKind,
     SynthParams,
-    dataset_summary,
+    duration_s,
     generate_synthetic,
     parse_recordings_csv,
     write_manifest_csv,
@@ -42,7 +43,6 @@ from .ingest import (
 )
 from .preprocess import MIN_WINDOW
 from .reporting import (
-    RunManifest,
     atomic_write_text,
     is_features_csv,
     read_features_csv,
@@ -61,8 +61,7 @@ EXIT_IO = 3
 EXIT_SCHEMA = SchemaError.exit_code
 EXIT_PROTOCOL = HarkitError.exit_code
 
-TREATMENT_NAMES = [t.name for t in TREATMENTS]
-GRID_TREATMENTS = TREATMENT_NAMES[:3]  # grid's default; `--treatment unr-nrp` stays available
+GRID_TREATMENTS = list(TREATMENTS)[:3]  # grid's default; `--treatment unr-nrp` stays available
 DEFAULT_WINDOW = 75
 
 
@@ -131,17 +130,16 @@ def _recording_settings(args) -> tuple[str, int]:
 def _write_run_manifest(out_dir: Path, command: str, config: dict, seed: int,
                         inputs: list[Path], outputs: list[Path], started: float,
                         health: dict | None = None) -> None:
-    """Write <command>_manifest.json; duration_s runs from `started` (time.monotonic)."""
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        seed=seed,
-        input_digests={str(p): sha256_file(p) for p in inputs},
-        output_digests={str(p): sha256_file(p) for p in outputs},
-        duration_s=round(time.monotonic() - started, 3),
-        health=health,
-    )
-    atomic_write_text(out_dir / f"{command}_manifest.json", manifest.to_json())
+    """Write <command>_manifest.json, its keys sorted; duration_s runs from `started`
+    (time.monotonic), and `health` (grid's run-health counters) is left out when None."""
+    manifest = {"command": command, "config": config, "seed": seed,
+                "input_digests": {str(p): sha256_file(p) for p in inputs},
+                "output_digests": {str(p): sha256_file(p) for p in outputs},
+                "duration_s": round(time.monotonic() - started, 3), "toolkit_version": __version__}
+    if health is not None:
+        manifest["health"] = health
+    atomic_write_text(out_dir / f"{command}_manifest.json",
+                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _report_svm_budget(reports) -> None:
@@ -166,7 +164,7 @@ def _eval_config(args, kind: ModelKind, treatment: str, protocol: str,
         ),
         bank=bank,
         samples_per_window=window,
-        treatment=Treatment.from_name(treatment),
+        treatment=TREATMENTS[treatment],
         protocol=Protocol(protocol),
         folds=args.folds,
         seed=args.seed,
@@ -212,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                     f"window, else bank a and window {DEFAULT_WINDOW}.")
     grid.add_argument("input", help="recordings CSV or feature CSV")
     grid.add_argument("--model", nargs="+", choices=models)
-    grid.add_argument("--treatment", nargs="+", choices=TREATMENT_NAMES)
+    grid.add_argument("--treatment", nargs="+", choices=TREATMENTS)
     grid.add_argument("--protocol", nargs="+", choices=protocols)
     grid.add_argument("--bank", nargs="+", choices=banks,
                       help="default: a features CSV's own, else a")
@@ -327,8 +325,6 @@ def cmd_grid(args) -> int:
     matrices, settings = _load_matrices(args)
     banks = list(dict.fromkeys(bank.value for bank, _ in matrices))
     windows = list(dict.fromkeys(window for _, window in matrices))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     curves = {}  # (model, bank, treatment, protocol) -> {window: report}
     reports = {}  # "model treatment protocol bank window" -> report
@@ -345,6 +341,8 @@ def cmd_grid(args) -> int:
         summary.append(f"| {model} | {treatment} | {protocol} | {bank.value} | {window} "
                        f"| {report.overall_accuracy:.4f} | {time.monotonic() - cell_started:.1f} |")
         print(summary[-1])
+    out_dir = Path(args.out_dir)  # made once every cell has run, so a failed cell leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [out_dir / "grid_results.csv", out_dir / "summary.md"]
     write_results_csv(rows, outputs[0])
     atomic_write_text(outputs[1], "# Settings grid\n\n" + "\n".join(summary) + "\n")
@@ -371,12 +369,14 @@ def cmd_report(args) -> int:
 
 def cmd_summary(args) -> int:
     recordings = parse_recordings_csv(args.input)
-    summary = dataset_summary(recordings)
+    counts: dict[Activity, int] = {}  # samples per activity, in first-seen order
     print("subject_id,activity,sensor,n_samples,duration_s")
-    for row in summary.rows:
-        print(f"{row.subject_id},{row.activity.name},{row.sensor.name},"
-              f"{row.n_samples},{row.duration_s:.1f}")
-    print("class balance:", {a.name: round(f, 4) for a, f in summary.class_balance.items()})
+    for rec in recordings:
+        n = len(rec.samples)
+        print(f"{rec.subject_id},{rec.activity.name},{rec.sensor.name},{n},{duration_s(rec):.1f}")
+        counts[rec.activity] = counts.get(rec.activity, 0) + n
+    total = sum(counts.values())
+    print("class balance:", {a.name: round(c / total, 4) for a, c in counts.items()})
     return EXIT_OK
 
 

@@ -25,21 +25,13 @@ class Treatment:
     def name(self) -> str:
         return ("nr" if self.normalized else "unr") + "-" + ("rp" if self.permuted else "nrp")
 
-    @classmethod
-    def from_name(cls, name: str) -> "Treatment":
-        try:
-            norm, perm = name.lower().split("-")
-            return cls(normalized={"nr": True, "unr": False}[norm],
-                       permuted={"rp": True, "nrp": False}[perm])
-        except (ValueError, KeyError):
-            raise ValueError(f"unknown treatment {name!r}")
-
 
 NR_RP = Treatment(True, True)
 NR_NRP = Treatment(True, False)
 UNR_RP = Treatment(False, True)
 UNR_NRP = Treatment(False, False)
-TREATMENTS = (NR_RP, NR_NRP, UNR_RP, UNR_NRP)  # the grid compares the first three by default
+# name -> treatment; the grid compares the first three by default
+TREATMENTS = {t.name: t for t in (NR_RP, NR_NRP, UNR_RP, UNR_NRP)}
 
 
 class Protocol(Enum):

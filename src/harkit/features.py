@@ -9,6 +9,9 @@ Bank A (width 43) = 14 per-axis slots x 3 axes + average resultant:
     mean, median, variance, std, IQR, acf lag-1, pacf lag-2,
     AR(2) coefficients (2), MA(1) coefficient, ARMA(1,1) coefficients (2),
     Haar approximation energy, Haar detail energy.
+At windows of 20 samples or more, each axis's pacf lag-2 equals its second AR(2)
+coefficient bit for bit: both are kappa_2 of one order-2 Levinson recursion on one
+sample ACF. So bank A holds 40 distinct values there; below 20 the AR slots are 0.
 
 Bank B (width 70) = 23 per-axis slots x 3 axes + average resultant:
     mean, mean absolute deviation, std, average peak gap,

@@ -12,7 +12,7 @@ import io
 import math
 import os
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -463,37 +463,10 @@ def write_manifest_csv(metas: Iterable[SubjectMeta], path: str | Path) -> None:
 NOMINAL_RATE_HZ = 20.0
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    subject_id: str
-    activity: Activity
-    sensor: SensorKind
-    n_samples: int
-    duration_s: float
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    rows: tuple[SummaryRow, ...]
-    class_balance: dict[Activity, float] = field(default_factory=dict)
-
-
-def _duration_s(rec: Recording) -> float:
+def duration_s(rec: Recording) -> float:
     """n samples times the mean timestamp step; NOMINAL_RATE_HZ when there is no step."""
     n = len(rec.samples)
     if n < 2:
         return n / NOMINAL_RATE_HZ
     span_ms = int(rec.samples.t_ms[-1]) - int(rec.samples.t_ms[0])  # no int64 wrap-around
     return n * span_ms / (n - 1) / 1000.0
-
-
-def dataset_summary(recordings: list[Recording]) -> DatasetSummary:
-    rows = []
-    counts: dict[Activity, int] = {}
-    for rec in recordings:
-        n = len(rec.samples)
-        rows.append(SummaryRow(rec.subject_id, rec.activity, rec.sensor, n, _duration_s(rec)))
-        counts[rec.activity] = counts.get(rec.activity, 0) + n
-    total = sum(counts.values())
-    balance = {a: c / total for a, c in counts.items()} if total else {}
-    return DatasetSummary(rows=tuple(rows), class_balance=balance)

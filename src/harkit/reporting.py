@@ -3,16 +3,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import re
 from contextlib import closing
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .classifiers import ModelKind
 from .errors import MalformedRow, NonFiniteValue, SchemaError
 from .evaluation import NR_RP, TREATMENTS, EvalConfig, EvalReport, Protocol, accuracy, recall
@@ -33,7 +30,7 @@ RESULTS_KEYS = {
     "protocol": [p.value for p in Protocol],
     "classifier": [k.value for k in ModelKind],
     "bank": [b.value for b in Bank],
-    "treatment": [t.name for t in TREATMENTS],
+    "treatment": list(TREATMENTS),
     "activity": [*ACTIVITY_CSV_NAMES.values(), "overall"],
 }
 
@@ -265,22 +262,6 @@ def sweep_svg(series: dict[str, dict[int, float]]) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seed: int
-    input_digests: dict[str, str]
-    duration_s: float
-    output_digests: dict[str, str] = field(default_factory=dict)
-    toolkit_version: str = __version__
-    health: dict | None = None  # grid's run-health counters; omitted when None
-
-    def to_json(self) -> str:
-        fields = {k: v for k, v in self.__dict__.items() if v is not None}
-        return json.dumps(fields, indent=2, sort_keys=True) + "\n"
 
 
 def sha256_file(path: str | Path) -> str:

@@ -20,7 +20,7 @@ from harkit.classifiers import (
     quadratic_kernel,
     train,
 )
-from harkit.errors import DimensionMismatch, EmptyTrainingSet
+from harkit.errors import DimensionMismatch, EmptyTrainingSet, SchemaError
 from harkit.evaluation import recordings_to_features
 from harkit.features import Bank, feature_matrix
 from harkit.ingest import SensorKind, SynthParams, generate_synthetic
@@ -320,6 +320,28 @@ class TestTrainContract:
         rows = np.zeros((2, X.shape[1]))
         rows[0], rows[1, 2] = np.nan, np.inf
         with pytest.raises(ValueError, match="non-finite"):
+            predict_batch(model, rows)
+
+    ARITHMETIC_MODELS = [ModelKind.NaiveBayes, ModelKind.Knn, ModelKind.Svm]
+
+    @pytest.mark.parametrize("kind", ARITHMETIC_MODELS, ids=lambda k: k.value)
+    def test_training_column_too_large_is_named(self, kind, rng):
+        """Finite features whose squares overflow are a SchemaError naming the model and
+        the column, with no NumPy warning (the suite turns warnings into errors)."""
+        X, y = blobs(rng, n_per_class=15)
+        X[:, 3] = np.where(np.arange(len(X)) % 2, 1e200, -1e200)
+        with pytest.raises(SchemaError, match=f"^feature column 3 is too large for model "
+                                              f"{kind.value}: "):
+            train(ModelSpec(kind), X, y)
+
+    @pytest.mark.parametrize("kind", ARITHMETIC_MODELS, ids=lambda k: k.value)
+    def test_prediction_column_too_large_is_named(self, kind, rng):
+        X, y = blobs(rng, n_per_class=15)
+        model = train(ModelSpec(kind), X, y)
+        rows = X[:4].copy()
+        rows[:, 2] = 1e200
+        with pytest.raises(SchemaError, match=f"^feature column 2 is too large for model "
+                                              f"{kind.value}: "):
             predict_batch(model, rows)
 
     @pytest.mark.parametrize("kind", list(ModelKind))

@@ -1,4 +1,5 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
+import ast
 import errno
 import hashlib
 import json
@@ -26,7 +27,7 @@ from harkit.cli import (
     build_parser,
     main,
 )
-from harkit.ingest import SensorKind, parse_recordings_csv
+from harkit.ingest import Activity, SensorKind, duration_s, parse_recordings_csv
 from harkit.reporting import RESULTS_HEADER, read_results_csv, write_results_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -139,10 +140,17 @@ class TestSynth:
 
 class TestSummary:
     def test_prints_rows_and_balance(self, recordings_csv, capsys):
+        """One row per recording; each activity has equal minutes per subject, so each
+        holds a fifth of the samples."""
         assert main(["summary", str(recordings_csv)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "subj00" in out
-        assert "class balance" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "subject_id,activity,sensor,n_samples,duration_s"
+        recordings = parse_recordings_csv(recordings_csv)
+        assert lines[1:-1] == [f"{r.subject_id},{r.activity.name},{r.sensor.name},"
+                               f"{len(r.samples)},{duration_s(r):.1f}" for r in recordings]
+        label, _, balance = lines[-1].partition(": ")
+        assert label == "class balance"
+        assert ast.literal_eval(balance) == {a.name: 0.2 for a in Activity}
 
     def test_duration_follows_timestamps(self, tmp_path, capsys):
         out = tmp_path / "fast"
@@ -508,6 +516,26 @@ class TestSvmBudgetHealth:
         assert "health" not in json.loads((data_dir / "synth_manifest.json").read_text())
 
 
+class TestRunManifest:
+    def test_exact_fields_sorted_with_trailing_newline(self, data_dir, recordings_csv,
+                                                       tmp_path):
+        """Each command writes the same fields but grid's run-health counters, as JSON
+        with sorted keys, indented by 2, ending in a newline."""
+        out = tmp_path / "cell"
+        assert main(["--seed", "4", "grid", str(recordings_csv), "--model", "nb",
+                     "--treatment", "nr-rp", "--protocol", "personal", "--bank", "b",
+                     "-o", str(out)]) == EXIT_OK
+        fields = {"command", "config", "seed", "input_digests", "output_digests",
+                  "duration_s", "toolkit_version"}
+        for path, extra in ((data_dir / "synth_manifest.json", set()),
+                            (out / "grid_manifest.json", {"health"})):
+            text = path.read_text()
+            manifest = json.loads(text)
+            assert set(manifest) == fields | extra
+            assert manifest["toolkit_version"] == harkit.__version__
+            assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
 class TestReport:
     def test_treatment_pair_gets_t_test_table(self, recordings_csv, tmp_path):
         dirs = {}
@@ -650,10 +678,9 @@ class TestExitCodes:
                 "sensor accel are not finite" in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("model", ["dtree", "nb", "knn", "svm", "bag"])
-    def test_features_too_large_to_normalize_are_schema_error(self, bank_b_csv, tmp_path,
-                                                              capsys, model):
-        """A column of +-1e308 is finite, but its standard deviation overflows."""
+    @staticmethod
+    def f7_of_1e308(bank_b_csv, tmp_path) -> Path:
+        """bank_b_csv with its column f7 alternating +1e308 and -1e308."""
         lines = bank_b_csv.read_text().splitlines()
         for i in range(1, len(lines)):
             fields = lines[i].split(",")
@@ -661,12 +688,44 @@ class TestExitCodes:
             lines[i] = ",".join(fields)
         big = tmp_path / "big.csv"
         big.write_text("\n".join(lines) + "\n")
+        return big
+
+    @pytest.mark.parametrize("model", ["dtree", "nb", "knn", "svm", "bag"])
+    def test_features_too_large_to_normalize_are_schema_error(self, bank_b_csv, tmp_path,
+                                                              capsys, model):
+        """A column of +-1e308 is finite, but its standard deviation overflows."""
+        big = self.f7_of_1e308(bank_b_csv, tmp_path)
         out = tmp_path / "res"
         assert main(["grid", str(big), "--model", model, "--treatment", "nr-rp",
                      "-o", str(out)]) == EXIT_SCHEMA
         assert ("error (SchemaError): feature column 7 is too large to normalize: its mean "
                 "or standard deviation overflows" in capsys.readouterr().err)
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["dtree", "nb", "knn", "svm", "bag"])
+    def test_features_too_large_for_a_model_are_schema_error(self, bank_b_csv, tmp_path,
+                                                             capsys, model):
+        """Unnormalized, a column of +-1e308 overflows the sums and products of naive
+        Bayes, KNN and the SVM (the suite turns NumPy's warnings into errors, so none is
+        printed); the trees only compare values, and run."""
+        out = tmp_path / "res"
+        code = main(["grid", str(self.f7_of_1e308(bank_b_csv, tmp_path)), "--model", model,
+                     "--treatment", "unr-rp", "--protocol", "impersonal", "-o", str(out)])
+        err = capsys.readouterr().err
+        if model in ("dtree", "bag"):
+            assert (code, err) == (EXIT_OK, "")
+        else:
+            assert (code, err) == (EXIT_SCHEMA, f"error (SchemaError): feature column 7 is "
+                                   f"too large for model {model}: its arithmetic on the "
+                                   "features overflows\n")
+            assert not out.exists()
+
+    def test_treatment_is_matched_exactly(self, recordings_csv, tmp_path, capsys):
+        """`report` reads treatments as grid writes them, so grid takes no other spelling."""
+        with pytest.raises(SystemExit) as ei:
+            main(["grid", str(recordings_csv), "--treatment", "NR-RP", "-o", str(tmp_path)])
+        assert ei.value.code == EXIT_USAGE
+        assert "invalid choice: 'NR-RP'" in capsys.readouterr().err
 
     def test_bank_tag_of_other_width_is_schema_error(self, bank_b_csv, tmp_path, capsys):
         bad = tmp_path / "relabelled.csv"
@@ -867,6 +926,23 @@ def test_cli_imports_only_the_standard_library_and_numpy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert set(out.stdout.split()) - set(sys.stdlib_module_names) == {"harkit", "numpy"}
+
+
+def test_entry_point_runs_synth_to_report_without_stderr(tmp_path):
+    """`python -m harkit.cli` end to end, outside pytest's warnings-as-errors: each
+    command exits 0 and writes nothing to stderr, so a NumPy warning shows up here."""
+    env = {**os.environ, "PYTHONPATH": str(Path(harkit.__file__).resolve().parents[1])}
+    env.pop("HAR_SEED", None)
+    data, res = tmp_path / "data", tmp_path / "res"
+    for argv in (["synth", "--subjects", "2", "--minutes", "0.5", "-o", str(data)],
+                 ["summary", str(data / "recordings.csv")],
+                 ["grid", str(data / "recordings.csv"), "--model", "nb", "dtree",
+                  "--folds", "2", "-o", str(res)],
+                 ["report", str(res / "grid_results.csv"), "-o", str(tmp_path / "r.md")]):
+        run = subprocess.run([sys.executable, "-m", "harkit.cli", *argv], env=env,
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (EXIT_OK, ""), argv[0]
+    assert "nr-rp" in (tmp_path / "r.md").read_text()
 
 
 def readme_commands() -> list[str]:

@@ -11,6 +11,7 @@ from harkit.errors import DimensionMismatch, SingleSubject, TooFewInstances
 from harkit.evaluation import (
     NR_NRP,
     NR_RP,
+    TREATMENTS,
     UNR_RP,
     EvalConfig,
     Protocol,
@@ -46,7 +47,7 @@ class TestTreatment:
         ("unr-rp", False, True), ("unr-nrp", False, False),
     ])
     def test_name_round_trip(self, name, norm, perm):
-        t = Treatment.from_name(name)
+        t = TREATMENTS[name]
         assert (t.normalized, t.permuted) == (norm, perm)
         assert t.name == name
 
@@ -54,10 +55,6 @@ class TestTreatment:
         assert NR_RP == Treatment(True, True)
         assert NR_NRP == Treatment(True, False)
         assert UNR_RP == Treatment(False, True)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            Treatment.from_name("np-rr")
 
 
 class TestKfoldSplit:

@@ -350,6 +350,18 @@ class TestBanks:
             assert by_slot[(slot, "x")] == 0.0
         assert np.all(np.isfinite(fv.values))
 
+    @pytest.mark.parametrize("w", [19, 20, 25, 75])
+    def test_pacf_lag2_is_the_second_ar2_coefficient(self, w, rng):
+        """Both are kappa_2 of one Levinson recursion on one ACF, so from window 20 (the
+        fewest AR(2) fits) the columns are equal bit for bit; below it AR(2) is 0."""
+        xyz = np.cumsum(rng.normal(size=(3, 8, w)), axis=2)  # random walks: varied ACFs
+        X = bank_matrix(Bank.A43, xyz)
+        for axis in "xyz":
+            pacf, ar2 = (X[:, BANK_A_LAYOUT.index((slot, axis))]
+                         for slot in ("pacf_lag2", "ar2_c2"))
+            assert np.all(pacf != 0)
+            assert np.array_equal(ar2, pacf if w >= 20 else np.zeros(8))
+
     def test_bank_b_simple_slot_values(self):
         sig = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         fv = extract_bank_b(make_window(sig))

@@ -28,7 +28,7 @@ from harkit.ingest import (
     SynthParams,
     _parse_rows,
     csv_records,
-    dataset_summary,
+    duration_s,
     generate_synthetic,
     parse_recordings_csv,
     samples_from_columns,
@@ -549,17 +549,7 @@ class TestManifestCsv:
         assert [SubjectMeta(s, g, int(a), h) for s, g, a, h in rows[1:]] == metas
 
 
-class TestDatasetSummary:
-    def test_rows_and_balance(self, small_dataset):
-        params, recordings, _ = small_dataset
-        summary = dataset_summary(recordings)
-        assert len(summary.rows) == len(recordings)
-        assert summary.class_balance.keys() == set(Activity)
-        assert sum(summary.class_balance.values()) == pytest.approx(1.0)
-        # equal minutes per activity -> uniform balance
-        for frac in summary.class_balance.values():
-            assert frac == pytest.approx(1.0 / len(Activity))
-
+class TestDuration:
     def test_duration(self):
         rec = Recording(
             subject_id="s0",
@@ -567,8 +557,7 @@ class TestDatasetSummary:
             sensor=SensorKind.Accelerometer,
             samples=samples_from_columns(np.arange(40) * 50, *np.zeros((3, 40))),
         )
-        summary = dataset_summary([rec])
-        assert summary.rows[0].duration_s == pytest.approx(2.0)
+        assert duration_s(rec) == pytest.approx(2.0)
 
     def test_one_sample_recording_uses_nominal_rate(self):
         rec = Recording(
@@ -577,8 +566,9 @@ class TestDatasetSummary:
             sensor=SensorKind.Accelerometer,
             samples=samples_from_columns([0], [1.0], [2.0], [3.0]),
         )
-        assert dataset_summary([rec]).rows[0].duration_s == pytest.approx(1 / 20.0)
+        assert duration_s(rec) == pytest.approx(1 / 20.0)
 
-    def test_activity_names_cover_all(self):
-        assert set(ACTIVITY_CSV_NAMES) == set(Activity)
-        assert len(set(ACTIVITY_CSV_NAMES.values())) == len(Activity)
+
+def test_activity_names_cover_all():
+    assert set(ACTIVITY_CSV_NAMES) == set(Activity)
+    assert len(set(ACTIVITY_CSV_NAMES.values())) == len(Activity)

@@ -1,6 +1,5 @@
-"""File formats: feature CSV, results CSV, treatment report, SVG, manifests."""
+"""File formats: feature CSV, results CSV, treatment report, SVG, file digests."""
 import hashlib
-import json
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -14,7 +13,6 @@ from harkit.features import Bank, FeatureVector, feature_matrix
 from harkit.ingest import Activity
 from harkit.reporting import (
     RESULTS_HEADER,
-    RunManifest,
     atomic_write_text,
     is_features_csv,
     read_features_csv,
@@ -203,8 +201,8 @@ class TestResultsCsv:
                              ids=[f"{column}={text!r}" for column, text, _ in BAD_KEYS])
     def test_key_that_grid_does_not_write_reports_line_and_column(self, tmp_path, column,
                                                                    text, rule):
-        """A treatment is matched exactly, not lowercased as `Treatment.from_name` does:
-        a baseline written NR-RP would get no t-test against it."""
+        """A key is matched exactly, as `grid --treatment` matches a treatment: a baseline
+        written NR-RP would get no t-test against it."""
         path = tmp_path / "r.csv"
         row = ["personal", "nb", "b", "nr-rp", "75", "overall", "accuracy:s0", "0.5", "", "2"]
         bad = list(row)
@@ -395,15 +393,6 @@ class TestSweepSvg:
 
 
 class TestManifest:
-    def test_json_fields(self):
-        m = RunManifest(command="grid", config={"window": 75}, seed=7,
-                        input_digests={"a.csv": "ff"}, duration_s=1.5)
-        data = json.loads(m.to_json())
-        assert data["command"] == "grid"
-        assert data["seed"] == 7
-        assert data["config"] == {"window": 75}
-        assert "toolkit_version" in data
-
     def test_sha256_file(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"hello")
