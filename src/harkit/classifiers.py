@@ -6,8 +6,10 @@ bagging bootstraps, flows from spec.seed. Labels are integer class codes
 """
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -356,7 +358,12 @@ class _Forest:
                 win = win[gains[win] > 1e-15]
                 f, p, ni = fi[win], pi[win], ni[win]
                 tops[ni, f0 + f] = gains[win]
-                thresholds[ni, f0 + f] = 0.5 * (v[f, p] + v[f, p + 1])
+                # the midpoint, or the lower value where the midpoint overflows or
+                # rounds up to the upper one: lower <= threshold < upper either way
+                lower, upper = v[f, p], v[f, p + 1]
+                with np.errstate(over="ignore"):
+                    mid = 0.5 * (lower + upper)
+                thresholds[ni, f0 + f] = np.where(np.isfinite(mid) & (mid < upper), mid, lower)
         # across features in ascending order, a feature wins only by beating the best so
         # far by more than 1e-15. The best so far never falls, and it would take every
         # earlier feature's gain within 1e-15, so only a feature whose gain exceeds every
@@ -572,6 +579,25 @@ _SMO_STEPS_PER_ROW = 1000
 _TAU = 1e-12  # floor of the second-order curvature K_ii + K_jj - 2 K_ij (LIBSVM's TAU)
 _SMO_TOL = 1e-3  # SMO stop: maximal-violation gap (LIBSVM's eps)
 
+# Bytes of the (slots, width, width) kernels of one SMO pool, width the rows of its
+# largest problem: the pool takes as many slots as fit, at most one per problem.
+_SMO_POOL_BYTES = 1 << 20
+# Per problem, a pool of 1, 2, 3 or 4 slots took about 3.5, 2, 1.3 and 1.0 times the
+# scalar loop's time, and one of 5 about 0.9 (29 to 288 rows per problem, one core), so
+# fewer problems than this run one after another in the scalar loop.
+_SMO_POOL_MIN = 5
+# No curvature overflows where every diagonal kernel entry is below this.
+_CURV_SAFE = np.finfo(float).max / 8
+
+
+def _curvature(K: np.ndarray, kd: np.ndarray) -> np.ndarray:
+    """curv[i, j] = K_ii + K_jj - 2 K_ij, the step's second derivative, floored at _TAU.
+    The solvers build it a row at a time; whole, it checks for overflow."""
+    curv = -2.0 * K
+    curv += kd[:, None]
+    curv += kd
+    return np.maximum(curv, _TAU, out=curv)
+
 
 def _smo_binary(
     X: np.ndarray, y: np.ndarray, C: float, tol: float
@@ -587,28 +613,31 @@ def _smo_binary(
     beta_i up and beta_j down by the Newton step; a step that leaves the box stops on
     the bound it meets first, where LIBSVM's clipping puts it. Convergence = a
     maximal-violation gap max_{beta<hi} g - min_{beta>lo} g below `tol`, confirmed on
-    a freshly computed g; the step budget is _SMO_STEPS_PER_ROW * n.
+    a freshly computed g; the step budget is _SMO_STEPS_PER_ROW * n. Row i of the
+    curvature is built the first time a step starts from i.
 
     Returns (alphas, bias, steps, converged).
     """
+    return _smo_steps(quadratic_kernel(X, X), y, C, tol, np.zeros(len(y)), y.copy(), 0, True)
+
+
+def _smo_steps(K: np.ndarray, y: np.ndarray, C: float, tol: float, beta: np.ndarray,
+               g: np.ndarray, steps: int, fresh: bool) -> tuple[np.ndarray, float, int, bool]:
+    """`_smo_binary`'s loop on the kernel K from a state of it: beta, the gradient g
+    (which it may update in place), the steps taken and whether g is freshly computed."""
     n = len(y)
-    K = quadratic_kernel(X, X)
     kd = np.diag(K)
-    curv = -2.0 * K  # curv[i, j] = K_ii + K_jj - 2 K_ij, the step's second derivative
-    curv += kd[:, None]
-    curv += kd
-    np.maximum(curv, _TAU, out=curv)
-    lo, hi = np.minimum(0.0, C * y).tolist(), np.maximum(0.0, C * y).tolist()
-    beta = [0.0] * n
-    g = y.copy()
+    if kd.max() > _CURV_SAFE:
+        _curvature(K, kd)  # overflows where a row of it could
+    curv = {}  # row i of the curvature, built when a step first starts from i
+    lo, hi = np.minimum(0.0, C * y), np.maximum(0.0, C * y)
     # beta may grow where beta < hi and shrink where beta > lo; as additive masks, 0
     # where it may and -inf / +inf where it may not
-    up_mask = np.where(y > 0, 0.0, -np.inf)
-    low_mask = np.where(y > 0, np.inf, 0.0)
+    up_mask = np.where(beta < hi, 0.0, -np.inf)
+    low_mask = np.where(beta > lo, 0.0, np.inf)
+    lo, hi, beta = lo.tolist(), hi.tolist(), beta.tolist()
     g_up, g_low, gain = np.empty(n), np.empty(n), np.empty(n)
     budget = _SMO_STEPS_PER_ROW * n
-    steps = 0
-    fresh = True
     while True:
         np.add(g, up_mask, out=g_up)
         i = int(g_up.argmax())
@@ -629,10 +658,12 @@ def _smo_binary(
         np.subtract(m, g_low, out=gain)
         np.maximum(gain, 0.0, out=gain)
         gain *= gain
-        gain /= curv[i]
+        if (curv_i := curv.get(i)) is None:
+            curv_i = curv[i] = np.maximum((-2.0 * K[i] + kd[i]) + kd, _TAU)
+        gain /= curv_i
         j = int(gain.argmax())
         s = beta[i] + beta[j]
-        t = (m - float(g[j])) / curv[i, j]
+        t = (m - float(g[j])) / curv_i[j]
         bi, bj = beta[i] + t, beta[j] - t
         if bi > hi[i] or bj < lo[j]:
             # beta_i meets hi_i before beta_j meets lo_j exactly when s > hi_i + lo_j
@@ -653,26 +684,171 @@ def _smo_binary(
     return alphas, b, steps, converged
 
 
-class _SvmImpl:
-    def __init__(self, C: float):
-        self.C = C
+def _smo_pool(sizes: list[int], load, C: float, tol: float):
+    """Yield (k, `_smo_binary(X, y, C, tol)`) for each binary problem k, whose `load(k)`
+    gives its (X, y) of sizes[k] rows, in the order the problems finish.
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> None:
+    The problems run in lock-step in a pool of slots, (slots, width) arrays with a row
+    per slot: each round moves every unfinished problem one step of `_smo_binary`'s loop
+    by the same operations in the same order, so every result is that loop's bit for
+    bit. Problems are loaded in order (each kernel built from its rows, which the pool
+    does not keep) as slots free. Past its n rows a slot is padding that no step
+    selects: g = beta = lo = hi = 0, masks that forbid both moves, and kernel entries of
+    0 in its rows, so g stays 0 there. A slot that halts (converged, confirming g or at
+    its budget) takes a step of t = 0, which changes nothing. A slot whose problem ends
+    with none waiting is empty: it keeps that problem's last state, which halts every
+    round. A step's curvature row is built from its kernel row, so no slot holds a
+    second (width, width) array.
+
+    Once no problem waits, the pool drops its empty slots when they reach half of them,
+    and hands fewer than _SMO_POOL_MIN problems to the scalar loop, as it does all of
+    them when _SMO_POOL_BYTES holds fewer slots than that.
+    """
+    pending = collections.deque(range(len(sizes)))
+    width = max(sizes, default=1)
+    slots = min(len(sizes), _SMO_POOL_BYTES // (8 * width * width))
+    held: list = []  # (k, y) of each slot's problem, None when empty
+    if slots >= _SMO_POOL_MIN:
+        K = np.zeros((slots, width, width))
+        kd, g, beta, lo, hi, up_mask, low_mask = (np.zeros((slots, width)) for _ in range(7))
+        steps, budget = np.zeros(slots, dtype=np.int64), np.zeros(slots, dtype=np.int64)
+        fresh = np.ones(slots, dtype=bool)
+        held = [None] * slots
+
+    def fill(empty: list[int]) -> None:
+        """Load the next problems into the empty slots while any wait."""
+        loaded = empty[:len(pending)]
+        for r in empty[len(loaded):]:
+            held[r] = None
+        if not loaded:
+            return
+        y = np.zeros((len(loaded), width))  # labels, 0 in the padding
+        for q, r in enumerate(loaded):
+            X, yr = load(k := pending.popleft())
+            held[r] = k, yr
+            n = len(yr)
+            Kr = quadratic_kernel(X, X)
+            K[r, :n, :n] = Kr
+            K[r, :n, n:] = 0.0
+            y[q, :n] = yr
+            budget[r] = _SMO_STEPS_PER_ROW * n
+        diagonals = K.reshape(len(K), -1)[:, ::width + 1]
+        kd[loaded] = np.where(y != 0.0, diagonals[loaded], 0.0)
+        if kd[loaded].max() > _CURV_SAFE:
+            for r in loaded:  # overflow where the scalar loop's check does
+                n = len(held[r][1])
+                _curvature(K[r, :n, :n], kd[r, :n])
+        g[loaded] = y
+        beta[loaded] = 0.0
+        lo[loaded], hi[loaded] = np.minimum(0.0, C * y), np.maximum(0.0, C * y)
+        up_mask[loaded] = np.where(y > 0.0, 0.0, -np.inf)
+        low_mask[loaded] = np.where(y < 0.0, 0.0, np.inf)
+        steps[loaded] = 0
+        fresh[loaded] = True
+
+    fill(list(range(len(held))))
+    while len(live := [r for r, h in enumerate(held) if h is not None]) >= _SMO_POOL_MIN:
+        if len(live) < len(held):  # keep the unfinished slots, as wide as the widest
+            width = max(len(held[r][1]) for r in live)
+            K = K[live, :width, :width]
+            kd, g, beta, lo, hi, up_mask, low_mask = (
+                a[live, :width] for a in (kd, g, beta, lo, hi, up_mask, low_mask))
+            steps, budget, fresh = steps[live], budget[live], fresh[live]
+            held = [held[r] for r in live]
+        rows = len(held)
+        at = np.arange(rows) * width  # each slot's first entry, flat
+        flat = K.reshape(rows * width, width)
+        g_up, g_low, gain, curv = (np.empty((rows, width)) for _ in range(4))
+        while True:
+            np.add(g, up_mask, out=g_up)
+            i = g_up.argmax(axis=1)
+            i += at
+            m = g_up.take(i)
+            np.add(g, low_mask, out=g_low)
+            M = g_low.min(axis=1)
+            gap = m - M
+            halt = gap < tol
+            halt |= steps == budget
+            if np.count_nonzero(halt) > held.count(None):
+                ended = []
+                for r in np.flatnonzero(halt).tolist():
+                    if held[r] is None:
+                        continue
+                    k, y = held[r]
+                    n = len(y)
+                    if gap[r] < tol and not fresh[r]:
+                        # confirm on a gradient free of update drift
+                        g[r, :n] = y - np.ascontiguousarray(K[r, :n, :n]) @ beta[r, :n]
+                        fresh[r] = True
+                        continue
+                    alphas = np.abs(beta[r, :n])
+                    free = (alphas > 0) & (alphas < C)
+                    b = float(g[r, :n][free].mean() if free.any() else 0.5 * (m[r] + M[r]))
+                    yield k, (alphas, b, int(steps[r]), bool(gap[r] < tol))
+                    ended.append(r)
+                fill(ended)
+                if not pending and 2 * held.count(None) >= rows:
+                    break
+            np.subtract(m[:, None], g_low, out=gain)
+            np.maximum(gain, 0.0, out=gain)
+            gain *= gain
+            Ki = flat.take(i, axis=0)
+            np.multiply(Ki, -2.0, out=curv)
+            curv += kd.take(i)[:, None]
+            curv += kd
+            np.maximum(curv, _TAU, out=curv)
+            gain /= curv
+            j = gain.argmax(axis=1)
+            j += at
+            t = m - g.take(j)
+            t /= curv.take(j)
+            t[halt] = 0.0
+            bi0, bj0 = beta.take(i), beta.take(j)
+            bi, bj = bi0 + t, bj0 - t
+            hi_i, lo_j = hi.take(i), lo.take(j)
+            clip = bi > hi_i
+            clip |= bj < lo_j
+            if clip.any():
+                s = bi0 + bj0
+                top = s > hi_i + lo_j
+                bi = np.where(clip, np.where(top, hi_i, s - lo_j), bi)
+                bj = np.where(clip, np.where(top, s - hi_i, lo_j), bj)
+            Kj = flat.take(j, axis=0)
+            Ki *= (bi - bi0)[:, None]
+            Kj *= (bj - bj0)[:, None]
+            Ki += Kj
+            g -= Ki
+            beta.put(i, bi)
+            beta.put(j, bj)
+            up_mask.put(i, np.where(bi < hi_i, 0.0, -np.inf))
+            low_mask.put(i, np.where(bi > lo.take(i), 0.0, np.inf))
+            up_mask.put(j, np.where(bj < hi.take(j), 0.0, -np.inf))
+            low_mask.put(j, np.where(bj > lo_j, 0.0, np.inf))
+            steps += ~halt
+            fresh &= halt
+    # the few problems left, and any that never entered the pool, one after another
+    tail = []
+    for r in live:
+        k, y = held[r]
+        n = len(y)
+        tail.append((k, y, K[r, :n, :n].copy(), beta[r, :n].copy(), g[r, :n].copy(),
+                     int(steps[r]), bool(fresh[r])))
+    held = K = flat = None  # free the pool before the scalar loop builds its curvature
+    for k, y, Kr, *state in tail:
+        yield k, _smo_steps(Kr, y, C, tol, *state)
+    while pending:
+        X, y = load(k := pending.popleft())
+        yield k, _smo_binary(X, y, C, tol)
+
+
+class _SvmImpl:
+    """The one-vs-one machines of one training set, trained by `_fit_svms`."""
+
+    def __init__(self, y: np.ndarray):
         self.classes = np.unique(y)
         self.machines = []  # (class_a, class_b, support X, coef = alpha*y, bias)
         self.steps = []     # SMO steps of each pair, in machine order
         self.budget_hits = 0
-        for ia in range(len(self.classes)):
-            for ib in range(ia + 1, len(self.classes)):
-                ca, cb = int(self.classes[ia]), int(self.classes[ib])
-                mask = (y == ca) | (y == cb)
-                Xp = X[mask]
-                yp = np.where(y[mask] == ca, 1.0, -1.0)
-                alphas, b, steps, converged = _smo_binary(Xp, yp, self.C, _SMO_TOL)
-                self.steps.append(steps)
-                self.budget_hits += not converged
-                sv = alphas > 0
-                self.machines.append((ca, cb, Xp[sv], alphas[sv] * yp[sv], b))
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not self.machines:  # single-class training set
@@ -685,6 +861,76 @@ class _SvmImpl:
             votes[:, cb] += f < 0
         labels = np.argmax(votes, axis=1)  # ties -> smallest class code
         return labels, votes[np.arange(len(X)), labels] / len(self.machines)
+
+
+def _fit_svms(C: float, labels: list[np.ndarray], matrix) -> Iterator[_SvmImpl]:
+    """Yield the SVM of each split s on (matrix(s), labels[s]), in split order, every
+    one-vs-one machine of every split trained in one SMO pool: class a of pair (a, b) is
+    +1. matrix(s) is called once, in split order, when the pool first needs split s (under
+    the caller's NumPy error state), and dropped once the split's last machine ends, so
+    only the splits in the pool are held; a split is yielded as soon as it and every
+    split before it have ended."""
+    outer = np.geterr()
+    impls = dict(enumerate(_SvmImpl(y) for y in labels))
+    pairs = [(s, a, b) for s, impl in impls.items()
+             for a, b in itertools.combinations(impl.classes.tolist(), 2)]
+    left = [len(impl.classes) * (len(impl.classes) - 1) // 2 for impl in impls.values()]
+    first = np.cumsum([0] + left).tolist()  # each split's first pair
+    held = {}     # split -> its training matrix, while its machines train
+    trained = {}  # pair -> (rows, labels +-1) while it trains, then its machine
+    reached = yielded = 0  # splits whose matrix has been taken, and yielded
+
+    def end(s: int) -> None:
+        X = held.pop(s)
+        for (_, a, b), (rows, coef, bias, steps, converged) in zip(
+                pairs[first[s]:first[s + 1]], map(trained.pop, range(first[s], first[s + 1]))):
+            impls[s].machines.append((a, b, X[rows], coef, bias))
+            impls[s].steps.append(steps)
+            impls[s].budget_hits += not converged
+
+    def reach(s: int) -> None:
+        """Take the matrices of the splits up to s; one without machines ends at once."""
+        nonlocal reached
+        for t in range(reached, s + 1):
+            with np.errstate(**outer):
+                held[t] = matrix(t)
+            reached = t + 1
+            if not left[t]:
+                end(t)
+
+    def load(k: int) -> tuple[np.ndarray, np.ndarray]:
+        s, a, b = pairs[k]
+        reach(s)
+        rows = np.flatnonzero((labels[s] == a) | (labels[s] == b))
+        trained[k] = rows, np.where(labels[s][rows] == a, 1.0, -1.0)
+        return held[s][rows], trained[k][1]
+
+    def result():
+        """The next machine the pool ends, or None."""
+        with _overflow_named(ModelKind.Svm, held.values()):
+            return next(pool, None)
+
+    def ready() -> Iterator[_SvmImpl]:
+        nonlocal yielded
+        while yielded < reached and not left[yielded]:
+            yield impls.pop(yielded)
+            yielded += 1
+
+    counts = [np.bincount(y) for y in labels]
+    pool = _smo_pool([int(counts[s][a] + counts[s][b]) for s, a, b in pairs], load, C,
+                     _SMO_TOL)
+    while (done := result()) is not None:
+        k, (alphas, b, steps, converged) = done
+        rows, y = trained[k]
+        sv = alphas > 0
+        trained[k] = rows[sv], alphas[sv] * y[sv], b, steps, converged
+        s = pairs[k][0]
+        left[s] -= 1
+        if not left[s]:
+            end(s)
+        yield from ready()
+    reach(len(labels) - 1)
+    yield from ready()
 
 
 # ---------------------------------------------------------------------------
@@ -708,16 +954,21 @@ class TrainedModel:
         return self.impl.budget_hits if isinstance(self.impl, _SvmImpl) else 0
 
     @property
+    def svm_steps(self) -> int:
+        """SMO steps summed over the SVM machines; 0 for the other models."""
+        return sum(self.impl.steps) if isinstance(self.impl, _SvmImpl) else 0
+
+    @property
     def converged(self) -> bool:
         return self.svm_budget_hits == 0
 
 
 @contextmanager
-def _overflow_named(kind: ModelKind, X: np.ndarray):
+def _overflow_named(kind: ModelKind, matrices: Iterable[np.ndarray]):
     """Run the block with NumPy's overflow and invalid-value errors raised, for naive Bayes,
     KNN and the SVM, whose sums and products of features can overflow on finite input (the
     trees only compare values): either raises SchemaError naming the model and the column
-    of `X` of largest magnitude."""
+    of largest magnitude in `matrices`, read when the error is raised."""
     if kind in (ModelKind.DecisionTree, ModelKind.Bagging):
         yield
         return
@@ -725,31 +976,61 @@ def _overflow_named(kind: ModelKind, X: np.ndarray):
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError:
-        column = int(np.abs(X).max(axis=0).argmax())
+        column = int(np.max([np.abs(X).max(axis=0) for X in matrices], axis=0).argmax())
         raise SchemaError(f"feature column {column} is too large for model {kind.value}: "
                           "its arithmetic on the features overflows") from None
 
 
-def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
+def _training_matrix(X, y) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyTrainingSet("training matrix must be non-empty and 2-D")
-    if len(y) != len(X):
+    if len(np.asarray(y)) != len(X):
         raise DimensionMismatch("X and y lengths differ")
     if not np.all(np.isfinite(X)):
         raise ValueError("training matrix contains non-finite values")
+    return X
+
+
+def _class_codes(y) -> np.ndarray:
+    y = np.asarray(y)
     if y.dtype.kind not in "biuf" or not np.all(np.isfinite(y) & (y >= 0) & (np.trunc(y) == y)):
         raise ValueError("labels must be non-negative integer class codes")
-    y = y.astype(int, copy=False)
-    impl = {ModelKind.DecisionTree: lambda: _TreesImpl(1, None, spec.max_splits),
+    return y.astype(int, copy=False)
+
+
+def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
+    X = _training_matrix(X, y)  # the matrix's errors come before the labels'
+    return next(train_all(spec, [y], lambda _: X))
+
+
+def train_all(spec: ModelSpec, labels: list, matrix) -> Iterator[TrainedModel]:
+    """Yield a model of `spec` for each split s in order, trained on (matrix(s), labels[s])
+    as `train` trains it alone. matrix(s) is called once per split, in split order, and
+    is kept only while the split trains. The SVM trains every one-vs-one machine of every
+    split in one SMO pool (`_fit_svms`); the other models train split after split."""
+    labels = [_class_codes(y) for y in labels]
+    widths = []
+
+    def checked(s: int) -> np.ndarray:
+        X = _training_matrix(matrix(s), labels[s])
+        widths.append(X.shape[1])
+        return X
+
+    if spec.kind is ModelKind.Svm:
+        for s, impl in enumerate(_fit_svms(spec.C, labels, checked)):
+            yield TrainedModel(spec=spec, impl=impl, n_features=widths[s])
+        return
+    make = {ModelKind.DecisionTree: lambda: _TreesImpl(1, None, spec.max_splits),
             ModelKind.NaiveBayes: _NaiveBayesImpl,
             ModelKind.Knn: lambda: _KnnImpl(spec.k),
-            ModelKind.Svm: lambda: _SvmImpl(spec.C),
-            ModelKind.Bagging: lambda: _TreesImpl(spec.n_learners, spec.seed, None)}[spec.kind]()
-    with _overflow_named(spec.kind, X):
-        impl.fit(X, y)
-    return TrainedModel(spec=spec, impl=impl, n_features=X.shape[1])
+            ModelKind.Bagging: lambda: _TreesImpl(spec.n_learners, spec.seed, None)}[spec.kind]
+    for s, y in enumerate(labels):
+        X = checked(s)
+        impl = make()
+        with _overflow_named(spec.kind, [X]):
+            impl.fit(X, y)
+        yield TrainedModel(spec=spec, impl=impl, n_features=X.shape[1])
 
 
 def predict_batch(model: TrainedModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -760,5 +1041,5 @@ def predict_batch(model: TrainedModel, X: np.ndarray) -> tuple[np.ndarray, np.nd
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("prediction matrix contains non-finite values")
-    with _overflow_named(model.spec.kind, X):
+    with _overflow_named(model.spec.kind, [X]):
         return model.impl.predict_batch(X)

@@ -351,7 +351,8 @@ def cmd_grid(args) -> int:
         atomic_write_text(outputs[2], sweep_svg(_window_series(curves)))
     config = _manifest_config(args, model=models, treatment=treatments, protocol=protocols,
                               bank=banks, window=windows, **settings)
-    health = {"svm_budget_hits": {cell: r.svm_budget_hits for cell, r in reports.items()}}
+    health = {"svm_budget_hits": {cell: r.svm_budget_hits for cell, r in reports.items()},
+              "svm_steps": {cell: r.svm_steps for cell, r in reports.items()}}
     _write_run_manifest(out_dir, "grid", config, args.seed, [Path(args.input)], outputs, started,
                         health)
     _report_svm_budget(reports.values())

@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .classifiers import ModelSpec, predict_batch, train
+from .classifiers import ModelKind, ModelSpec, predict_batch, train, train_all
 from .errors import DimensionMismatch, SchemaError, SingleSubject, TooFewInstances
 from .features import BANK_WIDTH, Bank, FeatureVector, bank_matrix
 from .ingest import ACTIVITY_CSV_NAMES, Activity, Recording, SensorKind
@@ -69,6 +69,7 @@ class EvalReport:
     unit_confusions: np.ndarray  # (n_units, 5, 5) counts, rows = true class
     svm_pairs: int        # one-vs-one SVM machines trained over all splits
     svm_budget_hits: int  # of those, machines that stopped at the SMO step budget
+    svm_steps: int        # SMO steps summed over those machines
 
     @property
     def confusion(self) -> np.ndarray:
@@ -143,7 +144,9 @@ def evaluate(
     Impersonal: leave-one-subject-out; units are held-out subjects.
     Instance permutation (when enabled) reorders instances before fold assignment; each
     split normalizes with its training rows' statistics only, trains with seed
-    `model_spec.seed ^ split index` and predicts its test rows.
+    `model_spec.seed ^ split index` and predicts its test rows. The SVM's splits train
+    together, in one SMO pool (`train_all`), each predicting once it and every split
+    before it have trained.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -165,23 +168,46 @@ def evaluate(
         subjects = [subjects[i] for i in order]
 
     unit_ids = sorted(set(subjects))
+    splits = list(_splits(config, y, subjects, unit_ids))
+
+    def training_set(train_idx):
+        """The split's training rows, normalized with their own statistics, and the
+        normalizer (None untreated)."""
+        Xtr = X[train_idx]
+        if not config.treatment.normalized:
+            return Xtr, None
+        norm = fit_normalizer(Xtr)
+        return apply_normalizer(norm, Xtr), norm
+
+    svm = config.model_spec.kind is ModelKind.Svm
+    if svm:  # every split's machines train together, in one SMO pool
+        norms = [None] * len(splits)
+
+        def training_matrix(s: int) -> np.ndarray:
+            Xtr, norms[s] = training_set(splits[s][1])
+            return Xtr
+
+        models = train_all(config.model_spec, [y[train_idx] for _, train_idx, _ in splits],
+                           training_matrix)
     unit_conf = np.zeros((len(unit_ids), N_CLASSES, N_CLASSES), dtype=int)
-    svm_pairs = svm_budget_hits = 0
-    for split_index, (ui, train_idx, test_idx) in enumerate(
-            _splits(config, y, subjects, unit_ids)):
-        Xtr, Xte = X[train_idx], X[test_idx]
-        if config.treatment.normalized:
-            norm = fit_normalizer(Xtr)
-            Xtr, Xte = apply_normalizer(norm, Xtr), apply_normalizer(norm, Xte)
-        spec = replace(config.model_spec, seed=config.model_spec.seed ^ split_index)
-        model = train(spec, Xtr, y[train_idx])
+    svm_pairs = svm_budget_hits = svm_steps = 0
+    for split_index, (ui, train_idx, test_idx) in enumerate(splits):
+        if svm:
+            model, norm = next(models), norms[split_index]
+        else:
+            Xtr, norm = training_set(train_idx)
+            spec = replace(config.model_spec, seed=config.model_spec.seed ^ split_index)
+            model = train(spec, Xtr, y[train_idx])
+            del Xtr
+        Xte = X[test_idx] if norm is None else apply_normalizer(norm, X[test_idx])
         pred, _ = predict_batch(model, Xte)
         svm_pairs += model.svm_pairs
         svm_budget_hits += model.svm_budget_hits
+        svm_steps += model.svm_steps
         np.add.at(unit_conf[ui], (y[test_idx], pred), 1)
-        del Xtr, Xte, model  # the next split trains without this one's model and copies
+        del Xte, model  # the next split runs without this one's model and copies
 
-    return EvalReport(tuple(unit_ids), unit_conf, svm_pairs, svm_budget_hits)
+    return EvalReport(tuple(unit_ids), unit_conf, svm_pairs, svm_budget_hits, svm_steps)
 
 
 def recordings_to_features(

@@ -2,6 +2,10 @@
 import hashlib
 import heapq
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -378,6 +382,48 @@ class TestTrainContract:
         assert labels.shape == scores.shape == (len(X),)
         assert np.all(np.isin(labels, y))
         assert np.all((scores >= 0.0) & (scores <= 1.0))
+
+
+# pairs of neighbouring values a < b: their sum overflows; their midpoint rounds to b
+NEIGHBOURS = {"overflow": (1e308, 1.7e308),
+              "midpoint_is_b": (1 + 2**-52, np.nextafter(1 + 2**-52, 2.0))}
+
+# grows 2-learner bagging on rows [a, a, b, b] of labels [0, 0, 1, 1] and prints the
+# thresholds of its splits; a split that sends every row left regrows forever
+BAGGING_SCRIPT = """
+import sys
+import numpy as np
+from harkit.classifiers import ModelKind, ModelSpec, train
+a, b = (float.fromhex(v) for v in sys.argv[1:])
+model = train(ModelSpec(ModelKind.Bagging, seed=0, n_learners=2),
+              np.array([[a], [a], [b], [b]]), np.array([0, 0, 1, 1]))
+nodes = model.impl.nodes
+print(" ".join(t.hex() for t in nodes.threshold[nodes.feature >= 0].tolist()))
+"""
+
+
+class TestSplitThresholds:
+    """A split between neighbouring values a < b gets a threshold t with a <= t < b,
+    also where 0.5 * (a + b) overflows or rounds up to b."""
+
+    @pytest.mark.parametrize("a, b", NEIGHBOURS.values(), ids=NEIGHBOURS)
+    def test_decision_tree_separates_the_values(self, a, b):
+        model = train(ModelSpec(ModelKind.DecisionTree), np.array([[a], [a], [b], [b]]),
+                      np.array([0, 0, 1, 1]))
+        labels, _ = predict_batch(model, np.array([[a], [b]]))
+        assert labels.tolist() == [0, 1]
+        assert a <= model.impl.nodes.threshold[0] < b
+
+    @pytest.mark.parametrize("a, b", NEIGHBOURS.values(), ids=NEIGHBOURS)
+    def test_bagging_finishes(self, a, b):
+        """Run in a child with a timeout, so a split that regrows forever fails the test
+        rather than hanging the suite; outside pytest, so a NumPy warning shows on stderr."""
+        env = {**os.environ, "PYTHONPATH": str(Path(classifiers.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", BAGGING_SCRIPT, a.hex(), b.hex()],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stderr) == (0, "")
+        thresholds = [float.fromhex(t) for t in run.stdout.split()]
+        assert thresholds and all(a <= t < b for t in thresholds)
 
 
 class TestDecisionTree:
@@ -901,6 +947,110 @@ class TestSvm:
         model = train(ModelSpec(ModelKind.Svm), X, y)
         assert model.impl.steps == [0] * 6
         assert model.impl.budget_hits == 6 and not model.converged
+
+
+class TestSmoPool:
+    """Binary problems trained in lock-step in one pool end as `_smo_binary` ends each
+    alone, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(2, 60), min_size=1, max_size=12),
+           C=st.floats(0.01, 100.0),
+           steps_per_row=st.sampled_from([classifiers._SMO_STEPS_PER_ROW, 3, 1]),
+           slots=st.sampled_from([1, 2, 3]), pool_min=st.sampled_from([1, 2]))
+    def test_equals_smo_binary(self, seed, sizes, C, steps_per_row, slots, pool_min):
+        """Pools of 1 to 3 slots, often fewer than the problems, some problems at the step
+        budget (patched down); a pool of 2 or 3 hands its last problem to the scalar loop
+        when `_SMO_POOL_MIN` is 2."""
+        rng = np.random.default_rng(seed)
+        problems = []
+        for n in sizes:
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            y[:2] = 1.0, -1.0
+            d = int(rng.integers(1, 6))
+            problems.append((rng.normal(size=(n, d)) + y[:, None] * rng.normal(size=d), y))
+        width = max(sizes)
+        with mock.patch.multiple(classifiers, _SMO_STEPS_PER_ROW=steps_per_row,
+                                 _SMO_POOL_BYTES=8 * width * width * slots,
+                                 _SMO_POOL_MIN=pool_min):
+            pooled = dict(classifiers._smo_pool(sizes, problems.__getitem__, C, 1e-3))
+            alone = [_smo_binary(X, y, C, 1e-3) for X, y in problems]
+        assert sorted(pooled) == list(range(len(problems)))
+        for k, expected in enumerate(alone):
+            alphas, b, steps, converged = pooled[k]
+            assert alphas.tobytes() == expected[0].tobytes()
+            assert (float(b).hex(), steps, converged) == (float(expected[1]).hex(), *expected[2:])
+
+    @pytest.mark.parametrize("copies", [4, 5, 7])
+    def test_slots_that_end_together_take_what_waits(self, rng, copies):
+        """Copies of one problem end in the same round in every slot of a pool of 3,
+        with fewer problems waiting than slots ending."""
+        X, y = blobs(rng, n_per_class=10, n_classes=2, d=3, sep=1.0)
+        y = np.where(y == 0, 1.0, -1.0)
+        expected = _smo_binary(X, y, 1.0, 1e-3)
+        with mock.patch.multiple(classifiers, _SMO_POOL_BYTES=8 * 20 * 20 * 3, _SMO_POOL_MIN=1):
+            pooled = dict(classifiers._smo_pool([20] * copies, lambda k: (X, y), 1.0, 1e-3))
+        assert sorted(pooled) == list(range(copies))
+        for alphas, b, steps, converged in pooled.values():
+            assert alphas.tobytes() == expected[0].tobytes()
+            assert (b, steps, converged) == expected[1:]
+
+    def test_curvature_overflow_raises_as_the_scalar_loop_does(self):
+        """The last row's kernel diagonal entry, about 1.5e308, is finite, and twice it
+        overflows in the curvature the scalar loop builds whole. The pool builds a
+        curvature row only for a row it steps from, and never steps from that one, so
+        it checks when it loads the problem."""
+        X = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0], [1.1e77, 0.0]])
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                _smo_binary(X, y, 1.0, 1e-3)
+            with mock.patch.object(classifiers, "_SMO_POOL_MIN", 1), \
+                    pytest.raises(FloatingPointError):
+                list(classifiers._smo_pool([4] * 3, lambda k: (X, y), 1.0, 1e-3))
+
+    @pytest.mark.parametrize("pool_min", [1, 100], ids=["pool", "scalar"])
+    def test_train_all_trains_each_pair_as_smo_binary_does(self, rng, pool_min):
+        """Every split's machines and their steps, in split order, with each split's
+        matrix taken once and in order; a split of one class has no machine."""
+        splits = [blobs(rng, n_per_class=12, n_classes=4, d=3, sep=1.0) for _ in range(5)]
+        splits[1] = splits[1][0][:36], splits[1][1][:36]  # classes 0, 1 and 2 only
+        splits[2] = splits[2][0][:12], splits[2][1][:12]  # class 0 only
+        taken = []
+
+        def matrix(s):
+            taken.append(s)
+            return splits[s][0]
+
+        with mock.patch.object(classifiers, "_SMO_POOL_MIN", pool_min):
+            models = list(classifiers.train_all(ModelSpec(ModelKind.Svm),
+                                                [y for _, y in splits], matrix))
+        assert taken == list(range(len(splits)))
+        for (X, y), model in zip(splits, models, strict=True):
+            steps = []
+            for (a, b), machine in zip(itertools.combinations(np.unique(y).tolist(), 2),
+                                       model.impl.machines, strict=True):
+                mask = (y == a) | (y == b)
+                yp = np.where(y[mask] == a, 1.0, -1.0)
+                alphas, bias, n_steps, _ = _smo_binary(X[mask], yp, 1.0, classifiers._SMO_TOL)
+                sv = alphas > 0
+                assert machine[:2] == (a, b) and machine[4] == bias
+                assert np.array_equal(machine[2], X[mask][sv])
+                assert np.array_equal(machine[3], alphas[sv] * yp[sv])
+                steps.append(n_steps)
+            assert model.impl.steps == steps and model.svm_steps == sum(steps)
+            assert predict_batch(model, X)[0].shape == y.shape
+
+    def test_train_all_takes_a_split_once_the_one_before_is_yielded(self, rng):
+        """Without a pool, one split's matrix is held at a time."""
+        splits = [blobs(rng, n_per_class=12, n_classes=3, d=3) for _ in range(3)]
+        taken = []
+        with mock.patch.object(classifiers, "_SMO_POOL_MIN", 100):
+            models = classifiers.train_all(ModelSpec(ModelKind.Svm), [y for _, y in splits],
+                                           lambda s: taken.append(s) or splits[s][0])
+            for s, _ in enumerate(models):
+                assert taken == list(range(s + 1))
 
 
 class TestHealthCounters:

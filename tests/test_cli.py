@@ -466,6 +466,18 @@ class TestGrid:
         assert hashlib.sha256((out / "grid_results.csv").read_bytes()).hexdigest() == (
             "7c44cebc5b8680b4d1611b877de9ef5cacfaf7fe0702cc56ee82ea3a4a212d36")
 
+    def test_svm_results_csv_is_unchanged(self, tmp_path):
+        # sha256 of the SVM rows of both banks, both protocols and two treatments on the
+        # three-subject dataset, as the SVM wrote them when it trained one machine at a time
+        data, out = tmp_path / "data", tmp_path / "grid"
+        assert main(["--seed", "4", "synth", "--subjects", "3", "--minutes", "0.5",
+                     "-o", str(data)]) == EXIT_OK
+        assert main(["--seed", "4", "grid", str(data / "recordings.csv"), "--model", "svm",
+                     "--bank", "a", "b", "--treatment", "nr-rp", "unr-rp",
+                     "-o", str(out)]) == EXIT_OK
+        assert hashlib.sha256((out / "grid_results.csv").read_bytes()).hexdigest() == (
+            "96b4db42128966ffc084f8727164d52e26759e35048757cc5a72b9294e05db66")
+
     def test_features_csv_supplies_its_window(self, recordings_csv, tmp_path):
         features = tmp_path / "features.csv"
         assert main(["extract", str(recordings_csv), "--bank", "b",
@@ -479,7 +491,8 @@ class TestGrid:
 
 class TestSvmBudgetHealth:
     """The grid manifest counts, per cell, the SVM pairs that stopped at the SMO step
-    budget; a run with any prints one line on stderr."""
+    budget and the SMO steps of all its pairs; a run with a pair at the budget prints one
+    line on stderr."""
 
     def test_one_cell_counts_pairs_at_the_budget(self, recordings_csv, tmp_path, capsys,
                                                  monkeypatch):
@@ -493,8 +506,11 @@ class TestSvmBudgetHealth:
         assert "svm: 20/20 pairs hit the step budget" in capsys.readouterr().err
         full, tiny = (json.loads((tmp_path / d / "grid_manifest.json").read_text())
                       for d in ("full", "tiny"))
-        assert full.pop("health") == {"svm_budget_hits": {"svm nr-rp impersonal b 75": 0}}
-        assert tiny.pop("health") == {"svm_budget_hits": {"svm nr-rp impersonal b 75": 20}}
+        # the steps are the sum over the cell's 20 machines that `_smo_binary` gives
+        assert full.pop("health") == {"svm_budget_hits": {"svm nr-rp impersonal b 75": 0},
+                                      "svm_steps": {"svm nr-rp impersonal b 75": 716}}
+        assert tiny.pop("health") == {"svm_budget_hits": {"svm nr-rp impersonal b 75": 20},
+                                      "svm_steps": {"svm nr-rp impersonal b 75": 0}}
         # nothing else in the manifest moves but the timing and the outputs' digests
         for manifest in (full, tiny):
             del manifest["duration_s"]
@@ -510,7 +526,9 @@ class TestSvmBudgetHealth:
         assert capsys.readouterr().err.count("svm: 20/20 pairs hit the step budget") == 1
         health = json.loads((out / "grid_manifest.json").read_text())["health"]
         assert health == {"svm_budget_hits": {"svm nr-rp impersonal b 75": 20,
-                                              "nb nr-rp impersonal b 75": 0}}
+                                              "nb nr-rp impersonal b 75": 0},
+                          "svm_steps": {"svm nr-rp impersonal b 75": 0,
+                                        "nb nr-rp impersonal b 75": 0}}
 
     def test_other_manifests_have_no_health(self, data_dir):
         assert "health" not in json.loads((data_dir / "synth_manifest.json").read_text())
