@@ -2,8 +2,9 @@
 
 Every primitive takes an (n, w) block of signals, one per row, and returns one
 row per signal: an (n,) or (n, k) array. average_resultant takes the (3, n, w)
-block of n windows' x, y and z axes. The sequential estimators run their
-recursions element-wise across the rows.
+block of n windows' x, y and z axes. The sequential estimators take each step of
+their recursions once for the whole block; the MA innovations recursion keeps the
+signal axis innermost, so each of its steps is a few operations on whole planes.
 
 Bank A (width 43) = 14 per-axis slots x 3 axes + average resultant:
     mean, median, variance, std, IQR, acf lag-1, pacf lag-2,
@@ -12,6 +13,8 @@ Bank A (width 43) = 14 per-axis slots x 3 axes + average resultant:
 At windows of 20 samples or more, each axis's pacf lag-2 equals its second AR(2)
 coefficient bit for bit: both are kappa_2 of one order-2 Levinson recursion on one
 sample ACF. So bank A holds 40 distinct values there; below 20 the AR slots are 0.
+Bank A's five model estimates share one centering, one set of lag products, one
+ACF and that one Levinson recursion, and equal the public estimators bit for bit.
 
 Bank B (width 70) = 23 per-axis slots x 3 axes + average resultant:
     mean, mean absolute deviation, std, average peak gap,
@@ -54,13 +57,19 @@ def _lag_products(centered: np.ndarray, max_lag: int) -> np.ndarray:
         [np.vecdot(centered[:, : w - k], centered[:, k:]) for k in range(max_lag + 1)], axis=1)
 
 
+def _acf(x: np.ndarray, centered: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Biased sample ACF of each row from its centered samples and its lag products;
+    constant rows yield all zeros."""
+    denom = np.sum(centered * centered, axis=1)
+    varying = denom > _EPS * np.maximum(1.0, np.sum(np.square(x), axis=1))
+    return np.divide(products, denom[:, None], out=np.zeros(products.shape),
+                     where=varying[:, None])
+
+
 def _sample_acf(x: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased sample ACF r(0..max_lag) of each row; constant rows yield all zeros."""
     centered = x - x.mean(axis=1, keepdims=True)
-    denom = np.sum(centered * centered, axis=1)
-    varying = denom > _EPS * np.maximum(1.0, np.sum(np.square(x), axis=1))
-    return np.divide(_lag_products(centered, max_lag), denom[:, None],
-                     out=np.zeros((len(x), max_lag + 1)), where=varying[:, None])
+    return _acf(x, centered, _lag_products(centered, max_lag))
 
 
 def autocorrelation(signals: np.ndarray, lag: int) -> np.ndarray:
@@ -116,25 +125,37 @@ def fit_ma(signals: np.ndarray, order: int) -> np.ndarray:
     if order < 1:
         raise ValueError("order must be positive")
     x = _block(signals)
-    n, w = x.shape
+    w = x.shape[1]
     if w < 10 * order:
         raise SignalTooShort(f"need at least {10 * order} samples for MA({order})")
     m = min(w - 1, max(20, 2 * order))
-    gamma = _lag_products(x - x.mean(axis=1, keepdims=True), m) / w
+    return _innovations(x, _lag_products(x - x.mean(axis=1, keepdims=True), m) / w, order)
+
+
+def _innovations(x: np.ndarray, gamma: np.ndarray, order: int) -> np.ndarray:
+    """theta_{m,1..order} of the innovations recursion on the autocovariances
+    gamma(0..m) of each row of x; near-constant rows get zeros."""
+    n, m = len(gamma), gamma.shape[1] - 1
     varying = gamma[:, 0] > _EPS * np.maximum(1.0, np.mean(np.square(x), axis=1))
-    # theta[:, i, j] holds theta_{i,i-j}; column j of all rows i > j is one step:
+    # theta[j, i] holds theta_{i,i-j} of every signal, and step j fills theta[j, j+1:]:
     # gamma(i-j) minus theta_{j,j-l} * theta_{i,i-l} * v_l, l = 0..j-1 in order.
-    theta = np.zeros((n, m + 1, m + 1))
-    v = np.empty((n, m + 1))
-    v[:, 0] = gamma[:, 0]
+    # terms[0] holds gamma(1..m) throughout; terms[1 + l] takes the l-th product.
+    theta = np.zeros((m + 1, m + 1, n))
+    terms = np.empty((m, m, n))
+    terms[0] = gamma[:, 1:].T
+    v = np.empty((m + 1, n))
+    v[0] = gamma[:, 0]
     for j in range(m):
-        terms = theta[:, j, None, :j] * theta[:, j + 1 :, :j] * v[:, None, :j]
-        acc = np.subtract.reduce(
-            np.concatenate([gamma[:, 1 : m - j + 1, None], terms], axis=2), axis=2)
-        np.divide(acc, v[:, j, None], out=theta[:, j + 1 :, j], where=v[:, j, None] > _EPS)
-        v[:, j + 1] = np.maximum(
-            gamma[:, 0] - np.vecdot(theta[:, j + 1, : j + 1] ** 2, v[:, : j + 1]), _EPS)
-    coef = theta[:, m, m - order : m][:, ::-1]  # theta_{m,1..order}
+        step = terms[: j + 1, : m - j]
+        np.multiply(theta[:j, j, None], theta[:j, j + 1 :], out=step[1:])
+        step[1:] *= v[:j, None]
+        np.divide(np.subtract.reduce(step, axis=0), v[j], out=theta[j, j + 1 :],
+                  where=v[j] > _EPS)
+        # C-contiguous operands: vecdot then adds in the order np.dot does on one signal
+        square = np.square(theta[: j + 1, j + 1].T, order="C")
+        v[j + 1] = np.maximum(
+            v[0] - np.vecdot(square, np.ascontiguousarray(v[: j + 1].T)), _EPS)
+    coef = theta[m - order : m, m][::-1].T  # theta_{m,1..order}
     return np.where(varying[:, None], coef, 0.0)
 
 
@@ -147,28 +168,36 @@ def fit_arma(signals: np.ndarray, p: int, q: int) -> np.ndarray:
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
     x = _block(signals)
-    n, w = x.shape
+    w = x.shape[1]
     if w < 10 * (p + q):
         raise SignalTooShort(f"need at least {10 * (p + q)} samples for ARMA({p},{q})")
     h = min(max(20, 2 * (p + q)), w // 4)
-    r = _sample_acf(x, h)
+    centered = x - x.mean(axis=1, keepdims=True)
+    return _hannan_rissanen(centered, _acf(x, centered, _lag_products(centered, h)), p, q)
+
+
+def _hannan_rissanen(centered: np.ndarray, r: np.ndarray, p: int, q: int) -> np.ndarray:
+    """fit_arma's estimate from each row's centered samples and sample ACF r(0..h),
+    with h the order of the long AR."""
+    n, w = centered.shape
+    h = r.shape[1] - 1
     live = np.flatnonzero(np.any(r, axis=1))  # constant rows keep the zero sentinel
     phi_long, _ = _durbin_levinson(r[live], h)
-    centered = x[live] - x[live].mean(axis=1, keepdims=True)
-    resid = centered[:, h:].copy()
+    c = centered[live]
+    resid = c[:, h:].copy()
     for j in range(1, h + 1):
-        resid -= phi_long[:, j - 1, None] * centered[:, h - j : w - j]
+        resid -= phi_long[:, j - 1, None] * c[:, h - j : w - j]
     e = np.concatenate([np.zeros((len(live), h)), resid], axis=1)
 
     start = h + max(p, q)
-    design = np.stack([centered[:, start - j : w - j] for j in range(1, p + 1)]
+    design = np.stack([c[:, start - j : w - j] for j in range(1, p + 1)]
                       + [e[:, start - j : w - j] for j in range(1, q + 1)], axis=2)
     rcond = np.finfo(float).eps * max(w - start, p + q)
     # np.linalg.lstsq's own gufunc over the stack: one LAPACK gelsd per row,
     # with the rcond and signature lstsq passes
     with np.errstate(invalid="raise"):
         sol, _, rank, _ = _umath_linalg.lstsq(
-            design, centered[:, start:, None], rcond, signature="ddd->ddid")
+            design, c[:, start:, None], rcond, signature="ddd->ddid")
     deficient = rank < p + q
     coef = np.zeros((n, p + q))
     coef[live] = np.where(deficient[:, None], 0.0, sol[..., 0])
@@ -276,12 +305,12 @@ class FeatureVector:
             )
 
 
-def _zero_on_short(fn, block: np.ndarray, *args, width: int = 1):
+def _zero_on_short(fn, block: np.ndarray):
     """fn over the block, or its 0 sentinel when the block's width is too short for fn."""
     try:
-        return fn(block, *args)
+        return fn(block)
     except SignalTooShort:
-        return np.zeros((len(block), width))
+        return np.zeros(len(block))
 
 
 def _float_pow(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -299,12 +328,30 @@ def _bank_a_slots(block: np.ndarray) -> np.ndarray:
         np.var(block, axis=1),
         np.std(block, axis=1),
         q75 - q25,
-        _zero_on_short(autocorrelation, block, 1),
-        _zero_on_short(partial_autocorrelation, block, 2),
-        _zero_on_short(fit_ar, block, 2, width=2),
-        _zero_on_short(fit_ma, block, 1),
-        _zero_on_short(fit_arma, block, 1, 1, width=2),
+        _bank_a_models(block),
         haar_dwt_energies(block),
+    ])
+
+
+def _bank_a_models(x: np.ndarray) -> np.ndarray:
+    """Bank A's 7 model slots for every row of an (n, w) block: autocorrelation(x, 1),
+    partial_autocorrelation(x, 2), fit_ar(x, 2), fit_ma(x, 1) and fit_arma(x, 1, 1),
+    each 0 at windows too short for it. They share one centering, one set of lag
+    products, one ACF and one order-2 Levinson recursion."""
+    n, w = x.shape
+    h, m = min(20, w // 4), min(w - 1, 20)  # fit_arma's long-AR order, fit_ma's depth
+    centered = x - x.mean(axis=1, keepdims=True)
+    products = _lag_products(centered, max(2, h, m))
+    r = _acf(x, centered, products[:, : max(2, h) + 1])
+    phi, pacf = _durbin_levinson(r[:, :3], 2)
+    zeros = np.zeros((n, 2))
+    # below the fewest samples its public estimator takes, a slot is 0
+    return np.column_stack([
+        r[:, 1] if w >= 3 else zeros[:, 0],
+        pacf[:, 1] if w >= 4 else zeros[:, 0],
+        phi if w >= 20 else zeros,
+        _innovations(x, products[:, : m + 1] / w, 1) if w >= 10 else zeros[:, 0],
+        _hannan_rissanen(centered, r[:, : h + 1], 1, 1) if w >= 20 else zeros,
     ])
 
 

@@ -166,18 +166,28 @@ def fit_arma11_reference(x):
 
 
 class TestBlockEstimatorsMatchLoops:
-    @pytest.mark.parametrize("fn,reference", [
-        (lambda x: fit_ar(x, 2), lambda x: fit_ar_reference(x, 2)),
-        (lambda x: fit_ma(x, 1), lambda x: fit_ma_reference(x, 1)),
-        (lambda x: fit_ma(x, 2), lambda x: fit_ma_reference(x, 2)),
-        (lambda x: fit_arma(x, 1, 1), fit_arma11_reference),
-    ], ids=["ar2", "ma1", "ma2", "arma11"])
-    @pytest.mark.parametrize("w", [20, 31, 75, 300])
-    def test_bit_equal(self, fn, reference, w):
+    # (estimator, its one-signal loop, the fewest samples it takes)
+    @pytest.mark.parametrize("fn,reference,fewest", [
+        (lambda x: fit_ar(x, 2), lambda x: fit_ar_reference(x, 2), 20),
+        (lambda x: fit_ma(x, 1), lambda x: fit_ma_reference(x, 1), 10),
+        (lambda x: fit_ma(x, 2), lambda x: fit_ma_reference(x, 2), 20),
+        (lambda x: fit_ma(x, 3), lambda x: fit_ma_reference(x, 3), 30),
+        (lambda x: fit_arma(x, 1, 1), fit_arma11_reference, 20),
+    ], ids=["ar2", "ma1", "ma2", "ma3", "arma11"])
+    # windows 10 and 15 take the innovations recursion to depth w - 1, below its cap
+    # of 20; 1,440 signals of 25 samples are one default-scale recording's block
+    @pytest.mark.parametrize("n,w", [(6, 10), (6, 15), (6, 20), (6, 31), (6, 75), (6, 300),
+                                     (1440, 25)],
+                             ids=["10", "15", "20", "31", "75", "300", "1440x25"])
+    def test_bit_equal(self, fn, reference, fewest, n, w):
         rng = np.random.default_rng(w)
-        block = np.cumsum(rng.normal(size=(6, w)), axis=1)
+        block = np.cumsum(rng.normal(size=(n, w)), axis=1)
         block[1] = 2.5
         block[2] = 2.5 + 1e-12 * rng.normal(size=w)
+        if w < fewest:
+            with pytest.raises(SignalTooShort):
+                fn(block)
+            return
         got = fn(block)
         for row, expect in zip(got, map(reference, block)):
             assert row.tobytes() == np.asarray(expect, dtype=float).tobytes()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from harkit import features
 from harkit.errors import SignalTooShort
 from harkit.features import (
     BANK_A_LAYOUT,
@@ -258,6 +259,14 @@ BLOCK_PRIMITIVES = [
     (peak_interval_stats, ()),
 ]
 ONE_OF_EACH = [*BLOCK_PRIMITIVES[1:], (average_resultant, ())]
+# bank A's model slots and the public estimator each one holds
+BANK_A_MODELS = [
+    (("acf_lag1",), autocorrelation, (1,)),
+    (("pacf_lag2",), partial_autocorrelation, (2,)),
+    (("ar2_c1", "ar2_c2"), fit_ar, (2,)),
+    (("ma1_c1",), fit_ma, (1,)),
+    (("arma11_ar", "arma11_ma"), fit_arma, (1, 1)),
+]
 
 
 def row_blocks(block):
@@ -322,6 +331,22 @@ class TestBlockPath:
             fv = extract(make_window(*xyz[:, i]))
             assert got[i].tobytes() == fv.values.tobytes()
 
+    @given(xyz=signal_blocks(n_blocks=3))
+    @settings(max_examples=60, deadline=None)
+    def test_bank_a_models_equal_public_estimators(self, xyz):
+        """Bank A computes its model slots from statistics they share; each must still
+        equal its public estimator on the axis's block bit for bit, or 0 where that
+        estimator raises SignalTooShort."""
+        X = bank_matrix(Bank.A43, xyz)
+        for axis, block in zip("xyz", xyz):
+            for slots, fn, args in BANK_A_MODELS:
+                got = X[:, [BANK_A_LAYOUT.index((slot, axis)) for slot in slots]]
+                try:
+                    expect = fn(block, *args).reshape(got.shape)
+                except SignalTooShort:
+                    expect = np.zeros(got.shape)
+                assert got.tobytes() == expect.tobytes(), (fn.__name__, axis)
+
 
 class TestBanks:
     def test_layout_sizes(self):
@@ -361,6 +386,19 @@ class TestBanks:
                          for slot in ("pacf_lag2", "ar2_c2"))
             assert np.all(pacf != 0)
             assert np.array_equal(ar2, pacf if w >= 20 else np.zeros(8))
+
+    def test_bank_a_shares_its_statistics(self, monkeypatch, rng):
+        """One bank A call at window 75 builds the lag products once (to fit_ma's depth
+        20) and runs the Levinson recursion twice: order 2 for pacf lag-2 and AR(2), and
+        order 18 for the long AR of ARMA(1,1)."""
+        calls = {"_lag_products": [], "_durbin_levinson": []}
+        for name, orders in calls.items():
+            def counted(*args, fn=getattr(features, name), orders=orders):
+                orders.append(args[1])
+                return fn(*args)
+            monkeypatch.setattr(features, name, counted)
+        bank_matrix(Bank.A43, rng.normal(size=(3, 5, 75)))
+        assert calls == {"_lag_products": [20], "_durbin_levinson": [2, 18]}
 
     def test_bank_b_simple_slot_values(self):
         sig = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
