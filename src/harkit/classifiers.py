@@ -846,8 +846,9 @@ class _SvmImpl:
 
     def __init__(self, y: np.ndarray):
         self.classes = np.unique(y)
-        self.machines = []  # (class_a, class_b, support X, coef = alpha*y, bias)
-        self.steps = []     # SMO steps of each pair, in machine order
+        pairs = len(self.classes) * (len(self.classes) - 1) // 2
+        self.machines = [None] * pairs  # (class_a, class_b, support X, coef = alpha*y, bias)
+        self.steps = [0] * pairs        # SMO steps of each pair, in machine order
         self.budget_hits = 0
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -872,38 +873,30 @@ def _fit_svms(C: float, labels: list[np.ndarray], matrix) -> Iterator[_SvmImpl]:
     split before it have ended."""
     outer = np.geterr()
     impls = dict(enumerate(_SvmImpl(y) for y in labels))
-    pairs = [(s, a, b) for s, impl in impls.items()
-             for a, b in itertools.combinations(impl.classes.tolist(), 2)]
-    left = [len(impl.classes) * (len(impl.classes) - 1) // 2 for impl in impls.values()]
-    first = np.cumsum([0] + left).tolist()  # each split's first pair
-    held = {}     # split -> its training matrix, while its machines train
-    trained = {}  # pair -> (rows, labels +-1) while it trains, then its machine
+    # (split, index of the pair in the split, a, b) of every machine, in split order
+    pairs = [(s, i, a, b) for s, impl in impls.items()
+             for i, (a, b) in enumerate(itertools.combinations(impl.classes.tolist(), 2))]
+    left = [len(impl.machines) for impl in impls.values()]
+    held = {}      # split -> its training matrix, while its machines train
+    training = {}  # pair -> (rows, labels +-1) while it trains
     reached = yielded = 0  # splits whose matrix has been taken, and yielded
 
-    def end(s: int) -> None:
-        X = held.pop(s)
-        for (_, a, b), (rows, coef, bias, steps, converged) in zip(
-                pairs[first[s]:first[s + 1]], map(trained.pop, range(first[s], first[s + 1]))):
-            impls[s].machines.append((a, b, X[rows], coef, bias))
-            impls[s].steps.append(steps)
-            impls[s].budget_hits += not converged
-
     def reach(s: int) -> None:
-        """Take the matrices of the splits up to s; one without machines ends at once."""
+        """Take the matrices of the splits up to s; one without machines is dropped at once."""
         nonlocal reached
         for t in range(reached, s + 1):
             with np.errstate(**outer):
                 held[t] = matrix(t)
             reached = t + 1
             if not left[t]:
-                end(t)
+                del held[t]
 
     def load(k: int) -> tuple[np.ndarray, np.ndarray]:
-        s, a, b = pairs[k]
+        s, _, a, b = pairs[k]
         reach(s)
         rows = np.flatnonzero((labels[s] == a) | (labels[s] == b))
-        trained[k] = rows, np.where(labels[s][rows] == a, 1.0, -1.0)
-        return held[s][rows], trained[k][1]
+        training[k] = rows, np.where(labels[s][rows] == a, 1.0, -1.0)
+        return held[s][rows], training[k][1]
 
     def result():
         """The next machine the pool ends, or None."""
@@ -917,17 +910,20 @@ def _fit_svms(C: float, labels: list[np.ndarray], matrix) -> Iterator[_SvmImpl]:
             yielded += 1
 
     counts = [np.bincount(y) for y in labels]
-    pool = _smo_pool([int(counts[s][a] + counts[s][b]) for s, a, b in pairs], load, C,
+    pool = _smo_pool([int(counts[s][a] + counts[s][b]) for s, _, a, b in pairs], load, C,
                      _SMO_TOL)
     while (done := result()) is not None:
-        k, (alphas, b, steps, converged) = done
-        rows, y = trained[k]
+        k, (alphas, bias, steps, converged) = done
+        s, i, a, b = pairs[k]
+        rows, y = training.pop(k)
         sv = alphas > 0
-        trained[k] = rows[sv], alphas[sv] * y[sv], b, steps, converged
-        s = pairs[k][0]
+        impl = impls[s]
+        impl.machines[i] = a, b, held[s][rows[sv]], alphas[sv] * y[sv], bias
+        impl.steps[i] = steps
+        impl.budget_hits += not converged
         left[s] -= 1
         if not left[s]:
-            end(s)
+            del held[s]
         yield from ready()
     reach(len(labels) - 1)
     yield from ready()
@@ -1001,14 +997,28 @@ def _class_codes(y) -> np.ndarray:
 
 def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     X = _training_matrix(X, y)  # the matrix's errors come before the labels'
-    return next(train_all(spec, [y], lambda _: X))
+    y = _class_codes(y)
+    if spec.kind is ModelKind.Svm:
+        impl = next(_fit_svms(spec.C, [y], lambda _: X))
+    else:
+        impl = {ModelKind.DecisionTree: lambda: _TreesImpl(1, None, spec.max_splits),
+                ModelKind.NaiveBayes: _NaiveBayesImpl,
+                ModelKind.Knn: lambda: _KnnImpl(spec.k),
+                ModelKind.Bagging: lambda: _TreesImpl(spec.n_learners, spec.seed, None),
+                }[spec.kind]()
+        with _overflow_named(spec.kind, [X]):
+            impl.fit(X, y)
+    return TrainedModel(spec=spec, impl=impl, n_features=X.shape[1])
 
 
 def train_all(spec: ModelSpec, labels: list, matrix) -> Iterator[TrainedModel]:
-    """Yield a model of `spec` for each split s in order, trained on (matrix(s), labels[s])
-    as `train` trains it alone. matrix(s) is called once per split, in split order, and
-    is kept only while the split trains. The SVM trains every one-vs-one machine of every
-    split in one SMO pool (`_fit_svms`); the other models train split after split."""
+    """Yield an SVM of `spec` for each split s in order, trained on (matrix(s), labels[s])
+    as `train` trains it alone, every one-vs-one machine of every split in one SMO pool
+    (`_fit_svms`). matrix(s) is called once per split, in split order, and is kept only
+    while the split's machines train. Any other kind raises ValueError: it trains split
+    by split, through `train`."""
+    if spec.kind is not ModelKind.Svm:
+        raise ValueError(f"train_all trains the SVM only, not {spec.kind.value}")
     labels = [_class_codes(y) for y in labels]
     widths = []
 
@@ -1017,20 +1027,8 @@ def train_all(spec: ModelSpec, labels: list, matrix) -> Iterator[TrainedModel]:
         widths.append(X.shape[1])
         return X
 
-    if spec.kind is ModelKind.Svm:
-        for s, impl in enumerate(_fit_svms(spec.C, labels, checked)):
-            yield TrainedModel(spec=spec, impl=impl, n_features=widths[s])
-        return
-    make = {ModelKind.DecisionTree: lambda: _TreesImpl(1, None, spec.max_splits),
-            ModelKind.NaiveBayes: _NaiveBayesImpl,
-            ModelKind.Knn: lambda: _KnnImpl(spec.k),
-            ModelKind.Bagging: lambda: _TreesImpl(spec.n_learners, spec.seed, None)}[spec.kind]
-    for s, y in enumerate(labels):
-        X = checked(s)
-        impl = make()
-        with _overflow_named(spec.kind, [X]):
-            impl.fit(X, y)
-        yield TrainedModel(spec=spec, impl=impl, n_features=X.shape[1])
+    return (TrainedModel(spec=spec, impl=impl, n_features=widths[s])
+            for s, impl in enumerate(_fit_svms(spec.C, labels, checked)))
 
 
 def predict_batch(model: TrainedModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -144,9 +144,9 @@ def evaluate(
     Impersonal: leave-one-subject-out; units are held-out subjects.
     Instance permutation (when enabled) reorders instances before fold assignment; each
     split normalizes with its training rows' statistics only, trains with seed
-    `model_spec.seed ^ split index` and predicts its test rows. The SVM's splits train
-    together, in one SMO pool (`train_all`), each predicting once it and every split
-    before it have trained.
+    `model_spec.seed ^ split index` and predicts its test rows. Each split predicts as soon
+    as its model is trained: the SVM's splits train together, in one SMO pool
+    (`train_all`), and every other model's split by split (`train`).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -170,35 +170,27 @@ def evaluate(
     unit_ids = sorted(set(subjects))
     splits = list(_splits(config, y, subjects, unit_ids))
 
-    def training_set(train_idx):
-        """The split's training rows, normalized with their own statistics, and the
-        normalizer (None untreated)."""
-        Xtr = X[train_idx]
+    labels = [y[train_idx] for _, train_idx, _ in splits]
+    norms = [None] * len(splits)  # each split's normalizer (None untreated)
+
+    def training_matrix(s: int) -> np.ndarray:
+        """Split s's training rows, normalized with their own statistics."""
+        Xtr = X[splits[s][1]]
         if not config.treatment.normalized:
-            return Xtr, None
-        norm = fit_normalizer(Xtr)
-        return apply_normalizer(norm, Xtr), norm
-
-    svm = config.model_spec.kind is ModelKind.Svm
-    if svm:  # every split's machines train together, in one SMO pool
-        norms = [None] * len(splits)
-
-        def training_matrix(s: int) -> np.ndarray:
-            Xtr, norms[s] = training_set(splits[s][1])
             return Xtr
+        norms[s] = fit_normalizer(Xtr)
+        return apply_normalizer(norms[s], Xtr)
 
-        models = train_all(config.model_spec, [y[train_idx] for _, train_idx, _ in splits],
-                           training_matrix)
+    spec = config.model_spec
+    if spec.kind is ModelKind.Svm:  # every split's machines train together, in one SMO pool
+        models = train_all(spec, labels, training_matrix)
+    else:
+        models = (train(replace(spec, seed=spec.seed ^ s), training_matrix(s), labels[s])
+                  for s in range(len(splits)))
     unit_conf = np.zeros((len(unit_ids), N_CLASSES, N_CLASSES), dtype=int)
     svm_pairs = svm_budget_hits = svm_steps = 0
-    for split_index, (ui, train_idx, test_idx) in enumerate(splits):
-        if svm:
-            model, norm = next(models), norms[split_index]
-        else:
-            Xtr, norm = training_set(train_idx)
-            spec = replace(config.model_spec, seed=config.model_spec.seed ^ split_index)
-            model = train(spec, Xtr, y[train_idx])
-            del Xtr
+    for s, (ui, _, test_idx) in enumerate(splits):
+        model, norm = next(models), norms[s]  # norms[s] is set once split s has trained
         Xte = X[test_idx] if norm is None else apply_normalizer(norm, X[test_idx])
         pred, _ = predict_batch(model, Xte)
         svm_pairs += model.svm_pairs

@@ -22,7 +22,8 @@ Bank B (width 70) = 23 per-axis slots x 3 axes + average resultant:
     zero-crossing count about the mean, skewness (excess-free m3/m2^1.5),
     excess kurtosis, median.
 
-Every slot has a 0 sentinel for degenerate inputs (constant signal, window
+A bank takes windows of MIN_WINDOW (4) samples or more, and raises ValueError below
+that. Every slot has a 0 sentinel for degenerate inputs (constant signal, window
 too short for a model fit). Finite windows give finite vectors unless a sum or
 square overflows: samples large enough (1e200, say) give inf or nan, which
 `evaluation.feature_matrices` rejects.
@@ -37,7 +38,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import SignalTooShort
 from .ingest import Activity
-from .preprocess import Window
+from .preprocess import MIN_WINDOW, Window
 
 _EPS = 1e-12
 
@@ -305,14 +306,6 @@ class FeatureVector:
             )
 
 
-def _zero_on_short(fn, block: np.ndarray):
-    """fn over the block, or its 0 sentinel when the block's width is too short for fn."""
-    try:
-        return fn(block)
-    except SignalTooShort:
-        return np.zeros(len(block))
-
-
 def _float_pow(base: np.ndarray, exponent: float) -> np.ndarray:
     """base ** exponent with Python floats, i.e. the C library's pow, which
     NumPy's vectorised power does not match to the last bit on every CPU."""
@@ -374,7 +367,7 @@ def _bank_b_slots(block: np.ndarray) -> np.ndarray:
         mean,
         np.mean(np.abs(centered), axis=1),
         np.sqrt(m2),
-        _zero_on_short(peak_interval_stats, block),
+        peak_interval_stats(block),
         binned_distribution(block, 10),
         block.min(axis=1),
         block.max(axis=1),
@@ -391,10 +384,13 @@ def _bank_b_slots(block: np.ndarray) -> np.ndarray:
 def bank_matrix(bank: Bank, xyz: np.ndarray) -> np.ndarray:
     """The bank's values of n windows whose axes form one (3, n, w) array: (n, width).
 
-    Every slot is computed once, over the (3n, w) block of all axis signals.
+    Every slot is computed once, over the (3n, w) block of all axis signals. A window
+    below MIN_WINDOW samples raises ValueError, as `window_block` does.
     """
     xyz = np.asarray(xyz, dtype=float)
     _, n, w = xyz.shape
+    if w < MIN_WINDOW:
+        raise ValueError(f"samples_per_window must be >= {MIN_WINDOW}")
     slots = (_bank_a_slots if bank is Bank.A43 else _bank_b_slots)(xyz.reshape(3 * n, w))
     return np.column_stack([*np.split(slots, 3), average_resultant(xyz)])
 

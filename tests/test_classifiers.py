@@ -360,6 +360,23 @@ class TestTrainContract:
         with pytest.raises(ValueError, match="labels must be non-negative integer class codes"):
             train(ModelSpec(kind, n_learners=5), X, y)
 
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_training_matrix_is_checked_once(self, kind, rng, monkeypatch):
+        checked = []
+        check = classifiers._training_matrix
+        monkeypatch.setattr(classifiers, "_training_matrix",
+                            lambda X, y: checked.append(len(X)) or check(X, y))
+        train(ModelSpec(kind, n_learners=3), *blobs(rng, n_per_class=10))
+        assert checked == [30]
+
+    @pytest.mark.parametrize("kind", [k for k in ModelKind if k is not ModelKind.Svm],
+                             ids=lambda k: k.value)
+    def test_train_all_trains_the_svm_only(self, kind, rng):
+        """The other models train split by split, through `train`."""
+        X, y = blobs(rng)
+        with pytest.raises(ValueError, match=f"SVM only, not {kind.value}$"):
+            classifiers.train_all(ModelSpec(kind), [y], lambda _: X)
+
     def test_integral_float_labels_are_class_codes(self, rng):
         X, y = blobs(rng)
         model = train(ModelSpec(ModelKind.DecisionTree), X, y + 1.0)

@@ -948,14 +948,15 @@ def test_cli_imports_only_the_standard_library_and_numpy():
 
 def test_entry_point_runs_synth_to_report_without_stderr(tmp_path):
     """`python -m harkit.cli` end to end, outside pytest's warnings-as-errors: each
-    command exits 0 and writes nothing to stderr, so a NumPy warning shows up here."""
+    command exits 0 and writes nothing to stderr, so a NumPy warning shows up here, from
+    any of the five models."""
     env = {**os.environ, "PYTHONPATH": str(Path(harkit.__file__).resolve().parents[1])}
     env.pop("HAR_SEED", None)
     data, res = tmp_path / "data", tmp_path / "res"
     for argv in (["synth", "--subjects", "2", "--minutes", "0.5", "-o", str(data)],
                  ["summary", str(data / "recordings.csv")],
-                 ["grid", str(data / "recordings.csv"), "--model", "nb", "dtree",
-                  "--folds", "2", "-o", str(res)],
+                 ["grid", str(data / "recordings.csv"), "--model", "nb", "dtree", "knn",
+                  "svm", "bag", "--bag-learners", "3", "--folds", "2", "-o", str(res)],
                  ["report", str(res / "grid_results.csv"), "-o", str(tmp_path / "r.md")]):
         run = subprocess.run([sys.executable, "-m", "harkit.cli", *argv], env=env,
                              capture_output=True, text=True)

@@ -1,13 +1,14 @@
 """Protocols, treatments, split accounting, and the feature matrices they run on."""
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import harkit.classifiers as classifiers
 import harkit.evaluation as ev
-from harkit.classifiers import ModelKind, ModelSpec
-from harkit.errors import DimensionMismatch, SingleSubject, TooFewInstances
+from harkit.classifiers import ModelKind, ModelSpec, predict_batch, train
+from harkit.errors import DimensionMismatch, SchemaError, SingleSubject, TooFewInstances
 from harkit.evaluation import (
     NR_NRP,
     NR_RP,
@@ -206,8 +207,6 @@ class TestEvaluateAccounting:
         X, y, subjects = toy_problem(rng, sep=1.0)
         base = EvalConfig(ModelSpec(ModelKind.NaiveBayes), Bank.B70, 75,
                           NR_RP, Protocol.Personal, seed=5)
-        from dataclasses import replace
-
         a = evaluate(base, X, y, subjects)
         b = evaluate(replace(base, seed=99), X, y, subjects)
         assert not np.array_equal(a.confusion, b.confusion)
@@ -241,6 +240,62 @@ class TestEvaluateAccounting:
         config = EvalConfig(ModelSpec(ModelKind.Knn), Bank.B70, 75)
         with pytest.raises(TooFewInstances):
             evaluate(config, np.zeros((0, 5)), np.zeros(0, dtype=int), [])
+
+
+class TestSplitCalls:
+    """evaluate trains through its module's `train` (split by split) or `train_all` (the
+    SVM's splits together) and predicts through its `predict_batch`: the traced
+    benchmark pass wraps those three names to time each split's fit and predict."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_one_fit_and_one_predict_per_split(self, kind, protocol, rng, monkeypatch):
+        calls = {"train": [], "train_all": [], "predict_batch": []}
+        for name, seen in calls.items():
+            def counted(*args, fn=getattr(ev, name), seen=seen):
+                seen.append(args)
+                return fn(*args)
+            monkeypatch.setattr(ev, name, counted)
+        X, y, subjects = toy_problem(rng)  # 3 subjects of 100 rows
+        spec = ModelSpec(kind, seed=6, n_learners=3)
+        evaluate(EvalConfig(spec, Bank.B70, 75, NR_RP, protocol, folds=5, seed=5),
+                 X, y, subjects)
+        splits, rows = (3, 200) if protocol is Protocol.Impersonal else (15, 80)
+        assert len(calls["predict_batch"]) == splits
+        predicted = [model.spec for model, _ in calls["predict_batch"]]
+        if kind is ModelKind.Svm:
+            assert calls["train"] == [] and [c[0] for c in calls["train_all"]] == [spec]
+            assert predicted == [spec] * splits
+        else:
+            specs = [replace(spec, seed=6 ^ s) for s in range(splits)]
+            assert calls["train_all"] == [] and predicted == specs
+            assert [(c[0], len(c[1]), len(c[2])) for c in calls["train"]] == [
+                (s, rows, rows) for s in specs]
+
+
+class TestNumpyErrorState:
+    """Training, prediction and evaluation leave NumPy's error state as they found it,
+    also where a model's arithmetic overflows and raises SchemaError part way."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["clean", "overflowing"])
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_error_state_comes_back(self, kind, scale, rng):
+        X, y, subjects = toy_problem(rng)
+        Xs = X.copy()
+        Xs[:, 2] *= scale
+        spec = ModelSpec(kind, n_learners=3)
+        config = EvalConfig(spec, Bank.B70, 75, UNR_RP, Protocol.Impersonal, seed=5)
+        overflows = scale > 1 and kind in (ModelKind.NaiveBayes, ModelKind.Knn, ModelKind.Svm)
+        before = np.geterr()
+        for step in (lambda: train(spec, Xs, y),
+                     lambda: predict_batch(train(spec, X, y), Xs),
+                     lambda: evaluate(config, Xs, y, subjects)):
+            if overflows:
+                with pytest.raises(SchemaError, match=f"^feature column 2 .* {kind.value}:"):
+                    step()
+            else:
+                step()
+            assert np.geterr() == before
 
 
 class TestNormalizerLeakage:

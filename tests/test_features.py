@@ -30,7 +30,7 @@ from harkit.features import (
     peak_interval_stats,
 )
 from harkit.ingest import Activity, SensorKind
-from harkit.preprocess import Window
+from harkit.preprocess import MIN_WINDOW, Window
 
 from conftest import one
 
@@ -374,6 +374,14 @@ class TestBanks:
         for slot in ("ar2_c1", "ar2_c2", "ma1_c1", "arma11_ar", "arma11_ma"):
             assert by_slot[(slot, "x")] == 0.0
         assert np.all(np.isfinite(fv.values))
+
+    @pytest.mark.parametrize("bank", list(Bank))
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_window_below_min_window_raises(self, bank, w, rng):
+        """Both banks refuse the windows `window_block` refuses, with or without rows."""
+        for n in (0, 2):
+            with pytest.raises(ValueError, match=f">= {MIN_WINDOW}"):
+                bank_matrix(bank, rng.normal(size=(3, n, w)))
 
     @pytest.mark.parametrize("w", [19, 20, 25, 75])
     def test_pacf_lag2_is_the_second_ar2_coefficient(self, w, rng):
