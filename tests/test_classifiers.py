@@ -182,6 +182,9 @@ def node_matrix(rng, kind, m, n_features, n_classes):
         X = rng.normal(size=(m, n_features))
     elif kind == "integer_ties":
         X = rng.integers(-2, 3, size=(m, n_features)).astype(float)
+    elif kind == "mixed_ties":  # integer-tie columns between normal ones
+        X = rng.normal(size=(m, n_features))
+        X[:, ::2] = rng.integers(-2, 3, size=(m, (n_features + 1) // 2))
     elif kind == "signed_zeros":
         X = rng.choice([-0.0, 0.0, 1.0], size=(m, n_features))
     elif kind == "bootstrap":  # rows drawn with replacement, as bagging does
@@ -206,8 +209,8 @@ def node_matrix(rng, kind, m, n_features, n_classes):
     return X, y
 
 
-NODE_KINDS = ["normal", "integer_ties", "signed_zeros", "bootstrap", "constant_columns",
-              "class_indicators", "no_gain"]
+NODE_KINDS = ["normal", "integer_ties", "mixed_ties", "signed_zeros", "bootstrap",
+              "constant_columns", "class_indicators", "no_gain"]
 
 
 def tree_nodes(tree, t=0) -> list[tuple]:
@@ -305,6 +308,17 @@ class TestTrainContract:
     def test_empty_raises(self):
         with pytest.raises(EmptyTrainingSet):
             train(ModelSpec(ModelKind.DecisionTree), np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_no_feature_columns_raises(self, kind):
+        """Rows without a feature column are no training set, for `train` and for
+        `train_all`, rather than a ZeroDivisionError or a model of one class."""
+        X, y = np.zeros((6, 0)), np.array([0, 1, 2, 0, 1, 2])
+        with pytest.raises(EmptyTrainingSet):
+            train(ModelSpec(kind, n_learners=3), X, y)
+        if kind is ModelKind.Svm:
+            with pytest.raises(EmptyTrainingSet):
+                list(classifiers.train_all(ModelSpec(kind), [y], lambda _: X))
 
     def test_length_mismatch_raises(self):
         with pytest.raises(DimensionMismatch):
@@ -646,6 +660,16 @@ class TestBestSplit:
         assert best == reference_best_split(X, y, n_classes)
         assert any(0 < g[0] - best[0] <= 1e-15 for g in gains[best[1] + 1:] if g)
 
+    def test_tied_columns_are_searched_over_value_runs(self):
+        """Integer-tie columns, whose sorted values change at 4 of 200 positions, take
+        the run search; normal columns, which change at every position, the row search."""
+        X, y = node_matrix(np.random.default_rng(3), "mixed_ties", 200, 7, 3)
+        XT = np.ascontiguousarray(X.T)
+        forest = classifiers._Forest(XT, np.argsort(XT, axis=1), y,
+                                     np.ones((1, 200), dtype=np.int64), 3, None, np.array([0]))
+        assert forest.tied.tolist() == [True, False] * 3 + [True]
+        assert presorted_split(X, y, 3) == reference_best_split(X, y, 3)
+
     def test_no_helpful_split_is_none(self):
         X, y = node_matrix(np.random.default_rng(0), "no_gain", 60, 5, 3)
         assert presorted_split(X, y, 3) is None
@@ -674,6 +698,63 @@ class TestBestSplit:
             tree_digest(train(ModelSpec(ModelKind.Bagging, seed=2, n_learners=10), Xr, yr), Xr),
         ]
         assert digests == PINNED_TREE_DIGESTS
+
+
+def scan_winners(gains):
+    """Each row's feature by the per-feature search's rule: in ascending order, a feature
+    wins only by beating the best so far by more than 1e-15; -1 where none has a gain."""
+    winners = []
+    for row in gains.tolist():
+        best = None
+        for j, gain in enumerate(row):
+            if gain > -np.inf and (best is None or gain > row[best] + 1e-15):
+                best = j
+        winners.append(-1 if best is None else best)
+    return winners
+
+
+class TestContenders:
+    """Only the features in a node's band of best S get exact gains, and the scan over
+    them picks what a scan over every feature picks. Crafted nodes of m = 1 (tol 1e-12),
+    each gain P - 1 + S/m, as the search's gains are up to rounding."""
+
+    TOL = np.array([1e-12])
+
+    def test_features_far_below_the_band_are_left_out(self):
+        best = np.array([[0.5, 0.5 - 1e-9, -np.inf, 0.5 - 0.5e-12]])
+        assert classifiers._contenders(best, self.TOL).tolist() == [[True, False, False, True]]
+
+    def test_best_s_within_tol_below_the_band_takes_every_feature(self):
+        """Feature 1 is out of the band by 0.5e-12 but only 0.6e-12 below feature 2, the
+        lowest in it: every feature's gain is computed."""
+        best = np.array([[0.5 - 5e-12, 0.5 - 1.5e-12, 0.5 - 0.9e-12, 0.5, -np.inf]])
+        assert classifiers._contenders(best, self.TOL).all()
+
+    def test_chain_of_near_gains_across_the_band_edge(self):
+        """Gains rising by 0.6e-15 from feature to feature, across the band's lower edge:
+        a scan of the band alone would start its chain of wins at another feature and end
+        elsewhere; the fallback to every feature keeps the plain scan's winner."""
+        best = 0.5 + 0.6e-15 * np.arange(2000)[None, :]
+        gains = best - 0.2
+        band = best >= best.max() - self.TOL
+        assert not band.all()
+        assert scan_winners(np.where(band, gains, -np.inf)) != scan_winners(gains)
+        mask = classifiers._contenders(best, self.TOL)
+        assert mask.all()
+        assert classifiers._scan(np.where(mask, gains, -np.inf)).tolist() == scan_winners(gains)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_band_scan_equals_scan_of_every_feature(self, seed):
+        """Nodes of best S in clusters spaced about tol apart, with gains a few 1e-16
+        off their S."""
+        rng = np.random.default_rng(seed)
+        best = 0.5 + rng.integers(0, 4, (300, 12)) * 1e-12
+        best += rng.integers(0, 6, (300, 12)) * 4e-16
+        best[rng.random((300, 12)) < 0.1] = -np.inf
+        gains = best - 0.2 + rng.integers(-2, 3, (300, 12)) * 2**-54
+        mask = classifiers._contenders(best, np.full(300, 1e-12))
+        assert not mask.all()
+        assert classifiers._scan(np.where(mask, gains, -np.inf)).tolist() == scan_winners(gains)
 
 
 def frontier_of(XT, W, nodes, counts):
@@ -757,6 +838,21 @@ class TestBestSplits:
         assert np.all(X[nodes[0][1]].max(axis=0) < X[nodes[1][1]].min(axis=0))
         with mock.patch.object(classifiers, "_SPLIT_BLOCK_ELEMENTS", block_elements):
             _, got, expected = search_nodes(X, y, W, nodes)
+        assert got == expected and None not in got
+
+    @pytest.mark.parametrize("block_elements", [classifiers._SPLIT_BLOCK_ELEMENTS, 1, 97, 4096])
+    def test_node_below_the_next_node_in_the_run_search(self, block_elements):
+        """As above, on 200 rows of 10 values per feature, so the run search takes every
+        feature: a node's last column must not split there either."""
+        rng = np.random.default_rng(12)
+        X, y = node_matrix(rng, "integer_ties", 200, 8, 3)
+        X[100:] += 10.0
+        W = np.bincount(rng.integers(0, 200, 200), minlength=200)[None]
+        low, high = np.arange(100), np.arange(100, 200)
+        nodes = [(0, low[W[0, low] > 0]), (0, high[W[0, high] > 0])]
+        with mock.patch.object(classifiers, "_SPLIT_BLOCK_ELEMENTS", block_elements):
+            forest, got, expected = search_nodes(X, y, W, nodes)
+        assert forest.tied.all()
         assert got == expected and None not in got
 
     @pytest.mark.parametrize("block_elements", [classifiers._SPLIT_BLOCK_ELEMENTS, 1, 97, 4096])
